@@ -149,11 +149,6 @@ class AbelianGroup:
         return self.spec()
 
 
-def format_element(x: Element) -> str:
-    """Render an element as "(3,2)"; the trivial group's element is "()"."""
-    return "(" + ",".join(str(c) for c in x) + ")"
-
-
 def _prime_factorization(n: int) -> dict[int, int]:
     result: dict[int, int] = {}
     p = 2

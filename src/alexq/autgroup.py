@@ -9,8 +9,12 @@ Enumeration walks all candidate generator-image tuples whose orders divide
 the corresponding factors, keeping the bijective ones. Conjugacy classes are
 computed by orbit expansion (conjugate each discovered representative by the
 whole automorphism group), which costs O(|Aut| * #classes) instead of the
-pairwise-comparison quadratic; `is_conjugate` remains the definitional
-pairwise test and is used to verify the partition.
+pairwise-comparison quadratic. Since a linear map is fixed by its generator
+images, a conjugate h o f o h^-1 is evaluated on the generators only: with
+h^-1(g) = h.index(g) that is k lookups per h and no inverse permutation.
+`is_conjugate` and `lex_least_conjugate` evaluate conjugates the same way.
+`is_conjugate` remains the definitional pairwise test and is used to verify
+the partition.
 """
 
 from __future__ import annotations
@@ -206,7 +210,7 @@ def enumerate_automorphisms(
 @lru_cache(maxsize=16)
 def _conjugacy(G: AbelianGroup, budget: int):
     perms = _automorphism_perms(G, budget)
-    class_ids, rep_indices = kernels.conjugacy_partition(list(perms))
+    class_ids, rep_indices = kernels.conjugacy_partition(perms, G.generator_indices)
     return perms, tuple(class_ids), tuple(rep_indices)
 
 
@@ -260,9 +264,8 @@ def is_conjugate(
     fp, gp = f.perm, g.perm
     gens = G.generator_indices
     for hp in _automorphism_perms(G, budget):
-        hinv = kernels.invert_perm(hp)
-        # equality on generators determines the linear map
-        if all(hinv[gp[hp[i]]] == fp[i] for i in gens):
+        # h o f o h^-1 = g on the generators determines the linear map
+        if all(hp[fp[hp.index(x)]] == gp[x] for x in gens):
             return Automorphism._from_perm(G, hp)
     return None
 
@@ -275,11 +278,10 @@ def lex_least_conjugate(
     fp = f.perm
     best = None
     for hp in _automorphism_perms(G, budget):
-        hinv = kernels.invert_perm(hp)
-        key = tuple(hinv[fp[hp[i]]] for i in gens)
+        key = tuple([hp[fp[hp.index(x)]] for x in gens])
         if best is None or key < best[0]:
-            best = (key, hp, hinv)
+            best = (key, hp)
     assert best is not None
-    _, hp, hinv = best
-    conj = tuple(hinv[fp[hp[i]]] for i in range(G.order))
+    hp = best[1]
+    conj = tuple([hp[fp[y]] for y in kernels.invert_perm(hp)])
     return Automorphism._from_perm(G, conj)

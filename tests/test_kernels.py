@@ -1,35 +1,29 @@
 import pytest
 
 from alexq.abelian import AbelianGroup
-from alexq.autgroup import _group_tables
-from alexq.kernels import available_backends
-
-BACKENDS = available_backends()
-
-pytestmark = pytest.mark.skipif(
-    "cython" not in BACKENDS, reason="compiled kernel not built"
-)
+from alexq.autgroup import enumerate_automorphisms, is_conjugate
+from alexq.kernels import conjugacy_partition, invert_perm
 
 
-@pytest.mark.parametrize("factors", [(2, 2, 2), (4, 4), (16,), (2, 4), (3, 3), ()])
-def test_backend_parity(factors):
+@pytest.mark.parametrize("factors", [(), (8,), (2, 4), (3, 3), (4, 4)])
+def test_partition_matches_definitional_conjugacy(factors):
     G = AbelianGroup(factors)
-    add, allowed = _group_tables(G)
-    outputs = {}
-    for name, impl in BACKENDS.items():
-        perms = impl.enumerate_linear_bijections(
-            G.order, G.factors, G.generator_indices, add, allowed
-        )
-        class_ids, reps = impl.conjugacy_partition(perms)
-        outputs[name] = (perms, list(class_ids), list(reps))
-    assert outputs["python"] == outputs["cython"]
+    auts = enumerate_automorphisms(G)
+    class_ids, reps = conjugacy_partition([f.perm for f in auts], G.generator_indices)
+    assert len(class_ids) == len(auts)
+    for i, f in enumerate(auts):
+        for j in range(i, len(auts)):
+            same = class_ids[i] == class_ids[j]
+            assert same == (is_conjugate(G, f, auts[j]) is not None), (f, auts[j])
+    # each representative is the least-index member of its class
+    assert reps == [class_ids.index(c) for c in range(len(reps))]
 
 
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_perm_helpers(name):
-    impl = BACKENDS[name]
+def test_invert_perm():
     p = (2, 0, 3, 1)
-    q = (1, 2, 3, 0)
-    assert impl.compose_perm(p, q) == tuple(p[i] for i in q)
-    assert impl.invert_perm(p) == (1, 3, 0, 2)
-    assert impl.compose_perm(p, impl.invert_perm(p)) == (0, 1, 2, 3)
+    inv = invert_perm(p)
+    assert inv == (1, 3, 0, 2)
+    assert tuple(p[i] for i in inv) == (0, 1, 2, 3)
+    G = AbelianGroup((2, 4))
+    for f in enumerate_automorphisms(G):
+        assert tuple(f.perm[i] for i in invert_perm(f.perm)) == tuple(range(G.order))
