@@ -6,19 +6,22 @@ automorphism is a bijective endomorphism; bijectivity is what makes the
 inverse action (needed for t^-1) exist.
 
 Enumeration walks all candidate generator-image tuples whose orders divide
-the corresponding factors, keeping the bijective ones. Conjugacy classes are
-computed by orbit expansion (conjugate each discovered representative by the
-whole automorphism group), which costs O(|Aut| * #classes) instead of the
-pairwise-comparison quadratic. Since a linear map is fixed by its generator
-images, a conjugate h o f o h^-1 is evaluated on the generators only: with
-h^-1(g) = h.index(g) that is k lookups per h and no inverse permutation.
-`is_conjugate` and `lex_least_conjugate` evaluate conjugates the same way.
+the corresponding factors, keeping the bijective ones; the budget guard
+counts those tuples in closed form before any table is built. Conjugacy
+classes are orbits under conjugation, computed in `kernels` as closures
+under a generating set S of Aut (at most four maps on every enumerable
+carrier of order up to 48), which costs |Aut| * |S| conjugates instead of
+|Aut| * #classes. Since a linear map is fixed by its generator images, a
+conjugate h o f o h^-1 is evaluated on the generators only: with
+h^-1(g) = h.index(g) that is k lookups and no inverse permutation.
+`lex_least_conjugate` reads its answer from the same cached partition.
 `is_conjugate` remains the definitional pairwise test and is used to verify
 the partition.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -176,10 +179,20 @@ def _group_tables(G: AbelianGroup) -> tuple[list[int], list[list[int]]]:
     return add, allowed
 
 
+def _candidate_count(G: AbelianGroup) -> int:
+    """Number of candidate generator-image tuples the enumeration walks.
+
+    Generator i may go to any element killed by d_i, and Z_{d_j} has
+    gcd(d_i, d_j) of those, so the count is prod_i prod_j gcd(d_i, d_j).
+    """
+    return math.prod(math.gcd(di, dj) for di in G.factors for dj in G.factors)
+
+
 def _check_budget(G: AbelianGroup, budget: int) -> None:
-    if G.order**G.rank > budget:
+    count = _candidate_count(G)
+    if count > budget:
         raise EnumerationBudgetError(
-            f"enumerating automorphisms of {G} needs {G.order}**{G.rank} candidate "
+            f"enumerating automorphisms of {G} needs {count} candidate "
             f"image tuples, over the budget of {budget}"
         )
 
@@ -273,15 +286,17 @@ def is_conjugate(
 def lex_least_conjugate(
     G: AbelianGroup, f: Automorphism, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> Automorphism:
-    """The lexicographically least member of f's conjugacy class."""
+    """The lexicographically least member of f's conjugacy class.
+
+    Read from the cached partition: f is found by bisection in the
+    automorphism list (sorted by generator images), and its class
+    representative is already the least member.
+    """
+    if f.group != G:
+        raise ValueError("the map must act on the given group")
+    perms, class_ids, rep_indices = _conjugacy(G, budget)
     gens = G.generator_indices
-    fp = f.perm
-    best = None
-    for hp in _automorphism_perms(G, budget):
-        key = tuple([hp[fp[hp.index(x)]] for x in gens])
-        if best is None or key < best[0]:
-            best = (key, hp)
-    assert best is not None
-    hp = best[1]
-    conj = tuple([hp[fp[y]] for y in kernels.invert_perm(hp)])
-    return Automorphism._from_perm(G, conj)
+    i = bisect.bisect_left(
+        perms, tuple([f.perm[g] for g in gens]), key=lambda p: tuple([p[g] for g in gens])
+    )
+    return Automorphism._from_perm(G, perms[rep_indices[class_ids[i]]])

@@ -9,9 +9,15 @@ layer:
 - permutations are tuples p of length n with p[i] = image of element i,
 - `gens` are the element indices of the standard generators; a linear map
   is fixed by its generator images tuple(p[g] for g in gens).
+
+Enumeration is a pruned search over generator images. The conjugacy
+partition treats each class as an orbit: it finds a small generating set S
+of the group, then closes each class under conjugation by S alone.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -79,6 +85,60 @@ def enumerate_linear_bijections(n, factors, gen_idx, add, allowed):
     return results
 
 
+# Step of the walk that picks generators: a large prime reduced mod |Aut|,
+# so consecutive candidates land far apart in the sorted order. A walk in
+# sorted order keeps many near-identical maps: 9 on Aut(Z2^3 + Z4), where
+# this stride keeps 3 (and at most 4 on every enumerable carrier of order
+# up to 48).
+_GENERATOR_STRIDE = 1_000_003
+
+
+def _generating_set(perms, gens, index_of):
+    """A few perms that generate the whole group.
+
+    Candidates are visited at the multiples of a stride coprime to |Aut|,
+    so every index is reached and the loop ends. A candidate is kept only
+    if it lies outside the closure of those kept so far; the closure is
+    grown by BFS, composing on generator images (s o x sends g to s[x[g]]),
+    until it holds all |Aut| elements, which proves the set generates.
+    """
+    count = len(perms)
+    step = _GENERATOR_STRIDE % count
+    while math.gcd(step, count) != 1:
+        step += 1
+    in_closure = bytearray(count)
+    identity = index_of[tuple(gens)]
+    in_closure[identity] = 1
+    closure = [identity]
+
+    def grow(s, x):
+        j = index_of[tuple([s[x[g]] for g in gens])]
+        if not in_closure[j]:
+            in_closure[j] = 1
+            closure.append(j)
+
+    chosen = []
+    cand = 0
+    while len(closure) < count:
+        cand = (cand + step) % count
+        if in_closure[cand]:
+            continue
+        new = perms[cand]
+        chosen.append(new)
+        # the old closure is closed under the earlier generators, so it
+        # needs only the new one; what that adds needs all of them
+        old = len(closure)
+        for pos in range(old):
+            grow(new, perms[closure[pos]])
+        pos = old
+        while pos < len(closure):
+            x = perms[closure[pos]]
+            pos += 1
+            for s in chosen:
+                grow(s, x)
+    return chosen
+
+
 def conjugacy_partition(perms, gens):
     """Partition a full list of automorphism permutations into conjugacy classes.
 
@@ -90,20 +150,30 @@ def conjugacy_partition(perms, gens):
     hence for input sorted by generator images the lexicographically least
     one.
 
-    The class of f is expanded as its orbit {h o f o h^-1 : h in Aut}. Each
-    conjugate is identified by its generator images alone, h(f(h^-1(g))) for
-    g in gens, so only h^-1 on the generators is stored (`pulls`), and a
-    conjugate costs k lookups instead of a full n-element permutation.
+    A class is the orbit of f under conjugation by Aut, and an orbit under a
+    finite group is its closure under a generating set S. So the kernel
+    first finds a small S (`_generating_set`), then expands each class by
+    s o f o s^-1 for s in S, costing |Aut| * |S| conjugates in all instead
+    of |Aut| * #classes. Each conjugate is identified by its generator images
+    alone, s(f(s^-1(g))) for g in gens, so only s^-1 on the generators is
+    stored, and a conjugate costs k lookups.
     """
     index_of = {tuple([p[g] for g in gens]): i for i, p in enumerate(perms)}
-    pulls = [[p.index(g) for g in gens] for p in perms]
+    conj = [(s, [s.index(g) for g in gens]) for s in _generating_set(perms, gens, index_of)]
     class_ids = [-1] * len(perms)
     reps = []
-    for i, f in enumerate(perms):
+    for i in range(len(perms)):
         if class_ids[i] != -1:
             continue
         cid = len(reps)
         reps.append(i)
-        for h, pull in zip(perms, pulls):
-            class_ids[index_of[tuple([h[f[x]] for x in pull])]] = cid
+        class_ids[i] = cid
+        stack = [i]
+        while stack:
+            f = perms[stack.pop()]
+            for s, pull in conj:
+                j = index_of[tuple([s[f[x]] for x in pull])]
+                if class_ids[j] == -1:
+                    class_ids[j] = cid
+                    stack.append(j)
     return class_ids, reps

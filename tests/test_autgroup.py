@@ -7,6 +7,7 @@ from alexq.abelian import AbelianGroup
 from alexq.autgroup import (
     Automorphism,
     Endomorphism,
+    _candidate_count,
     conjugacy_class_sizes,
     conjugacy_representatives,
     enumerate_automorphisms,
@@ -75,6 +76,13 @@ class TestEnumeration:
     def test_budget_guard(self):
         with pytest.raises(EnumerationBudgetError):
             enumerate_automorphisms(AbelianGroup((2,) * 5), budget=2**24)
+
+    def test_budget_counts_candidate_image_tuples(self):
+        # generator images must be killed by their factor: 16 * 16 * 16 * 32
+        G = AbelianGroup((2, 2, 2, 4))
+        assert _candidate_count(G) == 131072
+        with pytest.raises(EnumerationBudgetError, match="131072"):
+            enumerate_automorphisms(G, budget=131071)
 
     def test_trivial_group(self):
         auts = enumerate_automorphisms(AbelianGroup(()))
@@ -192,6 +200,21 @@ class TestRepresentatives:
         G = AbelianGroup((2, 4))
         for rep in conjugacy_representatives(G):
             assert lex_least_conjugate(G, rep) == rep
+
+    @pytest.mark.parametrize("factors", [(2, 4), (4, 4), (3, 9), (2, 2, 2)])
+    def test_lex_least_matches_brute_force(self, factors):
+        """Reference: the least generator images of h o f o h^-1 over all h."""
+        G = AbelianGroup(factors)
+        auts = enumerate_automorphisms(G)
+        elements = G.elements
+        gens = G.generator_indices
+        pairs = [(h.perm, h.invert().perm) for h in auts]
+        for f in auts:
+            fp = f.perm
+            least = min(
+                tuple(elements[hp[fp[hinv[g]]]] for g in gens) for hp, hinv in pairs
+            )
+            assert lex_least_conjugate(G, f).images == least, f
 
     def test_class_sizes_sum_to_aut_order(self):
         for factors in [(2, 4), (8,), (2, 2, 2), (4, 4)]:
