@@ -250,13 +250,6 @@ def conjugacy_class_sizes(
     return tuple(sizes)
 
 
-def _fixed_point_free_image_size(f: Automorphism) -> int:
-    """|Im(Id - f)|, a cheap conjugacy invariant."""
-    G = f.group
-    perm = f.perm
-    return len({G.index(G.sub(x, G.element(perm[i]))) for i, x in enumerate(G.elements)})
-
-
 def is_conjugate(
     G: AbelianGroup,
     f: Automorphism,
@@ -272,7 +265,9 @@ def is_conjugate(
         raise ValueError("both maps must act on the given group")
     if f.cycle_type() != g.cycle_type():
         return None
-    if _fixed_point_free_image_size(f) != _fixed_point_free_image_size(g):
+    from .lambda_modules import LambdaModule, _image_set
+
+    if len(_image_set(LambdaModule(G, f))) != len(_image_set(LambdaModule(G, g))):
         return None
     fp, gp = f.perm, g.perm
     gens = G.generator_indices

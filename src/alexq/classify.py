@@ -1,11 +1,12 @@
 """End-to-end classification of Alexander quandles of a given order.
 
 For every abelian carrier of the order and every conjugacy class of its
-automorphism group, the pipeline computes the image module of 1 - t and
-merges structures whose images are isomorphic; each merged class is one
-isomorphism class of quandles. Images are bucketed by cheap invariants
-(order, carrier factors, action cycle type, size of the iterated image)
-so the pairwise isomorphism test only runs within small buckets.
+automorphism group, the pipeline computes the image module of 1 - t.
+Structures of one order are isomorphic exactly when their images are
+isomorphic modules, and `canonical_label` is equal exactly for isomorphic
+modules. So structures are merged by the label of their image (computed
+once per distinct image), and each label names one isomorphism class of
+quandles.
 
 Per-carrier results (conjugacy representatives and their images) are cached
 on disk as JSON keyed by carrier and code version; ALEXQ_CACHE overrides
@@ -33,7 +34,6 @@ from .autgroup import (
 from .errors import ConsistencyError
 from .lambda_modules import (
     LambdaModule,
-    _image_set,
     canonical_label,
     image_one_minus_t,
     is_lambda_isomorphic,
@@ -43,6 +43,7 @@ from . import polymod
 from .quandle import alexander_table, brute_force_isomorphic, orbits
 
 Member = tuple[AbelianGroup, Automorphism]
+Pair = tuple[Automorphism, LambdaModule]  # (representative, image of 1 - t)
 
 
 @dataclass(frozen=True)
@@ -76,21 +77,25 @@ def _cache_path(cache_dir: Path, carrier: AbelianGroup) -> Path:
     return cache_dir / f"carrier-{name}-v{__version__}.json"
 
 
-def _load_cached(path: Path, carrier: AbelianGroup) -> dict | None:
+def _load_cached(path: Path, carrier: AbelianGroup) -> list[Pair] | None:
+    """Cached (representative, image) pairs, or None if missing, stale or unparseable."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+        if (
+            not isinstance(payload, dict)
+            or payload.get("carrier") != carrier.spec()
+            or payload.get("version") != __version__
+            or not isinstance(payload.get("reps"), list)
+            or not isinstance(payload.get("images"), list)
+            or len(payload["reps"]) != len(payload["images"])
+        ):
+            return None
+        return [
+            (parse_phi_spec(carrier, rep_spec), parse_module_spec(image_spec))
+            for rep_spec, image_spec in zip(payload["reps"], payload["images"])
+        ]
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("carrier") != carrier.spec()
-        or payload.get("version") != __version__
-        or not isinstance(payload.get("reps"), list)
-        or not isinstance(payload.get("images"), list)
-        or len(payload["reps"]) != len(payload["images"])
-    ):
-        return None
-    return payload
 
 
 def _store_cached(path: Path, payload: dict) -> None:
@@ -108,41 +113,29 @@ def _store_cached(path: Path, payload: dict) -> None:
             pass
 
 
-def _payload_parses(carrier: AbelianGroup, payload: dict) -> bool:
-    try:
-        for rep_spec, image_spec in zip(payload["reps"], payload["images"]):
-            parse_phi_spec(carrier, rep_spec)
-            parse_module_spec(image_spec)
-    except (ValueError, KeyError, TypeError):
-        return False
-    return True
-
-
-def _carrier_payload(
+def _carrier_pairs(
     factors: tuple[int, ...], budget: int, cache_dir: str | None
-) -> dict:
+) -> list[Pair]:
     """Conjugacy representatives and their images for one carrier.
 
-    Returns plain strings so the payload survives process boundaries and
-    the JSON cache identically.
+    The pairs are plain frozen values, so they cross process boundaries
+    unchanged; the JSON cache stores them as spec strings.
     """
     carrier = AbelianGroup(factors)
     path = _cache_path(resolve_cache_dir(cache_dir), carrier)
     cached = _load_cached(path, carrier)
-    if cached is not None and _payload_parses(carrier, cached):
+    if cached is not None:
         return cached
     reps = conjugacy_representatives(carrier, budget)
-    images = [
-        image_one_minus_t(LambdaModule(carrier, rep)).spec() for rep in reps
-    ]
+    pairs = [(rep, image_one_minus_t(LambdaModule(carrier, rep))) for rep in reps]
     payload = {
         "carrier": carrier.spec(),
         "version": __version__,
-        "reps": [rep.spec() for rep in reps],
-        "images": images,
+        "reps": [rep.spec() for rep, _ in pairs],
+        "images": [image.spec() for _, image in pairs],
     }
     _store_cached(path, payload)
-    return payload
+    return pairs
 
 
 def resolve_cache_dir(cache_dir: str | None) -> Path:
@@ -172,69 +165,39 @@ def classify_order(
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     carriers = enumerate_groups(order)
-    payloads: dict[tuple[int, ...], dict] = {}
+    pairs: dict[tuple[int, ...], list[Pair]] = {}
     if jobs <= 1:
         for G in carriers:
-            payloads[G.factors] = _carrier_payload(G.factors, budget, cache_dir)
+            pairs[G.factors] = _carrier_pairs(G.factors, budget, cache_dir)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                G.factors: pool.submit(_carrier_payload, G.factors, budget, cache_dir)
+                G.factors: pool.submit(_carrier_pairs, G.factors, budget, cache_dir)
                 for G in carriers
             }
             for factors, future in futures.items():
-                payloads[factors] = future.result()
+                pairs[factors] = future.result()
 
-    classes: list[dict] = []
-    buckets: dict[tuple, list[int]] = {}
+    # label -> (first image seen, members); equal labels are isomorphic images
+    labels: dict[LambdaModule, str] = {}
+    classes: dict[str, tuple[LambdaModule, list[Member]]] = {}
     for G in carriers:
-        payload = payloads[G.factors]
-        for rep_spec, image_spec in zip(payload["reps"], payload["images"]):
-            rep = parse_phi_spec(G, rep_spec)
-            image = parse_module_spec(image_spec)
-            key = (
-                image.order,
-                image.group.factors,
-                image.t.cycle_type(),
-                len(_image_set(image)),
-            )
-            for ci in buckets.get(key, ()):
-                if is_lambda_isomorphic(classes[ci]["image"], image) is not None:
-                    classes[ci]["members"].append((G, rep))
-                    break
-            else:
-                buckets.setdefault(key, []).append(len(classes))
-                classes.append({"image": image, "members": [(G, rep)]})
+        for rep, image in pairs[G.factors]:
+            label = labels.get(image)
+            if label is None:
+                label = labels[image] = canonical_label(image)
+            classes.setdefault(label, (image, []))[1].append((G, rep))
 
-    labeled = []
-    for entry in classes:
-        image = entry["image"]
-        labeled.append(
-            {
-                "image": image,
-                "label": canonical_label(image),
-                "members": tuple(sorted(entry["members"], key=_member_sort_key)),
-            }
-        )
-    seen_labels = {}
-    for entry in labeled:
-        dup = seen_labels.get(entry["label"])
-        if dup is not None:
-            raise ConsistencyError(
-                f"two non-isomorphic classes share label {entry['label']!r}"
-            )
-        seen_labels[entry["label"]] = entry
-
-    labeled.sort(key=lambda e: (e["image"].order, e["label"]))
+    ordered = sorted(classes.items(), key=lambda item: (item[1][0].order, item[0]))
     quandle_classes = tuple(
         QuandleClass(
             id=i + 1,
-            image_label=entry["label"],
-            image=entry["image"],
-            connected=entry["image"].order == order,
-            members=entry["members"],
+            image_label=label,
+            image=image,
+            connected=image.order == order,
+            members=tuple(sorted(members, key=_member_sort_key)),
         )
-        for i, entry in enumerate(labeled)
+        for i, (label, (image, members)) in enumerate(ordered)
     )
     per_group_counts = {
         G.spec(): sum(

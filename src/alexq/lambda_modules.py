@@ -9,10 +9,11 @@ so `image_one_minus_t` re-expresses the image as a standalone module and
 
 `canonical_label` names a module by structure: "0" for the zero module, a
 direct sum of cyclic scalar actions when one exists (e.g. "Λ8/t-3"), the
-polynomial divisor-chain name over elementary abelian 2-group carriers
-(e.g. "(Λ2/t+1)^2⊕Λ2/t^2+1"), and otherwise a carrier-plus-action fallback
-built from the least conjugate of t. Within one run, equal labels mean
-isomorphic modules and vice versa.
+polynomial divisor-chain name over elementary abelian carriers of any prime
+(e.g. "(Λ2/t+1)^2⊕Λ2/t^2+1", "Λ3/t+1⊕Λ3/t^2+2t+1"), and otherwise a
+carrier-plus-action fallback built from the least conjugate of t. Two
+modules get equal labels if and only if they are isomorphic: classification
+merges structures by the label of their image alone, so it relies on this.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ def poly_descending_name(coeffs: tuple[int, ...]) -> str:
 
 
 def canonical_label(M: LambdaModule) -> str:
-    """A name equal across a run exactly for isomorphic modules."""
+    """A name that is equal for two modules if and only if they are isomorphic."""
     if M.order == 1:
         return "0"
     pairs = _scalar_cyclic_match(M)

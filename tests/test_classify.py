@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 
 import pytest
@@ -14,6 +16,13 @@ from alexq.classify import (
     cross_validate,
     oracle_class_counts,
     resolve_cache_dir,
+)
+from alexq.cli import report_to_json
+from alexq.lambda_modules import (
+    LambdaModule,
+    canonical_label,
+    image_one_minus_t,
+    is_lambda_isomorphic,
 )
 from alexq.quandle import alexander_table, brute_force_isomorphic
 
@@ -206,3 +215,57 @@ def test_cache_with_unparseable_specs_is_recomputed(tmp_path):
         p.write_text(json.dumps(payload), encoding="utf-8")
     r2 = classify_order(4, cache_dir=str(cache))
     assert r1 == r2
+
+
+def test_cache_with_non_string_specs_is_recomputed(tmp_path):
+    cache = tmp_path / "cache"
+    r1 = classify_order(4, cache_dir=str(cache))
+    for p in cache.iterdir():
+        payload = json.loads(p.read_text())
+        payload["images"] = [7] * len(payload["images"])
+        p.write_text(json.dumps(payload), encoding="utf-8")
+    r2 = classify_order(4, cache_dir=str(cache))
+    assert r1 == r2
+
+
+class TestMergeByLabel:
+    # classify_order merges structures by the canonical label of their image
+    # alone, so label equality must agree with the witness search.
+    @pytest.mark.parametrize("order", [8, 16, 27, 48])
+    def test_equal_label_iff_isomorphic_image(self, order):
+        images = [
+            image_one_minus_t(LambdaModule(G, rep))
+            for G in enumerate_groups(order)
+            for rep in conjugacy_representatives(G)
+        ]
+        labels = [canonical_label(M) for M in images]
+        disagreements = [
+            (images[i].spec(), labels[i], images[j].spec(), labels[j])
+            for i, j in itertools.combinations(range(len(images)), 2)
+            if (labels[i] == labels[j])
+            != (is_lambda_isomorphic(images[i], images[j]) is not None)
+        ]
+        assert disagreements == []
+
+
+# sha256 of report_to_json without its generated_by line, which carries the
+# version; recorded while classes were still merged by pairwise
+# is_lambda_isomorphic.
+GOLDEN_REPORT_SHA256 = {
+    12: "9024b7267a573cab1872bf0ca058d3166da1658ee72783f1ba8c9176cdbbe395",
+    16: "1d555ea55003abe755a7404462d27bfa2e602cc51db49dc28b21f1744287942d",
+    24: "eb11f2635d928965b2a57c0cc2a64a3ebaa95b24d5e7cbccc165853a0730b16a",
+    27: "b4b8ae073c98a77300c982f8dd029bf977e6e80dc88977712690b4979178c8a2",
+    48: "9df02ad9d7c0c1e53b0f4fb127cf94aada1b5c4fcaa8e4ce598bd1aaaecbded8",
+}
+
+
+@pytest.mark.parametrize("order", sorted(GOLDEN_REPORT_SHA256))
+def test_report_matches_golden_digest(order, tmp_path):
+    text = report_to_json(classify_order(order, cache_dir=str(tmp_path)))
+    body = "".join(
+        line
+        for line in text.splitlines(keepends=True)
+        if not line.lstrip().startswith('"generated_by":')
+    )
+    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == GOLDEN_REPORT_SHA256[order]
