@@ -57,16 +57,23 @@ class Endomorphism:
 
     @cached_property
     def perm(self) -> tuple[int, ...]:
-        """The full map as element indices: perm[i] = index of f(element i)."""
+        """The full map as element indices: perm[i] = index of f(element i).
+
+        Built by the mixed-radix recurrence f(x) = f(x - e_j) + f(e_j), one
+        output coordinate at a time and without checked group operations:
+        the elements whose leading coordinates are zero are a prefix of the
+        index order, and each generator, taken from the last, extends that
+        prefix by its multiples.
+        """
         G = self.group
-        out = []
-        for x in G.elements:
-            y = G.zero
-            for c, img in zip(x, self.images):
-                if c:
-                    y = G.add(y, G.scalar_mul(c, img))
-            out.append(G.index(y))
-        return tuple(out)
+        perm = [0] * G.order
+        for l, (d, stride) in enumerate(zip(G.factors, G.generator_indices)):
+            column = [0]  # coordinate l of f(x), x in index order
+            for j in reversed(range(G.rank)):
+                a = self.images[j][l]
+                column = [(y + c * a) % d for c in range(G.factors[j]) for y in column]
+            perm = [i + y * stride for i, y in zip(perm, column)]
+        return tuple(perm)
 
     def apply(self, x: Element) -> Element:
         G = self.group
@@ -170,10 +177,16 @@ def _group_tables(G: AbelianGroup) -> tuple[list[int], list[list[int]]]:
     """(flat addition table, allowed image indices per generator position)."""
     n = G.order
     elements = G.elements
-    add = [0] * (n * n)
-    for i, x in enumerate(elements):
-        for j, y in enumerate(elements):
-            add[i * n + j] = G.index(G.add(x, y))
+    shape = tuple(zip(G.factors, G.generator_indices))
+    columns = [[x[l] for x in elements] for l in range(G.rank)]
+    add: list[int] = []
+    for i in range(n):
+        # row i, one coordinate at a time: index of x_i + y for every y
+        row = [0] * n
+        for column, (d, stride) in zip(columns, shape):
+            a = column[i]
+            row = [r + (a + c) % d * stride for r, c in zip(row, column)]
+        add.extend(row)
     orders = [G.element_order(x) for x in elements]
     allowed = [[i for i in range(n) if d % orders[i] == 0] for d in G.factors]
     return add, allowed
@@ -265,9 +278,9 @@ def is_conjugate(
         raise ValueError("both maps must act on the given group")
     if f.cycle_type() != g.cycle_type():
         return None
-    from .lambda_modules import LambdaModule, _image_set
+    from .lambda_modules import LambdaModule, _image_indices
 
-    if len(_image_set(LambdaModule(G, f))) != len(_image_set(LambdaModule(G, g))):
+    if len(_image_indices(LambdaModule(G, f))) != len(_image_indices(LambdaModule(G, g))):
         return None
     fp, gp = f.perm, g.perm
     gens = G.generator_indices

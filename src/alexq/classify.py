@@ -9,12 +9,15 @@ once per distinct image), and each label names one isomorphism class of
 quandles.
 
 Per-carrier results (conjugacy representatives and their images) are cached
-on disk as JSON keyed by carrier and code version; ALEXQ_CACHE overrides
-the default ./.alexq-cache directory and entries are safe to delete.
+on disk as JSON keyed by carrier, code version and a digest of the
+package's source files, so an entry written by other code is recomputed;
+ALEXQ_CACHE overrides the default ./.alexq-cache directory and entries are
+safe to delete.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._version import __version__
-from .abelian import AbelianGroup, enumerate_groups
+from .abelian import AbelianGroup, _prime_factorization, enumerate_groups
 from .autgroup import (
     DEFAULT_ENUMERATION_BUDGET,
     Automorphism,
@@ -72,6 +75,25 @@ class ClassificationReport:
 # --- per-carrier work and its cache --------------------------------------
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over this package's *.py files, sorted by name.
+
+    Stored in every cache entry and checked on load, so a code change
+    without a version bump cannot serve entries computed by other code.
+    Read on first cache access, not at import; hashlib is imported here
+    for the same reason, as it is slow to load.
+    """
+    import hashlib
+
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def _cache_path(cache_dir: Path, carrier: AbelianGroup) -> Path:
     name = carrier.spec().replace(",", "-")
     return cache_dir / f"carrier-{name}-v{__version__}.json"
@@ -85,6 +107,7 @@ def _load_cached(path: Path, carrier: AbelianGroup) -> list[Pair] | None:
             not isinstance(payload, dict)
             or payload.get("carrier") != carrier.spec()
             or payload.get("version") != __version__
+            or payload.get("source") != _source_digest()
             or not isinstance(payload.get("reps"), list)
             or not isinstance(payload.get("images"), list)
             or len(payload["reps"]) != len(payload["images"])
@@ -131,6 +154,7 @@ def _carrier_pairs(
     payload = {
         "carrier": carrier.spec(),
         "version": __version__,
+        "source": _source_digest(),
         "reps": [rep.spec() for rep, _ in pairs],
         "images": [image.spec() for _, image in pairs],
     }
@@ -232,19 +256,11 @@ class CrossValidation:
 
 
 def _prime_power(order: int) -> tuple[int, int] | None:
-    if order < 2:
+    factorization = _prime_factorization(order)
+    if len(factorization) != 1:
         return None
-    p = 2
-    n = order
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            return (p, k) if n == 1 else None
-        p += 1
-    return (n, 1)
+    ((p, k),) = factorization.items()
+    return p, k
 
 
 def cross_validate(

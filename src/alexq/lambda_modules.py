@@ -5,24 +5,30 @@ the associated quandle operation is a |> b = t(a) + b - t(b). The central
 computation is the image of 1 - t: two modules of equal order give
 isomorphic quandles exactly when those images are isomorphic as modules,
 so `image_one_minus_t` re-expresses the image as a standalone module and
-`is_lambda_isomorphic` decides module isomorphism with a witness.
+`is_lambda_isomorphic` decides module isomorphism with a witness. The image
+is computed on element indices and the carrier's addition table; only the
+finished module is validated.
 
 `canonical_label` names a module by structure: "0" for the zero module, a
 direct sum of cyclic scalar actions when one exists (e.g. "Λ8/t-3"), the
 polynomial divisor-chain name over elementary abelian carriers of any prime
 (e.g. "(Λ2/t+1)^2⊕Λ2/t^2+1", "Λ3/t+1⊕Λ3/t^2+2t+1"), and otherwise a
-carrier-plus-action fallback built from the least conjugate of t. Two
-modules get equal labels if and only if they are isomorphic: classification
-merges structures by the label of their image alone, so it relies on this.
+carrier-plus-action fallback built from the least conjugate of t. The
+scalar summands and the divisor chain are computed from the action, not
+found by trial: each route derives its one candidate and confirms it with a
+single `is_lambda_isomorphic` call. Two modules get equal labels if and
+only if they are isomorphic: classification merges structures by the label
+of their image alone, so it relies on this.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
-from .abelian import AbelianGroup, Element, subgroup_structure
+from .abelian import AbelianGroup, Element, _invariant_decomposition, _prime_factorization
 from .autgroup import Automorphism, _group_tables, lex_least_conjugate
 from .errors import ConsistencyError, SpecError
 
@@ -48,15 +54,25 @@ class LambdaModule:
         return self.spec()
 
 
-def _image_set(M: LambdaModule) -> set[Element]:
+def _image_indices(M: LambdaModule) -> set[int]:
+    """Im(1 - t) as a set of element indices."""
     G = M.group
-    perm = M.t.perm
-    return {G.sub(x, G.element(perm[i])) for i, x in enumerate(G.elements)}
+    elements, perm = G.elements, M.t.perm
+    shape = tuple(zip(G.factors, G.generator_indices))
+    return {
+        sum(((a - b) % d) * s for a, b, (d, s) in zip(x, elements[perm[i]], shape))
+        for i, x in enumerate(elements)
+    }
+
+
+def _image_set(M: LambdaModule) -> set[Element]:
+    elements = M.group.elements
+    return {elements[i] for i in _image_indices(M)}
 
 
 def is_connected(M: LambdaModule) -> bool:
     """Whether x -> x - t(x) is bijective, i.e. the quandle has one orbit."""
-    return len(_image_set(M)) == M.order
+    return len(_image_indices(M)) == M.order
 
 
 def image_one_minus_t(M: LambdaModule) -> LambdaModule:
@@ -65,16 +81,31 @@ def image_one_minus_t(M: LambdaModule) -> LambdaModule:
     The image subgroup is rebuilt on its own invariant factors so that
     images arising inside different carriers become directly comparable;
     the action is the restriction of t rewritten in the subgroup basis.
+    The decomposition runs on element indices with the carrier's addition
+    table; index order is lexicographic coordinate order, so the basis is
+    the one the same decomposition picks on coordinate tuples.
     """
     G = M.group
-    img = _image_set(M)
-    S = subgroup_structure(G, img)
-    coords = S.coordinates
-    for x in S.elements:
-        if M.t.apply(x) not in S.elements:
-            raise ConsistencyError(f"t does not preserve Im(1-t) on {M.spec()}")
-    carrier = S.as_group()
-    images = tuple(coords[M.t.apply(b)] for b in S.basis)
+    n = G.order
+    add, _ = _group_tables(G)
+    perm = M.t.perm
+    img = _image_indices(M)
+    if any(perm[x] not in img for x in img):
+        raise ConsistencyError(f"t does not preserve Im(1-t) on {M.spec()}")
+    factors, basis = _invariant_decomposition(img, lambda x, y: add[x * n + y], 0)
+    # span[i] = the element whose coordinates in the basis are the i-th
+    # tuple of the image carrier, in lexicographic order
+    span = [0]
+    for d, b in zip(reversed(factors), reversed(basis)):
+        multiples = [0]
+        for _ in range(d - 1):
+            multiples.append(add[multiples[-1] * n + b])
+        span = [add[m * n + y] for m in multiples for y in span]
+    position = {x: i for i, x in enumerate(span)}
+    if len(position) != len(img):
+        raise ConsistencyError(f"the image basis of {M.spec()} is not a basis")
+    carrier = AbelianGroup(factors)
+    images = tuple(carrier.element(position[perm[b]]) for b in basis)
     return LambdaModule(carrier, Automorphism(carrier, images))
 
 
@@ -92,7 +123,7 @@ def is_lambda_isomorphic(M: LambdaModule, M2: LambdaModule) -> Automorphism | No
         return None
     if M.t.cycle_type() != M2.t.cycle_type():
         return None
-    if len(_image_set(M)) != len(_image_set(M2)):
+    if len(_image_indices(M)) != len(_image_indices(M2)):
         return None
 
     G = M.group
@@ -156,27 +187,7 @@ def is_lambda_isomorphic(M: LambdaModule, M2: LambdaModule) -> Automorphism | No
 
 def _primary_parts(factors: tuple[int, ...]) -> list[int]:
     """The prime-power cyclic orders of the group, sorted."""
-    parts = []
-    for d in factors:
-        m = d
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                q = 1
-                while m % p == 0:
-                    q *= p
-                    m //= p
-                parts.append(q)
-            p += 1
-        if m > 1:
-            parts.append(m)
-    return sorted(parts)
-
-
-def _units(q: int) -> list[int]:
-    if q == 1:
-        return [0]
-    return [a for a in range(q) if math.gcd(a, q) == 1]
+    return sorted(p**e for d in factors for p, e in _prime_factorization(d).items())
 
 
 def scalar_cyclic_module(pairs: tuple[tuple[int, int], ...]) -> LambdaModule:
@@ -185,13 +196,15 @@ def scalar_cyclic_module(pairs: tuple[tuple[int, int], ...]) -> LambdaModule:
     pairs: a multiset of (prime power q, unit a mod q); the carrier is put
     into invariant-factor form by combining one q per prime into each factor
     (largest with largest) and the scalar on a combined factor is the
-    simultaneous residue of its constituents.
+    simultaneous residue of its constituents. No pairs give the zero module.
     """
     by_prime: dict[int, list[tuple[int, int]]] = {}
     for q, a in pairs:
-        p = _smallest_prime_factor(q)
-        by_prime.setdefault(p, []).append((q, a))
-    nslots = max(len(v) for v in by_prime.values())
+        factorization = _prime_factorization(q)
+        if len(factorization) != 1:
+            raise ValueError(f"summand orders must be prime powers, got {q}")
+        by_prime.setdefault(min(factorization), []).append((q, a))
+    nslots = max((len(v) for v in by_prime.values()), default=0)
     slots: list[list[tuple[int, int]]] = [[] for _ in range(nslots)]
     for p in sorted(by_prime):
         entries = sorted(by_prime[p], reverse=True)  # largest q first
@@ -207,29 +220,64 @@ def scalar_cyclic_module(pairs: tuple[tuple[int, int], ...]) -> LambdaModule:
     return LambdaModule(G, Automorphism(G, tuple(images)))
 
 
-def _smallest_prime_factor(q: int) -> int:
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            return p
-        p += 1
-    return q
+def _scalar_candidate(M: LambdaModule) -> tuple[tuple[int, int], ...] | None:
+    """The summands M has if it is a sum of cyclic scalar modules, or None.
 
+    Write N(q, r) = #{x : q*x = 0, t(x) = r*x} for a prime power q = p^f
+    and a unit r mod q. If M is the sum of Z_{p^e_i} with t = a_i, then
+    log_p N(p^f, r) - log_p N(p^(f-1), r) counts the summands with e_i >= f
+    and a_i = r mod p^f, and subtracting the counts one level up leaves the
+    summands with e_i = f exactly. Krull-Schmidt makes that multiset the
+    only candidate; whether M really is such a sum is for the caller to
+    confirm.
+    """
+    G = M.group
+    n = G.order
+    add, _ = _group_tables(G)
+    perm = M.t.perm
+    # (p, g, rho) for each x of order p^g whose image t(x) = rho*x lies in <x>
+    eigen: Counter[tuple[int, int, int]] = Counter()
+    for x in range(1, n):
+        multiples = [0, x]
+        y = add[x * n + x]
+        while y:
+            multiples.append(y)
+            y = add[y * n + x]
+        factorization = _prime_factorization(len(multiples))
+        tx = perm[x]
+        if len(factorization) == 1 and tx in multiples:
+            ((p, g),) = factorization.items()
+            eigen[p, g, multiples.index(tx)] += 1
 
-def _scalar_cyclic_match(M: LambdaModule) -> tuple[tuple[int, int], ...] | None:
-    """The unique multiset of (prime power, scalar) summands of M, if any."""
-    primary = _primary_parts(M.group.factors)
-    seen = set()
-    candidates = []
-    for choice in itertools.product(*(_units(q) for q in primary)):
-        pairs = tuple(sorted(zip(primary, choice)))
-        if pairs not in seen:
-            seen.add(pairs)
-            candidates.append(pairs)
-    for pairs in sorted(candidates):
-        if is_lambda_isomorphic(M, scalar_cyclic_module(pairs)) is not None:
-            return pairs
-    return None
+    pairs = []
+    for p, top in sorted(_prime_factorization(G.factors[-1]).items()):
+        # log_n[f][r] = log_p N(p^f, r); N is the order of a subgroup
+        log_n = [
+            {
+                r: _prime_factorization(
+                    1 + sum(eigen[p, g, r % p**g] for g in range(1, f + 1))
+                ).get(p, 0)
+                for r in range(p**f)
+                if r % p
+            }
+            for f in range(top + 1)
+        ]
+        above: dict[int, int] = {}  # the counts of level f + 1, by residue
+        for f in range(top, 0, -1):
+            q = p**f
+            level = {
+                r: log - log_n[f - 1].get(r % (q // p), 0) for r, log in log_n[f].items()
+            }
+            for r, c in level.items():
+                exact = c - sum(above.get(r + j * q, 0) for j in range(p))
+                if exact < 0:
+                    return None
+                pairs.extend([(q, r)] * exact)
+            above = level
+    pairs.sort()
+    if [q for q, _ in pairs] != _primary_parts(G.factors):
+        return None
+    return tuple(pairs)
 
 
 def cyclic_name(q: int, a: int) -> str:
@@ -268,26 +316,31 @@ def poly_descending_name(coeffs: tuple[int, ...]) -> str:
 
 
 def canonical_label(M: LambdaModule) -> str:
-    """A name that is equal for two modules if and only if they are isomorphic."""
+    """A name that is equal for two modules if and only if they are isomorphic.
+
+    The scalar-cyclic name comes first, then the divisor-chain name on an
+    elementary abelian carrier, then the fallback. The first two are derived
+    (`_scalar_candidate`, `polymod.divisor_chain`) and each is confirmed by
+    one isomorphism witness against the module it names.
+    """
     if M.order == 1:
         return "0"
-    pairs = _scalar_cyclic_match(M)
-    if pairs is not None:
-        names = sorted(cyclic_name(q, a) for q, a in pairs)
-        return _grouped(names)
+    pairs = _scalar_candidate(M)
+    if pairs is not None and is_lambda_isomorphic(M, scalar_cyclic_module(pairs)) is not None:
+        return _grouped(sorted(cyclic_name(q, a) for q, a in pairs))
     factors = M.group.factors
     p = factors[0]
-    if len(set(factors)) == 1 and _smallest_prime_factor(p) == p:
+    if len(set(factors)) == 1 and _prime_factorization(p) == {p: 1}:
         # elementary abelian carrier: name by the divisor chain of the action
         from . import polymod
 
-        for spec in polymod.enumerate_specs(p, M.group.rank):
-            if is_lambda_isomorphic(M, polymod.build(spec)) is not None:
-                names = [f"Λ{p}/{poly_descending_name(h.coeffs)}" for h in spec.chain]
-                return _grouped(names)
-        raise ConsistencyError(
-            f"no polynomial divisor chain matches {M.spec()}; should be impossible"
-        )
+        spec = polymod.divisor_chain(M)
+        if is_lambda_isomorphic(M, polymod.build(spec)) is None:
+            raise ConsistencyError(
+                f"the divisor chain {spec} does not match {M.spec()}; should be impossible"
+            )
+        names = [f"Λ{p}/{poly_descending_name(h.coeffs)}" for h in spec.chain]
+        return _grouped(names)
     least = lex_least_conjugate(M.group, M.t)
     return f"({M.group.spec()}; t={least.spec()})"
 

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abelian import AbelianGroup
+from .abelian import AbelianGroup, _prime_factorization
 from .autgroup import Automorphism
 from .errors import SpecError
 from .lambda_modules import LambdaModule
@@ -143,6 +143,81 @@ def poly_mod(a: Poly, m: Poly) -> Poly:
     return poly_divmod(a, m)[1]
 
 
+def poly_sub(a: Poly, b: Poly) -> Poly:
+    return poly_add(a, Poly(b.p, tuple(-c for c in b.coeffs)))
+
+
+def poly_monic(a: Poly) -> Poly:
+    """a scaled to leading coefficient 1 (zero stays zero)."""
+    if a.is_zero:
+        return a
+    inv = pow(a.coeffs[-1], -1, a.p)
+    return Poly(a.p, tuple(c * inv for c in a.coeffs))
+
+
+def smith_invariant_factors(matrix: list[list[Poly]]) -> tuple[Poly, ...]:
+    """Monic invariant factors d_1 | d_2 | ... | d_n of a square matrix over Z_p[t].
+
+    Elimination by unimodular row and column operations: the entry of least
+    degree is moved to the pivot, the pivot's row and column are cleared by
+    division, and a remaining entry the pivot does not divide is added into
+    the pivot row so that the next division lowers the pivot's degree. A
+    zero block leaves zero factors.
+
+    >>> p = 3
+    >>> m = [[Poly(p, (1, 1)), Poly(p, ())], [Poly(p, ()), Poly(p, (2, 1))]]
+    >>> [str(d) for d in smith_invariant_factors(m)]
+    ['1', '2+t^2']
+    """
+    a = [list(row) for row in matrix]
+    n = len(a)
+    diagonal: list[Poly] = []
+    for s in range(n):
+        while True:
+            nonzero = [
+                (a[i][j].degree, i, j)
+                for i in range(s, n)
+                for j in range(s, n)
+                if not a[i][j].is_zero
+            ]
+            if not nonzero:
+                zero = Poly(a[s][s].p, ())
+                return tuple(diagonal) + (zero,) * (n - s)
+            _, i, j = min(nonzero)
+            a[s], a[i] = a[i], a[s]
+            for row in a:
+                row[s], row[j] = row[j], row[s]
+            pivot = a[s][s]
+            cleared = True
+            for i in range(s + 1, n):
+                q, r = poly_divmod(a[i][s], pivot)
+                if not q.is_zero:
+                    a[i] = [poly_sub(x, poly_mul(q, y)) for x, y in zip(a[i], a[s])]
+                cleared = cleared and r.is_zero
+            for j in range(s + 1, n):
+                q, r = poly_divmod(a[s][j], pivot)
+                if not q.is_zero:
+                    for row in a:
+                        row[j] = poly_sub(row[j], poly_mul(q, row[s]))
+                cleared = cleared and r.is_zero
+            if not cleared:
+                continue
+            stray = next(
+                (
+                    i
+                    for i in range(s + 1, n)
+                    for j in range(s + 1, n)
+                    if not poly_divides(pivot, a[i][j])
+                ),
+                None,
+            )
+            if stray is None:
+                diagonal.append(poly_monic(pivot))
+                break
+            a[s] = [poly_add(x, y) for x, y in zip(a[s], a[stray])]
+    return tuple(diagonal)
+
+
 def poly_divides(a: Poly, b: Poly) -> bool:
     """Whether a divides b over Z_p (everything divides zero)."""
     _check_same_modulus(a, b)
@@ -242,3 +317,23 @@ def build(spec: PolySpec) -> LambdaModule:
                 images.append(x)
         offset += d
     return LambdaModule(G, Automorphism(G, tuple(images)))
+
+
+def divisor_chain(M: LambdaModule) -> PolySpec:
+    """The divisor chain of a module on (Z_p)^D, the inverse of `build`.
+
+    The chain is read from the Smith form of tI - A, where column j of A
+    holds the image of the j-th generator: its invariant factors of positive
+    degree are the chain, so `build` of the result is isomorphic to M.
+    """
+    factors = M.group.factors
+    p = factors[0] if factors else 0
+    if any(d != p for d in factors) or _prime_factorization(p) != {p: 1}:
+        raise ValueError(f"{M.group} is not an elementary abelian p-group")
+    images = M.t.images
+    k = len(factors)
+    matrix = [
+        [Poly(p, (-images[j][i], 1) if i == j else (-images[j][i],)) for j in range(k)]
+        for i in range(k)
+    ]
+    return PolySpec(p, tuple(h for h in smith_invariant_factors(matrix) if h.degree >= 1))

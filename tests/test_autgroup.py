@@ -8,6 +8,7 @@ from alexq.autgroup import (
     Automorphism,
     Endomorphism,
     _candidate_count,
+    _group_tables,
     conjugacy_class_sizes,
     conjugacy_representatives,
     enumerate_automorphisms,
@@ -115,6 +116,38 @@ class TestMapAlgebra:
         f = Automorphism(G, ((3,),))
         g = Automorphism(G, ((5,),))
         assert f.compose(g).apply((1,)) == (15,)
+
+    @pytest.mark.parametrize("factors", [(), (6,), (2, 4), (3, 9), (2, 2, 2), (2, 2, 6)])
+    def test_perm_matches_checked_linear_extension(self, factors):
+        # every well-defined endomorphism on the small carriers, a sample of
+        # 2,2,6: the recurrence agrees with summing c_j * image_j element by
+        # element through the checked group operations
+        G = AbelianGroup(factors)
+        killed = [[x for x in G.elements if G.scalar_mul(d, x) == G.zero] for d in factors]
+        tuples = list(itertools.product(*killed))
+        for images in tuples[:: max(1, len(tuples) // 400)]:
+            f = Endomorphism(G, images)
+            expected = []
+            for x in G.elements:
+                y = G.zero
+                for c, img in zip(x, images):
+                    y = G.add(y, G.scalar_mul(c, img))
+                expected.append(G.index(y))
+            assert f.perm == tuple(expected), f.spec()
+
+    @pytest.mark.parametrize("factors", [(), (12,), (2, 4), (3, 9), (2, 2, 6)])
+    def test_addition_table_matches_checked_addition(self, factors):
+        G = AbelianGroup(factors)
+        add, _ = _group_tables(G)
+        n = G.order
+        for i, x in enumerate(G.elements):
+            for j, y in enumerate(G.elements):
+                assert add[i * n + j] == G.index(G.add(x, y))
+
+    def test_perm_matches_kernel_enumeration(self):
+        G = AbelianGroup((2, 2, 6))
+        for f in enumerate_automorphisms(G):
+            assert Automorphism(G, f.images).perm == f.perm
 
     def test_ill_defined_map_rejected(self):
         G = AbelianGroup((2, 4))

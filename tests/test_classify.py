@@ -1,8 +1,14 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import alexq
 
 from alexq.abelian import AbelianGroup, enumerate_groups
 from alexq.autgroup import (
@@ -11,6 +17,7 @@ from alexq.autgroup import (
     enumerate_automorphisms,
 )
 from alexq.classify import (
+    _source_digest,
     classify_order,
     classify_range,
     cross_validate,
@@ -161,6 +168,38 @@ class TestDeterminismAndCache:
             p.write_text(json.dumps(payload), encoding="utf-8")
         r2 = classify_order(4, cache_dir=str(cache))
         assert r1 == r2
+
+    def test_changed_source_digest_is_recomputed(self, tmp_path):
+        cache = tmp_path / "cache"
+        r1 = classify_order(4, cache_dir=str(cache))
+        # entries that parse but are wrong: every class gets the first rep
+        for p in cache.iterdir():
+            payload = json.loads(p.read_text())
+            payload["reps"] = payload["reps"][:1] * len(payload["reps"])
+            payload["images"] = payload["images"][:1] * len(payload["images"])
+            p.write_text(json.dumps(payload), encoding="utf-8")
+        assert classify_order(4, cache_dir=str(cache)) != r1  # served as is
+        for p in cache.iterdir():
+            payload = json.loads(p.read_text())
+            payload["source"] = "0" * 64
+            p.write_text(json.dumps(payload), encoding="utf-8")
+        assert classify_order(4, cache_dir=str(cache)) == r1
+        for p in cache.iterdir():
+            assert json.loads(p.read_text())["source"] == _source_digest()
+
+    def test_source_digest_is_not_read_at_import(self):
+        code = (
+            "import alexq.classify as c; "
+            "print(c._source_digest.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(alexq.__file__).parents[1])},
+        )
+        assert out.stdout.strip() == "0"
 
     def test_env_var_fallback(self, monkeypatch, tmp_path):
         monkeypatch.setenv("ALEXQ_CACHE", str(tmp_path / "envcache"))

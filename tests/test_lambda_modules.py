@@ -1,27 +1,34 @@
 import itertools
+import math
 
 import pytest
 
-from alexq.abelian import AbelianGroup
+from alexq.abelian import AbelianGroup, enumerate_groups, subgroup_structure
 from alexq.autgroup import (
     Automorphism,
+    conjugacy_representatives,
     enumerate_automorphisms,
     identity_automorphism,
     is_conjugate,
+    lex_least_conjugate,
 )
 from alexq.errors import SpecError
 from alexq.lambda_modules import (
     LambdaModule,
+    _grouped,
     _image_set,
+    _primary_parts,
     canonical_label,
     cyclic_name,
     image_one_minus_t,
     is_connected,
     is_lambda_isomorphic,
     parse_module_spec,
+    poly_descending_name,
     scalar_cyclic_module,
 )
 from alexq.linearq import LinearQuandleSpec, build_linear
+from alexq.polymod import build, enumerate_specs
 
 
 def module(spec: str) -> LambdaModule:
@@ -152,6 +159,16 @@ class TestLabels:
         label = canonical_label(module("4,4|0,1;1,1"))
         assert label == "(4,4; t=0,1;1,1)"
 
+    def test_empty_scalar_sum_is_zero_module(self):
+        M = scalar_cyclic_module(())
+        assert M.group.factors == ()
+        assert M.spec() == "1|"
+        assert canonical_label(M) == "0"
+
+    def test_scalar_summands_must_be_prime_powers(self):
+        with pytest.raises(ValueError):
+            scalar_cyclic_module(((6, 1),))
+
     def test_mixed_scalar_sum_label(self):
         M = scalar_cyclic_module(((2, 1), (8, 3)))
         assert M.group.factors == (2, 8)
@@ -196,3 +213,103 @@ class TestModuleSpec:
             parse_module_spec("L16/2")  # not a unit
         with pytest.raises(SpecError):
             parse_module_spec("4,4|0,1")
+
+
+# --- the routes the computed image and labels replaced ---------------------
+
+
+def _reference_image(M: LambdaModule) -> LambdaModule:
+    """Im(1 - t) through checked element tuples and `subgroup_structure`.
+
+    The image is generated by the images e_i - t(e_i) of the generators.
+    """
+    G = M.group
+    S = subgroup_structure(G, [G.sub(e, M.t.apply(e)) for e in G.generators()])
+    for x in S.elements:
+        assert M.t.apply(x) in S.elements
+    carrier = S.as_group()
+    images = tuple(S.coordinates[M.t.apply(b)] for b in S.basis)
+    return LambdaModule(carrier, Automorphism(carrier, images))
+
+
+def _reference_label(M: LambdaModule) -> str:
+    """canonical_label by trial: every scalar-cyclic candidate, then every chain."""
+    if M.order == 1:
+        return "0"
+    primary = _primary_parts(M.group.factors)
+    units = [[a for a in range(q) if math.gcd(a, q) == 1] for q in primary]
+    for pairs in sorted({tuple(sorted(zip(primary, c))) for c in itertools.product(*units)}):
+        if is_lambda_isomorphic(M, scalar_cyclic_module(pairs)) is not None:
+            return _grouped(sorted(cyclic_name(q, a) for q, a in pairs))
+    factors = M.group.factors
+    p = factors[0]
+    if len(set(factors)) == 1 and all(p % d for d in range(2, p)):
+        for spec in enumerate_specs(p, M.group.rank):
+            if is_lambda_isomorphic(M, build(spec)) is not None:
+                return _grouped([f"Λ{p}/{poly_descending_name(h.coeffs)}" for h in spec.chain])
+        raise AssertionError(f"no chain matches {M.spec()}")
+    return f"({M.group.spec()}; t={lex_least_conjugate(M.group, M.t).spec()})"
+
+
+@pytest.fixture(scope="module")
+def representative_modules():
+    """Every conjugacy-representative module of orders 2 to 48 but 32."""
+    return [
+        LambdaModule(G, rep)
+        for order in range(2, 49)
+        if order != 32
+        for G in enumerate_groups(order)
+        for rep in conjugacy_representatives(G)
+    ]
+
+
+class TestComputedRoutes:
+    def test_image_matches_reference_on_every_representative(self, representative_modules):
+        mismatches = [
+            M.spec()
+            for M in representative_modules
+            if image_one_minus_t(M) != _reference_image(M)
+        ]
+        assert mismatches == []
+
+    def test_label_matches_reference_on_every_distinct_image(self, representative_modules):
+        images = {image_one_minus_t(M) for M in representative_modules}
+        mismatches = [
+            (M.spec(), canonical_label(M), _reference_label(M))
+            for M in sorted(images, key=LambdaModule.spec)
+            if canonical_label(M) != _reference_label(M)
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("factors", [(2, 4), (4, 4), (3, 9), (2, 2, 2), (3, 3)])
+    def test_routes_agree_on_every_automorphism(self, factors):
+        G = AbelianGroup(factors)
+        for f in enumerate_automorphisms(G):
+            M = LambdaModule(G, f)
+            assert image_one_minus_t(M) == _reference_image(M), M.spec()
+            assert canonical_label(M) == _reference_label(M), M.spec()
+
+    @pytest.mark.parametrize(
+        "p, k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3)]
+    )
+    def test_divisor_chain_round_trip(self, p, k):
+        # each chain module is labelled by its chain, or by its scalar
+        # summands when t is diagonalisable (the last chain entry splits
+        # into distinct linear factors); distinct chains, distinct labels
+        labels = []
+        for spec in enumerate_specs(p, k):
+            roots = [
+                [r for r in range(1, p) if _evaluate(h.coeffs, r, p) == 0] for h in spec.chain
+            ]
+            if len(roots[-1]) == spec.chain[-1].degree:
+                names = sorted(cyclic_name(p, r) for rs in roots for r in rs)
+            else:
+                names = [f"Λ{p}/{poly_descending_name(h.coeffs)}" for h in spec.chain]
+            label = canonical_label(build(spec))
+            assert label == _grouped(names), str(spec)
+            labels.append(label)
+        assert len(set(labels)) == len(labels)
+
+
+def _evaluate(coeffs: tuple[int, ...], x: int, p: int) -> int:
+    return sum(c * x**j for j, c in enumerate(coeffs)) % p

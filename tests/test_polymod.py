@@ -4,11 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alexq.lambda_modules import _image_set, is_connected, is_lambda_isomorphic
+from alexq.lambda_modules import (
+    _image_set,
+    is_connected,
+    is_lambda_isomorphic,
+    parse_module_spec,
+)
 from alexq.polymod import (
     Poly,
     PolySpec,
     build,
+    divisor_chain,
     enumerate_specs,
     monic_unit_constant_polys,
     poly_add,
@@ -16,6 +22,7 @@ from alexq.polymod import (
     poly_divmod,
     poly_mod,
     poly_mul,
+    smith_invariant_factors,
 )
 
 
@@ -62,6 +69,38 @@ class TestArithmetic:
         q, r = poly_divmod(a, m)
         assert r.degree < m.degree or r.is_zero
         assert poly_add(poly_mul(q, m), r) == a
+
+
+class TestSmithForm:
+    def test_diagonal_entries_are_recombined_into_a_chain(self):
+        zero = Poly(2, ())
+        # diag(t+1, t^2+1) over Z_2 is already a chain: t^2+1 = (t+1)^2
+        chain = smith_invariant_factors([[p2("1+t"), zero], [zero, p2("1+t^2")]])
+        assert [str(d) for d in chain] == ["1+t", "1+t^2"]
+        # diag(t, t+1): coprime entries merge into 1 | t^2+t
+        chain = smith_invariant_factors([[p2("t"), zero], [zero, p2("1+t")]])
+        assert [str(d) for d in chain] == ["1", "t+t^2"]
+
+    def test_zero_matrix(self):
+        assert smith_invariant_factors([[Poly(2, ())] * 2] * 2) == (Poly(2, ()),) * 2
+
+    @pytest.mark.parametrize(
+        "p, k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2)]
+    )
+    def test_divisor_chain_inverts_build(self, p, k):
+        for spec in enumerate_specs(p, k):
+            assert divisor_chain(build(spec)) == spec
+
+    def test_divisor_chain_is_invariant_under_conjugation(self):
+        # t and h t h^-1 on (Z_2)^2 with h the swap: same module
+        M = parse_module_spec("2,2|1,1;0,1")
+        N = parse_module_spec("2,2|1,0;1,1")
+        assert divisor_chain(M) == divisor_chain(N) == PolySpec(2, (p2("1+t^2"),))
+
+    def test_divisor_chain_needs_an_elementary_carrier(self):
+        for spec in ["4|1", "2,4|1,0;0,1", "6|1", "1|"]:
+            with pytest.raises(ValueError):
+                divisor_chain(parse_module_spec(spec))
 
 
 class TestEnumerateSpecs:
