@@ -15,8 +15,9 @@ carrier of order up to 48), which costs |Aut| * |S| conjugates instead of
 conjugate h o f o h^-1 is evaluated on the generators only: with
 h^-1(g) = h.index(g) that is k lookups and no inverse permutation.
 `lex_least_conjugate` reads its answer from the same cached partition.
-`is_conjugate` remains the definitional pairwise test and is used to verify
-the partition.
+`is_conjugate` decides a single pair without enumerating Aut: the kernel
+searches directly for an h with h o f = g o h, the same search that
+enumerates Aut and that decides module isomorphism in `lambda_modules`.
 """
 
 from __future__ import annotations
@@ -263,32 +264,20 @@ def conjugacy_class_sizes(
     return tuple(sizes)
 
 
-def is_conjugate(
-    G: AbelianGroup,
-    f: Automorphism,
-    g: Automorphism,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> Automorphism | None:
+def is_conjugate(G: AbelianGroup, f: Automorphism, g: Automorphism) -> Automorphism | None:
     """A witness h with f = h^-1 o g o h, or None.
 
-    Cheap invariants (cycle type, size of Im(Id - phi)) short-circuit most
-    negatives before the witness search over Aut(G).
+    The cycle type short-circuits most negatives; otherwise the kernel
+    searches for a bijective linear h with h o f = g o h directly, without
+    enumerating Aut(G).
     """
     if f.group != G or g.group != G:
         raise ValueError("both maps must act on the given group")
     if f.cycle_type() != g.cycle_type():
         return None
-    from .lambda_modules import LambdaModule, _image_indices
-
-    if len(_image_indices(LambdaModule(G, f))) != len(_image_indices(LambdaModule(G, g))):
-        return None
-    fp, gp = f.perm, g.perm
-    gens = G.generator_indices
-    for hp in _automorphism_perms(G, budget):
-        # h o f o h^-1 = g on the generators determines the linear map
-        if all(hp[fp[hp.index(x)]] == gp[x] for x in gens):
-            return Automorphism._from_perm(G, hp)
-    return None
+    add, allowed = _group_tables(G)
+    found = kernels._linear_bijections(G.order, G.factors, add, allowed, f.perm, g.perm)
+    return Automorphism._from_perm(G, found[0]) if found else None
 
 
 def lex_least_conjugate(

@@ -21,6 +21,7 @@ import functools
 import json
 import os
 import tempfile
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -269,8 +270,10 @@ def cross_validate(
     """Check the two routes agree on the elementary abelian carrier.
 
     The polynomial divisor chains and the conjugacy-class representatives
-    each enumerate all module structures on (Z_p)^k up to isomorphism; this
-    matches them one-to-one and reports any structure either side misses.
+    each enumerate all module structures on (Z_p)^k up to isomorphism. Each
+    representative's chain is read by `polymod.divisor_chain` and confirmed
+    by one witness against `build` of it; the routes agree when the chains
+    are distinct and are exactly the ones `enumerate_specs` lists.
     """
     pk = _prime_power(order)
     if pk is None:
@@ -278,39 +281,35 @@ def cross_validate(
     p, k = pk
     G = AbelianGroup((p,) * k)
     reps = conjugacy_representatives(G, budget)
-    rep_modules = [LambdaModule(G, rep) for rep in reps]
     specs = polymod.enumerate_specs(p, k)
 
-    matching = []
-    matched_reps = set()
-    for spec in specs:
-        built = polymod.build(spec)
-        hits = [
-            i
-            for i, M in enumerate(rep_modules)
-            if is_lambda_isomorphic(built, M) is not None
-        ]
-        if len(hits) != 1:
-            return CrossValidation(
-                order, p, k, len(specs), len(rep_modules), False,
-                f"chain {spec} matched {len(hits)} representative classes",
-                tuple(matching),
+    owner: dict[polymod.PolySpec, Automorphism] = {}  # chain -> its representative
+
+    def result(ok: bool, detail: str) -> CrossValidation:
+        matching = tuple((str(s), owner[s].spec()) for s in specs if s in owner)
+        return CrossValidation(order, p, k, len(specs), len(reps), ok, detail, matching)
+
+    for rep in reps:
+        M = LambdaModule(G, rep)
+        spec = polymod.divisor_chain(M)
+        if is_lambda_isomorphic(polymod.build(spec), M) is None:
+            return result(False, f"representative {rep.spec()} does not match its chain {spec}")
+        if spec in owner:
+            return result(
+                False,
+                f"representatives {owner[spec].spec()} and {rep.spec()} share the chain {spec}",
             )
-        matched_reps.add(hits[0])
-        matching.append((str(spec), reps[hits[0]].spec()))
-    if len(matched_reps) != len(rep_modules):
-        missing = sorted(set(range(len(rep_modules))) - matched_reps)
-        return CrossValidation(
-            order, p, k, len(specs), len(rep_modules), False,
-            f"{len(missing)} representative classes matched no chain "
-            f"(first: {reps[missing[0]].spec()})",
-            tuple(matching),
+        owner[spec] = rep
+    surplus = Counter(specs) - Counter(owner.keys())  # listed twice, or the chain of no class
+    missing = Counter(owner.keys()) - Counter(specs)  # the chain of a class, not listed
+    if surplus or missing:
+        return result(
+            False,
+            f"{surplus.total()} listed chains are repeated or match no class, "
+            f"{missing.total()} class chains are not listed "
+            f"(first: {next(iter(surplus or missing))})",
         )
-    return CrossValidation(
-        order, p, k, len(specs), len(rep_modules), True,
-        f"{len(specs)} chains matched {len(rep_modules)} classes one-to-one",
-        tuple(matching),
-    )
+    return result(True, f"{len(specs)} chains matched {len(reps)} classes one-to-one")
 
 
 # --- small-order sweep with oracle validation ------------------------------

@@ -178,8 +178,11 @@ def _cmd_cayley(args) -> int:
     M = parse_module_spec(args.module)
     text = alexander_table(M).to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0

@@ -1,4 +1,4 @@
-"""The hot-loop kernels: automorphism enumeration and conjugacy partitioning.
+"""The hot-loop kernels: the search for linear bijections and conjugacy partitioning.
 
 They operate on flat integer tables so they stay independent of the object
 layer:
@@ -10,9 +10,12 @@ layer:
 - `gens` are the element indices of the standard generators; a linear map
   is fixed by its generator images tuple(p[g] for g in gens).
 
-Enumeration is a pruned search over generator images. The conjugacy
-partition treats each class as an orbit: it finds a small generating set S
-of the group, then closes each class under conjugation by S alone.
+One pruned search over generator images (`_linear_bijections`) finds
+bijective linear maps h. Without constraints it lists Aut; given two
+actions t1 and t2 it stops at the first h with h o t1 = t2 o h, which
+decides both conjugacy in Aut and module isomorphism. The conjugacy
+partition treats each class as an orbit: it finds a small generating set
+S of the group, then closes each class under conjugation by S alone.
 """
 
 from __future__ import annotations
@@ -27,32 +30,52 @@ def invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def enumerate_linear_bijections(n, factors, gen_idx, add, allowed):
-    """All bijective linear self-maps, as permutations of element indices.
+def _commuting_levels(factors, t1):
+    """The pairs (x, t1[x]) to check at each generator position.
 
-    factors: the invariant factors d_1 | ... | d_k
-    gen_idx: element indices of the standard generators
+    Once position i has its image, the partial map covers the indices below
+    prod(factors[i:]). A pair is listed at the position whose prefix first
+    holds both of its ends, so each pair is checked exactly once.
+    """
+    bounds = [math.prod(factors[i:]) for i in range(len(factors))]
+    levels = [[] for _ in factors]
+    for x, tx in enumerate(t1):
+        top = max(x, tx)
+        if top:
+            i = len(factors) - 1
+            while top >= bounds[i]:
+                i -= 1
+            levels[i].append((x, tx))
+    return levels
+
+
+def _linear_bijections(n, factors, add, allowed, t1=None, t2=None):
+    """Bijective linear self-maps h as permutations, in search order.
+
     allowed: per generator position i, the candidate image indices in
-        ascending order (callers pre-filter by element order so every
-        candidate tuple extends to a well-defined endomorphism)
-
-    Returns the permutations sorted by their generator-image tuples, which
-    equals sorting by flattened image coordinates.
+        ascending order (pre-filtered by element order so every candidate
+        tuple extends to a well-defined endomorphism)
+    t1, t2: permutations of the elements; when given, only maps with
+        h o t1 = t2 o h are kept and the search stops at the first one, so
+        the result holds at most one map
 
     Images are assigned from the last generator position upward, so the
     partial map always covers a prefix of the element indices (the span of
     the generators chosen so far; index = sum of c_i * suffix strides). A
     repeated value in a partial map kills the whole candidate subtree, which
-    is what keeps the search near the size of the output.
+    is what keeps the search near the size of the output. The commuting
+    constraint h[t1[x]] = t2[h[x]] is checked at the first position whose
+    prefix holds both x and t1[x] (`_commuting_levels`).
     """
     k = len(factors)
     if k == 0:
         return [(0,)]
-
+    checks = [()] * k if t1 is None else _commuting_levels(factors, t1)
     results = []
 
     def extend(i, partial):
-        # partial maps the span of generators i+1..k-1, a prefix of indices
+        # partial maps the span of generators i+1..k-1, a prefix of indices;
+        # returns True once a constrained search has its map
         d = factors[i]
         width = len(partial)
         for img in allowed[i]:
@@ -75,12 +98,35 @@ def enumerate_linear_bijections(n, factors, gen_idx, add, allowed):
                     break
             if not ok:
                 continue
+            for x, tx in checks[i]:
+                if t2[new[x]] != new[tx]:
+                    ok = False
+                    break
+            if not ok:
+                continue
             if i == 0:
                 results.append(tuple(new))
-            else:
-                extend(i - 1, new)
+                if t1 is not None:
+                    return True
+            elif extend(i - 1, new):
+                return True
+        return False
 
     extend(k - 1, [0])
+    return results
+
+
+def enumerate_linear_bijections(n, factors, gen_idx, add, allowed):
+    """All bijective linear self-maps, as permutations of element indices.
+
+    factors: the invariant factors d_1 | ... | d_k
+    gen_idx: element indices of the standard generators
+    allowed: candidate images per generator position, see `_linear_bijections`
+
+    Returns the permutations sorted by their generator-image tuples, which
+    equals sorting by flattened image coordinates.
+    """
+    results = _linear_bijections(n, factors, add, allowed)
     results.sort(key=lambda p: tuple(p[g] for g in gen_idx))
     return results
 

@@ -5,9 +5,11 @@ the associated quandle operation is a |> b = t(a) + b - t(b). The central
 computation is the image of 1 - t: two modules of equal order give
 isomorphic quandles exactly when those images are isomorphic as modules,
 so `image_one_minus_t` re-expresses the image as a standalone module and
-`is_lambda_isomorphic` decides module isomorphism with a witness. The image
-is computed on element indices and the carrier's addition table; only the
-finished module is validated.
+`is_lambda_isomorphic` decides module isomorphism with a witness. Modules
+on one carrier are isomorphic exactly when their actions are conjugate in
+its Aut, so that test is `autgroup.is_conjugate`, whose kernel searches
+for the witness directly. The image is computed on element indices and the
+carrier's addition table; only the finished module is validated.
 
 `canonical_label` names a module by structure: "0" for the zero module, a
 direct sum of cyclic scalar actions when one exists (e.g. "Λ8/t-3"), the
@@ -29,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .abelian import AbelianGroup, Element, _invariant_decomposition, _prime_factorization
-from .autgroup import Automorphism, _group_tables, lex_least_conjugate
+from .autgroup import Automorphism, _group_tables, is_conjugate, lex_least_conjugate
 from .errors import ConsistencyError, SpecError
 
 
@@ -113,73 +115,14 @@ def is_lambda_isomorphic(M: LambdaModule, M2: LambdaModule) -> Automorphism | No
     """A group isomorphism h with h o t = t2 o h, or None.
 
     Only modules with equal invariant factors can be isomorphic, so a
-    witness is representable as an automorphism of the shared carrier form.
-    The search assigns images to the carrier generators from the last
-    position upward (so partial maps cover a prefix of the element indices),
-    pruning by element order, partial injectivity, and the commuting
-    constraint as soon as both sides of it are determined.
+    witness is an automorphism of the shared carrier and the question is
+    whether t and t2 are conjugate in its Aut. No image-size prefilter is
+    needed: |Im(1 - t)| = |M| / #{x : t(x) = x}, and the fixed points are
+    the 1-cycles of the cycle type that `is_conjugate` compares first.
     """
     if M.group != M2.group:
         return None
-    if M.t.cycle_type() != M2.t.cycle_type():
-        return None
-    if len(_image_indices(M)) != len(_image_indices(M2)):
-        return None
-
-    G = M.group
-    n = G.order
-    k = G.rank
-    if k == 0:
-        return Automorphism(G, ())
-    t1, t2 = M.t.perm, M2.t.perm
-    elements = G.elements
-    orders = [G.element_order(x) for x in elements]
-    add, _ = _group_tables(G)
-    candidates = [[i for i in range(n) if orders[i] == d] for d in G.factors]
-
-    def extend(i: int, partial: list[int]) -> list[int] | None:
-        d = G.factors[i]
-        width = len(partial)
-        for img in candidates[i]:
-            new = list(partial)
-            seen = bytearray(n)
-            for x in partial:
-                seen[x] = 1
-            ok = True
-            base = 0
-            for _ in range(1, d):
-                base = add[base * n + img]
-                for x in range(width):
-                    y = add[base * n + partial[x]]
-                    if seen[y]:
-                        ok = False
-                        break
-                    seen[y] = 1
-                    new.append(y)
-                if not ok:
-                    break
-            if not ok:
-                continue
-            span = len(new)
-            # commuting constraint wherever both h(x) and h(t1(x)) exist
-            for x in range(span):
-                tx = t1[x]
-                if tx < span and t2[new[x]] != new[tx]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if i == 0:
-                return new
-            result = extend(i - 1, new)
-            if result is not None:
-                return result
-        return None
-
-    full = extend(k - 1, [0])
-    if full is None:
-        return None
-    return Automorphism._from_perm(G, tuple(full))
+    return is_conjugate(M.group, M.t, M2.t)
 
 
 # --- canonical labels ---------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 
 import alexq
 
-from alexq.abelian import AbelianGroup, enumerate_groups
+from alexq import polymod
+from alexq.abelian import AbelianGroup, _prime_factorization, enumerate_groups
 from alexq.autgroup import (
     conjugacy_class_sizes,
     conjugacy_representatives,
@@ -31,7 +32,7 @@ from alexq.lambda_modules import (
     image_one_minus_t,
     is_lambda_isomorphic,
 )
-from alexq.quandle import alexander_table, brute_force_isomorphic
+from alexq.quandle import alexander_table, brute_force_isomorphic, orbits
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +111,36 @@ class TestClassifyOrder:
             for G, rep in qc.members:
                 img = image_one_minus_t(LambdaModule(G, rep))
                 assert is_lambda_isomorphic(img, qc.image) is not None
+
+    def test_table_oracle_reproduces_order_16(self, report16):
+        """The module-blind oracle partitions all 59 members like the report."""
+        members = [
+            (qc.id, alexander_table(LambdaModule(G, rep)))
+            for qc in report16.classes
+            for G, rep in qc.members
+        ]
+        assert len(members) == 59
+        oracle_reps: list[int] = []  # member index of each oracle class
+        pairs = set()  # (report class id, oracle class)
+        for i, (qid, Q) in enumerate(members):
+            cls = next(
+                (
+                    c
+                    for c, j in enumerate(oracle_reps)
+                    if brute_force_isomorphic(members[j][1], Q) is not None
+                ),
+                None,
+            )
+            if cls is None:
+                cls = len(oracle_reps)
+                oracle_reps.append(i)
+            pairs.add((qid, cls))
+        # equal partitions: the (report id, oracle class) pairs are a bijection
+        assert len(oracle_reps) == len(pairs) == len(report16.classes) == 23
+        connected = [len(orbits(members[j][1])) == 1 for j in oracle_reps]
+        assert sum(connected) == 9
+        by_id = {qc.id: qc.connected for qc in report16.classes}
+        assert all(by_id[qid] == connected[cls] for qid, cls in pairs)
 
     def test_order_8_soundness_against_oracle(self):
         report = classify_order(8)
@@ -229,6 +260,55 @@ class TestCrossValidate:
     def test_non_prime_power_rejected(self):
         with pytest.raises(ValueError):
             cross_validate(12)
+
+    def test_duplicated_spec_is_a_mismatch(self, monkeypatch):
+        specs = polymod.enumerate_specs(2, 3)
+        monkeypatch.setattr(polymod, "enumerate_specs", lambda p, k: specs + specs[-1:])
+        result = cross_validate(8)
+        assert not result.ok
+        assert (result.spec_count, result.class_count) == (7, 6)
+
+    def test_dropped_spec_is_a_mismatch(self, monkeypatch):
+        specs = polymod.enumerate_specs(2, 3)
+        monkeypatch.setattr(polymod, "enumerate_specs", lambda p, k: specs[1:])
+        result = cross_validate(8)
+        assert not result.ok
+        assert (result.spec_count, result.class_count) == (5, 6)
+
+    def test_two_representatives_with_one_chain_are_a_mismatch(self, monkeypatch):
+        # a class split in two leaves as many distinct chains as specs
+        G = AbelianGroup((2, 2, 2))
+        reps = conjugacy_representatives(G)
+        twin = next(f for f in enumerate_automorphisms(G) if f not in reps and f.order() == 7)
+        monkeypatch.setattr(
+            alexq.classify, "conjugacy_representatives", lambda G, budget: reps + (twin,)
+        )
+        result = cross_validate(8)
+        assert not result.ok
+        assert "share the chain" in result.detail
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
+    def test_matching_agrees_with_all_pairs_route(self, order):
+        result = cross_validate(order)
+        assert result.ok
+        assert result.matching == _matching_by_all_pairs(order)
+
+
+def _matching_by_all_pairs(order):
+    """Reference: match every chain against every representative by witness search."""
+    ((p, k),) = _prime_factorization(order).items()
+    G = AbelianGroup((p,) * k)
+    reps = conjugacy_representatives(G)
+    matching = []
+    for spec in polymod.enumerate_specs(p, k):
+        built = polymod.build(spec)
+        hits = [
+            rep for rep in reps if is_lambda_isomorphic(built, LambdaModule(G, rep)) is not None
+        ]
+        assert len(hits) == 1, spec
+        matching.append((str(spec), hits[0].spec()))
+    assert len({rep for _, rep in matching}) == len(reps)
+    return tuple(matching)
 
 
 class TestClassifyRange:

@@ -94,6 +94,14 @@ class TestCayleyAndCheck:
         assert code == 0
         assert out.strip() == "pass"
 
+    def test_unwritable_out_path_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.txt"
+        code, out, err = run(capsys, "cayley", "--module", "L16/3", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}")
+        assert err.count("\n") == 1
+
     def test_check_failure_exit_one(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2\n0 1\n1 0\n", encoding="utf-8")
