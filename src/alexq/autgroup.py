@@ -124,7 +124,13 @@ class Automorphism(Endomorphism):
         return Automorphism._from_perm(self.group, kernels.invert_perm(self.perm))
 
     def cycle_type(self) -> tuple[int, ...]:
-        """Sorted cycle lengths of the permutation action; a conjugacy invariant."""
+        """Sorted cycle lengths of the permutation action; a conjugacy invariant.
+
+        Computed once per instance and kept in its __dict__, like `perm`.
+        """
+        cached = self.__dict__.get("_cycle_type")
+        if cached is not None:
+            return cached
         perm = self.perm
         seen = [False] * len(perm)
         lengths = []
@@ -138,7 +144,8 @@ class Automorphism(Endomorphism):
                 i = perm[i]
                 length += 1
             lengths.append(length)
-        return tuple(sorted(lengths))
+        cycle_type = self.__dict__["_cycle_type"] = tuple(sorted(lengths))
+        return cycle_type
 
     def order(self) -> int:
         return math.lcm(*self.cycle_type())

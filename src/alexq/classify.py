@@ -4,15 +4,17 @@ For every abelian carrier of the order and every conjugacy class of its
 automorphism group, the pipeline computes the image module of 1 - t.
 Structures of one order are isomorphic exactly when their images are
 isomorphic modules, and `canonical_label` is equal exactly for isomorphic
-modules. So structures are merged by the label of their image (computed
-once per distinct image), and each label names one isomorphism class of
-quandles.
+modules. So structures are merged by the label of their image, and each
+label names one isomorphism class of quandles. Each carrier labels its
+distinct images right after its conjugacy partition is built, while that
+partition is still cached for the fallback label's least conjugate.
 
-Per-carrier results (conjugacy representatives and their images) are cached
-on disk as JSON keyed by carrier, code version and a digest of the
-package's source files, so an entry written by other code is recomputed;
-ALEXQ_CACHE overrides the default ./.alexq-cache directory and entries are
-safe to delete.
+Per-carrier results (conjugacy representatives, their images and the
+images' labels) are cached on disk as JSON keyed by carrier, code version
+and a digest of the package's source files, so an entry written by other
+code is recomputed; a warm run parses the entries and does no work on
+Aut. ALEXQ_CACHE overrides the default ./.alexq-cache directory and entries
+are safe to delete.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ from . import polymod
 from .quandle import alexander_table, brute_force_isomorphic, orbits
 
 Member = tuple[AbelianGroup, Automorphism]
-Pair = tuple[Automorphism, LambdaModule]  # (representative, image of 1 - t)
+# (representative, image of 1 - t, canonical label of the image)
+Triple = tuple[Automorphism, LambdaModule, str]
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,14 @@ def _cache_path(cache_dir: Path, carrier: AbelianGroup) -> Path:
     return cache_dir / f"carrier-{name}-v{__version__}.json"
 
 
-def _load_cached(path: Path, carrier: AbelianGroup) -> list[Pair] | None:
-    """Cached (representative, image) pairs, or None if missing, stale or unparseable."""
+_CACHED_LISTS = ("reps", "images", "labels")  # aligned, one item per class
+
+
+def _load_cached(path: Path, carrier: AbelianGroup) -> list[Triple] | None:
+    """Cached (representative, image, label) triples, or None.
+
+    None when the entry is missing, stale, unparseable or of the wrong shape.
+    """
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         if (
@@ -109,14 +118,16 @@ def _load_cached(path: Path, carrier: AbelianGroup) -> list[Pair] | None:
             or payload.get("carrier") != carrier.spec()
             or payload.get("version") != __version__
             or payload.get("source") != _source_digest()
-            or not isinstance(payload.get("reps"), list)
-            or not isinstance(payload.get("images"), list)
-            or len(payload["reps"]) != len(payload["images"])
+            or not all(isinstance(payload.get(k), list) for k in _CACHED_LISTS)
+            or len({len(payload[k]) for k in _CACHED_LISTS}) != 1
+            or not all(isinstance(label, str) for label in payload["labels"])
         ):
             return None
         return [
-            (parse_phi_spec(carrier, rep_spec), parse_module_spec(image_spec))
-            for rep_spec, image_spec in zip(payload["reps"], payload["images"])
+            (parse_phi_spec(carrier, rep_spec), parse_module_spec(image_spec), label)
+            for rep_spec, image_spec, label in zip(
+                payload["reps"], payload["images"], payload["labels"]
+            )
         ]
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
@@ -139,11 +150,14 @@ def _store_cached(path: Path, payload: dict) -> None:
 
 def _carrier_pairs(
     factors: tuple[int, ...], budget: int, cache_dir: str | None
-) -> list[Pair]:
-    """Conjugacy representatives and their images for one carrier.
+) -> list[Triple]:
+    """Conjugacy representatives, their images and the images' labels.
 
-    The pairs are plain frozen values, so they cross process boundaries
-    unchanged; the JSON cache stores them as spec strings.
+    Each distinct image is labelled once, right after the carrier's
+    partition is built, so a fallback label's least conjugate reads that
+    partition from `_conjugacy`'s cache (in the worker, under --jobs). The
+    triples are plain frozen values, so they cross process boundaries
+    unchanged; the JSON cache stores them as strings.
     """
     carrier = AbelianGroup(factors)
     path = _cache_path(resolve_cache_dir(cache_dir), carrier)
@@ -151,16 +165,19 @@ def _carrier_pairs(
     if cached is not None:
         return cached
     reps = conjugacy_representatives(carrier, budget)
-    pairs = [(rep, image_one_minus_t(LambdaModule(carrier, rep))) for rep in reps]
+    images = [image_one_minus_t(LambdaModule(carrier, rep)) for rep in reps]
+    label_of = {image: canonical_label(image) for image in dict.fromkeys(images)}
+    labels = [label_of[image] for image in images]
     payload = {
         "carrier": carrier.spec(),
         "version": __version__,
         "source": _source_digest(),
-        "reps": [rep.spec() for rep, _ in pairs],
-        "images": [image.spec() for _, image in pairs],
+        "reps": [rep.spec() for rep in reps],
+        "images": [image.spec() for image in images],
+        "labels": labels,
     }
     _store_cached(path, payload)
-    return pairs
+    return list(zip(reps, images, labels))
 
 
 def resolve_cache_dir(cache_dir: str | None) -> Path:
@@ -190,10 +207,10 @@ def classify_order(
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     carriers = enumerate_groups(order)
-    pairs: dict[tuple[int, ...], list[Pair]] = {}
+    triples: dict[tuple[int, ...], list[Triple]] = {}
     if jobs <= 1:
         for G in carriers:
-            pairs[G.factors] = _carrier_pairs(G.factors, budget, cache_dir)
+            triples[G.factors] = _carrier_pairs(G.factors, budget, cache_dir)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
@@ -201,16 +218,12 @@ def classify_order(
                 for G in carriers
             }
             for factors, future in futures.items():
-                pairs[factors] = future.result()
+                triples[factors] = future.result()
 
     # label -> (first image seen, members); equal labels are isomorphic images
-    labels: dict[LambdaModule, str] = {}
     classes: dict[str, tuple[LambdaModule, list[Member]]] = {}
     for G in carriers:
-        for rep, image in pairs[G.factors]:
-            label = labels.get(image)
-            if label is None:
-                label = labels[image] = canonical_label(image)
+        for rep, image, label in triples[G.factors]:
             classes.setdefault(label, (image, []))[1].append((G, rep))
 
     ordered = sorted(classes.items(), key=lambda item: (item[1][0].order, item[0]))

@@ -10,7 +10,7 @@ import pytest
 
 import alexq
 
-from alexq import polymod
+from alexq import autgroup, kernels, polymod
 from alexq.abelian import AbelianGroup, _prime_factorization, enumerate_groups
 from alexq.autgroup import (
     conjugacy_class_sizes,
@@ -347,6 +347,30 @@ def test_cache_with_non_string_specs_is_recomputed(tmp_path):
     assert r1 == r2
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda payload: payload.pop("labels"),
+        lambda payload: payload["labels"].pop(),
+        lambda payload: payload.update(labels=[7] * len(payload["labels"])),
+        # string items of the right length: only the list check rejects it
+        lambda payload: payload.update(labels="x" * len(payload["labels"])),
+    ],
+    ids=["missing", "short", "non-string", "not-a-list"],
+)
+def test_cache_with_malformed_labels_is_recomputed(tmp_path, edit):
+    cache = tmp_path / "cache"
+    r1 = classify_order(8, cache_dir=str(cache))
+    for p in cache.iterdir():
+        payload = json.loads(p.read_text())
+        edit(payload)
+        p.write_text(json.dumps(payload), encoding="utf-8")
+    assert classify_order(8, cache_dir=str(cache)) == r1
+    for p in cache.iterdir():
+        labels = json.loads(p.read_text())["labels"]
+        assert isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+
+
 class TestMergeByLabel:
     # classify_order merges structures by the canonical label of their image
     # alone, so label equality must agree with the witness search.
@@ -379,12 +403,41 @@ GOLDEN_REPORT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("order", sorted(GOLDEN_REPORT_SHA256))
-def test_report_matches_golden_digest(order, tmp_path):
-    text = report_to_json(classify_order(order, cache_dir=str(tmp_path)))
+def _report_digest(report) -> str:
     body = "".join(
         line
-        for line in text.splitlines(keepends=True)
+        for line in report_to_json(report).splitlines(keepends=True)
         if not line.lstrip().startswith('"generated_by":')
     )
-    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == GOLDEN_REPORT_SHA256[order]
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("order", sorted(GOLDEN_REPORT_SHA256))
+def test_report_matches_golden_digest(order, tmp_path):
+    report = classify_order(order, cache_dir=str(tmp_path))
+    assert _report_digest(report) == GOLDEN_REPORT_SHA256[order]
+
+
+def test_parallel_order_48_matches_golden_digest(tmp_path):
+    # the workers label their carriers' images; the parent only merges
+    report = classify_order(48, jobs=2, cache_dir=str(tmp_path))
+    assert _report_digest(report) == GOLDEN_REPORT_SHA256[48]
+
+
+def test_warm_run_does_no_aut_work(tmp_path, monkeypatch):
+    classify_order(48, cache_dir=str(tmp_path))
+    for cached in (
+        autgroup._group_tables,
+        autgroup._automorphism_perms,
+        autgroup._conjugacy,
+    ):
+        cached.cache_clear()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm run must not search or partition Aut")
+
+    monkeypatch.setattr(kernels, "_linear_bijections", forbidden)
+    monkeypatch.setattr(kernels, "conjugacy_partition", forbidden)
+    monkeypatch.setattr(alexq.classify, "canonical_label", forbidden)
+    report = classify_order(48, cache_dir=str(tmp_path))
+    assert _report_digest(report) == GOLDEN_REPORT_SHA256[48]

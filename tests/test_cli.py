@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import alexq
 from alexq.cli import main
 
 
@@ -58,6 +63,18 @@ class TestClassifyVerb:
             capsys, "classify", "--order", "8", "--format", "json", "--jobs", "2"
         )
         assert out1 == out2
+
+
+    def test_runs_as_a_module_without_install(self, tmp_path):
+        out = subprocess.run(
+            [sys.executable, "-m", "alexq", "classify", "--order", "16"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(alexq.__file__).parents[1])},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.rstrip("\n").splitlines()[-1] == "23 classes, 9 connected"
 
 
 class TestLinearVerb:
