@@ -18,7 +18,7 @@ from .abelian import (
     subgroup_structure,
 )
 from .autgroup import (
-    DEFAULT_ENUMERATION_BUDGET,
+    ENUMERATION_BUDGET,
     Automorphism,
     Endomorphism,
     conjugacy_class_sizes,
@@ -76,7 +76,7 @@ __all__ = [
     "enumerate_groups",
     "normalize_cyclic_orders",
     "subgroup_structure",
-    "DEFAULT_ENUMERATION_BUDGET",
+    "ENUMERATION_BUDGET",
     "Automorphism",
     "Endomorphism",
     "conjugacy_class_sizes",

@@ -7,7 +7,12 @@ inverse action (needed for t^-1) exist.
 
 Enumeration walks all candidate generator-image tuples whose orders divide
 the corresponding factors, keeping the bijective ones; the budget guard
-counts those tuples in closed form before any table is built. Conjugacy
+counts those tuples in closed form before any table is built and refuses
+a carrier with more than ENUMERATION_BUDGET (2^24) of them. The budget is
+a constant, not a parameter, so the cached enumeration and partition are
+keyed by the carrier alone: each carrier's Aut is partitioned once, and
+every reader of a class (`conjugacy_representatives`, the fallback label
+through `lex_least_conjugate`) reads that one partition. Conjugacy
 classes are orbits under conjugation, computed in `kernels` as closures
 under a generating set S of Aut (at most four maps on every enumerable
 carrier of order up to 48), which costs |Aut| * |S| conjugates instead of
@@ -31,7 +36,7 @@ from . import kernels
 from .abelian import AbelianGroup, Element
 from .errors import EnumerationBudgetError, SpecError
 
-DEFAULT_ENUMERATION_BUDGET = 1 << 24
+ENUMERATION_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -209,18 +214,18 @@ def _candidate_count(G: AbelianGroup) -> int:
     return math.prod(math.gcd(di, dj) for di in G.factors for dj in G.factors)
 
 
-def _check_budget(G: AbelianGroup, budget: int) -> None:
+def _check_budget(G: AbelianGroup) -> None:
     count = _candidate_count(G)
-    if count > budget:
+    if count > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"enumerating automorphisms of {G} needs {count} candidate "
-            f"image tuples, over the budget of {budget}"
+            f"image tuples, over the budget of {ENUMERATION_BUDGET}"
         )
 
 
 @lru_cache(maxsize=16)
-def _automorphism_perms(G: AbelianGroup, budget: int) -> tuple[tuple[int, ...], ...]:
-    _check_budget(G, budget)
+def _automorphism_perms(G: AbelianGroup) -> tuple[tuple[int, ...], ...]:
+    _check_budget(G)
     add, allowed = _group_tables(G)
     perms = kernels.enumerate_linear_bijections(
         G.order, G.factors, G.generator_indices, add, allowed
@@ -228,43 +233,35 @@ def _automorphism_perms(G: AbelianGroup, budget: int) -> tuple[tuple[int, ...], 
     return tuple(perms)
 
 
-def enumerate_automorphisms(
-    G: AbelianGroup, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> tuple[Automorphism, ...]:
+def enumerate_automorphisms(G: AbelianGroup) -> tuple[Automorphism, ...]:
     """Every automorphism of G, ordered by flattened image coordinates.
 
     >>> len(enumerate_automorphisms(AbelianGroup((16,))))
     8
     """
-    return tuple(
-        Automorphism._from_perm(G, p) for p in _automorphism_perms(G, budget)
-    )
+    return tuple(Automorphism._from_perm(G, p) for p in _automorphism_perms(G))
 
 
 @lru_cache(maxsize=16)
-def _conjugacy(G: AbelianGroup, budget: int):
-    perms = _automorphism_perms(G, budget)
+def _conjugacy(G: AbelianGroup):
+    perms = _automorphism_perms(G)
     class_ids, rep_indices = kernels.conjugacy_partition(perms, G.generator_indices)
     return perms, tuple(class_ids), tuple(rep_indices)
 
 
-def conjugacy_representatives(
-    G: AbelianGroup, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> tuple[Automorphism, ...]:
+def conjugacy_representatives(G: AbelianGroup) -> tuple[Automorphism, ...]:
     """One representative per conjugacy class of Aut(G).
 
     Each representative is the lexicographically least member of its class
     (by flattened image coordinates), and the output is sorted the same way.
     """
-    perms, _, rep_indices = _conjugacy(G, budget)
+    perms, _, rep_indices = _conjugacy(G)
     return tuple(Automorphism._from_perm(G, perms[i]) for i in rep_indices)
 
 
-def conjugacy_class_sizes(
-    G: AbelianGroup, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> tuple[int, ...]:
+def conjugacy_class_sizes(G: AbelianGroup) -> tuple[int, ...]:
     """Class sizes aligned with conjugacy_representatives; they sum to |Aut|."""
-    _, class_ids, rep_indices = _conjugacy(G, budget)
+    _, class_ids, rep_indices = _conjugacy(G)
     sizes = [0] * len(rep_indices)
     for cid in class_ids:
         sizes[cid] += 1
@@ -287,9 +284,7 @@ def is_conjugate(G: AbelianGroup, f: Automorphism, g: Automorphism) -> Automorph
     return Automorphism._from_perm(G, found[0]) if found else None
 
 
-def lex_least_conjugate(
-    G: AbelianGroup, f: Automorphism, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Automorphism:
+def lex_least_conjugate(G: AbelianGroup, f: Automorphism) -> Automorphism:
     """The lexicographically least member of f's conjugacy class.
 
     Read from the cached partition: f is found by bisection in the
@@ -298,7 +293,7 @@ def lex_least_conjugate(
     """
     if f.group != G:
         raise ValueError("the map must act on the given group")
-    perms, class_ids, rep_indices = _conjugacy(G, budget)
+    perms, class_ids, rep_indices = _conjugacy(G)
     gens = G.generator_indices
     i = bisect.bisect_left(
         perms, tuple([f.perm[g] for g in gens]), key=lambda p: tuple([p[g] for g in gens])

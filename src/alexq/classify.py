@@ -19,11 +19,13 @@ are safe to delete.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
 import tempfile
 from collections import Counter
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +33,6 @@ from pathlib import Path
 from ._version import __version__
 from .abelian import AbelianGroup, _prime_factorization, enumerate_groups
 from .autgroup import (
-    DEFAULT_ENUMERATION_BUDGET,
     Automorphism,
     conjugacy_representatives,
     enumerate_automorphisms,
@@ -134,23 +135,22 @@ def _load_cached(path: Path, carrier: AbelianGroup) -> list[Triple] | None:
 
 
 def _store_cached(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         os.replace(tmp, path)
     except OSError:
-        # caching is best effort; recomputation is always possible
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        # caching is best effort: an unusable cache directory (say, a path
+        # that names a regular file) only skips the write
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
-def _carrier_pairs(
-    factors: tuple[int, ...], budget: int, cache_dir: str | None
-) -> list[Triple]:
+def _carrier_pairs(factors: tuple[int, ...], cache_dir: str | None) -> list[Triple]:
     """Conjugacy representatives, their images and the images' labels.
 
     Each distinct image is labelled once, right after the carrier's
@@ -164,7 +164,7 @@ def _carrier_pairs(
     cached = _load_cached(path, carrier)
     if cached is not None:
         return cached
-    reps = conjugacy_representatives(carrier, budget)
+    reps = conjugacy_representatives(carrier)
     images = [image_one_minus_t(LambdaModule(carrier, rep)) for rep in reps]
     label_of = {image: canonical_label(image) for image in dict.fromkeys(images)}
     labels = [label_of[image] for image in images]
@@ -192,12 +192,16 @@ def _member_sort_key(member: Member):
     return (len(group.factors), group.factors, phi.images)
 
 
+def per_carrier_counts(
+    carrier_specs: Iterable[str], classes: Iterable[QuandleClass]
+) -> dict[str, int]:
+    """For each carrier spec, in the given order, the classes with a member on it."""
+    on = Counter(spec for qc in classes for spec in {g.spec() for g, _ in qc.members})
+    return {spec: on[spec] for spec in carrier_specs}
+
+
 def classify_order(
-    order: int,
-    *,
-    jobs: int = 1,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-    cache_dir: str | None = None,
+    order: int, *, jobs: int = 1, cache_dir: str | None = None
 ) -> ClassificationReport:
     """Classify every Alexander quandle structure of the given order.
 
@@ -210,12 +214,11 @@ def classify_order(
     triples: dict[tuple[int, ...], list[Triple]] = {}
     if jobs <= 1:
         for G in carriers:
-            triples[G.factors] = _carrier_pairs(G.factors, budget, cache_dir)
+            triples[G.factors] = _carrier_pairs(G.factors, cache_dir)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                G.factors: pool.submit(_carrier_pairs, G.factors, budget, cache_dir)
-                for G in carriers
+                G.factors: pool.submit(_carrier_pairs, G.factors, cache_dir) for G in carriers
             }
             for factors, future in futures.items():
                 triples[factors] = future.result()
@@ -237,14 +240,7 @@ def classify_order(
         )
         for i, (label, (image, members)) in enumerate(ordered)
     )
-    per_group_counts = {
-        G.spec(): sum(
-            1
-            for qc in quandle_classes
-            if any(member[0] == G for member in qc.members)
-        )
-        for G in carriers
-    }
+    per_group_counts = per_carrier_counts([G.spec() for G in carriers], quandle_classes)
     totals = (len(quandle_classes), sum(1 for qc in quandle_classes if qc.connected))
     return ClassificationReport(
         order=order,
@@ -277,9 +273,7 @@ def _prime_power(order: int) -> tuple[int, int] | None:
     return p, k
 
 
-def cross_validate(
-    order: int, *, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> CrossValidation:
+def cross_validate(order: int) -> CrossValidation:
     """Check the two routes agree on the elementary abelian carrier.
 
     The polynomial divisor chains and the conjugacy-class representatives
@@ -293,7 +287,7 @@ def cross_validate(
         raise ValueError(f"cross-validation needs a prime power order, got {order}")
     p, k = pk
     G = AbelianGroup((p,) * k)
-    reps = conjugacy_representatives(G, budget)
+    reps = conjugacy_representatives(G)
     specs = polymod.enumerate_specs(p, k)
 
     owner: dict[polymod.PolySpec, Automorphism] = {}  # chain -> its representative
@@ -330,9 +324,7 @@ def cross_validate(
 ORACLE_VALIDATION_MAX_ORDER = 8
 
 
-def oracle_class_counts(
-    order: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> tuple[int, int]:
+def oracle_class_counts(order: int) -> tuple[int, int]:
     """(classes, connected) by partitioning all Cayley tables of the order.
 
     Independent of the image criterion: every structure's table is compared
@@ -341,7 +333,7 @@ def oracle_class_counts(
     reps = []
     connected = []
     for G in enumerate_groups(order):
-        for phi in enumerate_automorphisms(G, budget):
+        for phi in enumerate_automorphisms(G):
             Q = alexander_table(LambdaModule(G, phi))
             for R in reps:
                 if brute_force_isomorphic(Q, R) is not None:
@@ -353,13 +345,7 @@ def oracle_class_counts(
 
 
 def classify_range(
-    lo: int,
-    hi: int,
-    *,
-    jobs: int = 1,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-    cache_dir: str | None = None,
-    oracle_validate: bool = True,
+    lo: int, hi: int, *, jobs: int = 1, cache_dir: str | None = None
 ) -> tuple[tuple[int, int, int], ...]:
     """(order, classes, connected) for each order in [lo, hi].
 
@@ -370,10 +356,10 @@ def classify_range(
         raise ValueError(f"bad range [{lo}, {hi}]")
     results = []
     for order in range(lo, hi + 1):
-        report = classify_order(order, jobs=jobs, budget=budget, cache_dir=cache_dir)
+        report = classify_order(order, jobs=jobs, cache_dir=cache_dir)
         n_classes, n_connected = report.totals
-        if oracle_validate and order <= ORACLE_VALIDATION_MAX_ORDER:
-            oracle_counts = oracle_class_counts(order, budget)
+        if order <= ORACLE_VALIDATION_MAX_ORDER:
+            oracle_counts = oracle_class_counts(order)
             if oracle_counts != (n_classes, n_connected):
                 raise ConsistencyError(
                     f"order {order}: classifier found {report.totals}, "

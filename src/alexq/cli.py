@@ -16,8 +16,7 @@ import os
 import sys
 
 from ._version import __version__
-from .autgroup import DEFAULT_ENUMERATION_BUDGET
-from .classify import ClassificationReport, classify_order, cross_validate
+from .classify import ClassificationReport, classify_order, cross_validate, per_carrier_counts
 from .errors import EnumerationBudgetError, SpecError, TableParseError
 from .lambda_modules import (
     LambdaModule,
@@ -79,12 +78,7 @@ def _filtered(report: ClassificationReport, connected_only: bool) -> Classificat
     if not connected_only:
         return report
     classes = tuple(qc for qc in report.classes if qc.connected)
-    per_group = {
-        spec: sum(
-            1 for qc in classes if any(g.spec() == spec for g, _ in qc.members)
-        )
-        for spec in report.per_group_counts
-    }
+    per_group = per_carrier_counts(report.per_group_counts, classes)
     totals = (len(classes), len(classes))
     return ClassificationReport(report.order, classes, per_group, totals)
 

@@ -27,7 +27,7 @@ class TableParseError(ValueError):
 
 
 class EnumerationBudgetError(RuntimeError):
-    """An enumeration would exceed the configured candidate budget."""
+    """An enumeration would exceed the fixed candidate budget."""
 
 
 class ConsistencyError(RuntimeError):

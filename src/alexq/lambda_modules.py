@@ -31,7 +31,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .abelian import AbelianGroup, Element, _invariant_decomposition, _prime_factorization
-from .autgroup import Automorphism, _group_tables, is_conjugate, lex_least_conjugate
+from .autgroup import (
+    Automorphism,
+    _group_tables,
+    is_conjugate,
+    lex_least_conjugate,
+    parse_phi_spec,
+)
 from .errors import ConsistencyError, SpecError
 
 
@@ -243,11 +249,14 @@ def _grouped(names: list[str]) -> str:
     return "⊕".join(parts)
 
 
-def poly_descending_name(coeffs: tuple[int, ...]) -> str:
-    """Render coefficients (constant first) with highest power first."""
+def _poly_terms(coeffs: tuple[int, ...]) -> list[str]:
+    """The nonzero terms of coefficients (constant first), lowest power first.
+
+    The one term grammar: `poly_descending_name` and `polymod.Poly.__str__`
+    join these terms in opposite orders, and both write "0" for none.
+    """
     terms = []
-    for j in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[j]
+    for j, c in enumerate(coeffs):
         if c == 0:
             continue
         if j == 0:
@@ -255,7 +264,12 @@ def poly_descending_name(coeffs: tuple[int, ...]) -> str:
         else:
             prefix = "" if c == 1 else str(c)
             terms.append(f"{prefix}t" if j == 1 else f"{prefix}t^{j}")
-    return "+".join(terms) if terms else "0"
+    return terms
+
+
+def poly_descending_name(coeffs: tuple[int, ...]) -> str:
+    """Render coefficients (constant first) with highest power first."""
+    return "+".join(reversed(_poly_terms(coeffs))) or "0"
 
 
 def canonical_label(M: LambdaModule) -> str:
@@ -303,8 +317,6 @@ def parse_module_spec(text: str) -> LambdaModule:
             f"bad module spec {text!r}: expected 'L<n>/<a>' or '<group>|<phi>'"
         )
     group_part, phi_part = text.split("|", 1)
-    from .autgroup import parse_phi_spec
-
     try:
         G = AbelianGroup.from_spec(group_part)
     except ValueError as exc:

@@ -21,7 +21,7 @@ from functools import lru_cache
 from .abelian import AbelianGroup, _prime_factorization
 from .autgroup import Automorphism
 from .errors import SpecError
-from .lambda_modules import LambdaModule
+from .lambda_modules import LambdaModule, _poly_terms
 
 
 @dataclass(frozen=True)
@@ -56,18 +56,7 @@ class Poly:
         return bool(self.coeffs) and self.coeffs[0] != 0
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if j == 0:
-                terms.append(str(c))
-            else:
-                prefix = "" if c == 1 else str(c)
-                terms.append(f"{prefix}t" if j == 1 else f"{prefix}t^{j}")
-        return "+".join(terms)
+        return "+".join(_poly_terms(self.coeffs)) or "0"
 
     @classmethod
     def from_str(cls, p: int, text: str) -> Poly:

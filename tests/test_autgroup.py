@@ -3,11 +3,13 @@ import math
 
 import pytest
 
+from alexq import autgroup
 from alexq.abelian import AbelianGroup
 from alexq.autgroup import (
     Automorphism,
     Endomorphism,
     _candidate_count,
+    _check_budget,
     _group_tables,
     conjugacy_class_sizes,
     conjugacy_representatives,
@@ -76,14 +78,19 @@ class TestEnumeration:
 
     def test_budget_guard(self):
         with pytest.raises(EnumerationBudgetError):
-            enumerate_automorphisms(AbelianGroup((2,) * 5), budget=2**24)
+            enumerate_automorphisms(AbelianGroup((2,) * 5))
 
-    def test_budget_counts_candidate_image_tuples(self):
-        # generator images must be killed by their factor: 16 * 16 * 16 * 32
+    def test_budget_counts_candidate_image_tuples(self, monkeypatch):
+        # generator images must be killed by their factor: 16 * 16 * 16 * 32.
+        # The guard is called directly: enumerate_automorphisms is cached by
+        # carrier, so a carrier enumerated earlier would bypass it.
         G = AbelianGroup((2, 2, 2, 4))
         assert _candidate_count(G) == 131072
+        monkeypatch.setattr(autgroup, "ENUMERATION_BUDGET", 131071)
         with pytest.raises(EnumerationBudgetError, match="131072"):
-            enumerate_automorphisms(G, budget=131071)
+            _check_budget(G)
+        monkeypatch.setattr(autgroup, "ENUMERATION_BUDGET", 131072)
+        _check_budget(G)
 
     def test_trivial_group(self):
         auts = enumerate_automorphisms(AbelianGroup(()))

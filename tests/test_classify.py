@@ -232,6 +232,13 @@ class TestDeterminismAndCache:
         )
         assert out.stdout.strip() == "0"
 
+    def test_cache_path_naming_a_file_only_skips_writes(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("", encoding="utf-8")
+        expected = classify_order(8, cache_dir=str(tmp_path / "fresh"))
+        assert classify_order(8, cache_dir=str(blocker)) == expected
+        assert blocker.read_text(encoding="utf-8") == ""
+
     def test_env_var_fallback(self, monkeypatch, tmp_path):
         monkeypatch.setenv("ALEXQ_CACHE", str(tmp_path / "envcache"))
         assert resolve_cache_dir(None) == tmp_path / "envcache"
@@ -281,7 +288,7 @@ class TestCrossValidate:
         reps = conjugacy_representatives(G)
         twin = next(f for f in enumerate_automorphisms(G) if f not in reps and f.order() == 7)
         monkeypatch.setattr(
-            alexq.classify, "conjugacy_representatives", lambda G, budget: reps + (twin,)
+            alexq.classify, "conjugacy_representatives", lambda G: reps + (twin,)
         )
         result = cross_validate(8)
         assert not result.ok
@@ -441,3 +448,22 @@ def test_warm_run_does_no_aut_work(tmp_path, monkeypatch):
     monkeypatch.setattr(alexq.classify, "canonical_label", forbidden)
     report = classify_order(48, cache_dir=str(tmp_path))
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[48]
+
+
+def test_each_partition_has_a_distinct_input(tmp_path, monkeypatch):
+    # The fallback label reads its carrier's partition from the cache that
+    # classify_order filled, so no carrier's Aut is partitioned twice.
+    autgroup._automorphism_perms.cache_clear()
+    autgroup._conjugacy.cache_clear()
+    inputs = []
+    partition = kernels.conjugacy_partition
+
+    def recording(perms, generator_indices):
+        inputs.append((perms, generator_indices))
+        return partition(perms, generator_indices)
+
+    monkeypatch.setattr(kernels, "conjugacy_partition", recording)
+    report = classify_order(48, cache_dir=str(tmp_path))
+    assert _report_digest(report) == GOLDEN_REPORT_SHA256[48]
+    assert len(inputs) >= len(enumerate_groups(48))
+    assert len(set(inputs)) == len(inputs)

@@ -193,6 +193,15 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_cache_path_naming_a_file_only_skips_writes(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("ALEXQ_CACHE", str(tmp_path / "fresh"))
+        _, expected, _ = run(capsys, "classify", "--order", "4")
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("", encoding="utf-8")
+        monkeypatch.setenv("ALEXQ_CACHE", str(blocker))
+        code, out, err = run(capsys, "classify", "--order", "4")
+        assert (code, out, err) == (0, expected, "")
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run(capsys, "classify", "--order", str(2**25))
         assert code == 3
