@@ -150,7 +150,11 @@ def _store_cached(path: Path, payload: dict) -> None:
                 os.unlink(tmp)
 
 
-def _carrier_pairs(factors: tuple[int, ...], cache_dir: str | None) -> list[Triple]:
+def _carrier_pairs(
+    factors: tuple[int, ...],
+    cache_dir: str | None,
+    label_of: dict[LambdaModule, str],
+) -> list[Triple]:
     """Conjugacy representatives, their images and the images' labels.
 
     Each distinct image is labelled once, right after the carrier's
@@ -158,15 +162,23 @@ def _carrier_pairs(factors: tuple[int, ...], cache_dir: str | None) -> list[Trip
     partition from `_conjugacy`'s cache (in the worker, under --jobs). The
     triples are plain frozen values, so they cross process boundaries
     unchanged; the JSON cache stores them as strings.
+
+    `label_of` maps images to labels across calls: labels are looked up in
+    it, and those computed or read from the cache are added to it, so a
+    caller that passes one dict to every carrier labels an image shared by
+    several carriers once.
     """
     carrier = AbelianGroup(factors)
     path = _cache_path(resolve_cache_dir(cache_dir), carrier)
     cached = _load_cached(path, carrier)
     if cached is not None:
+        label_of.update((image, label) for _, image, label in cached)
         return cached
     reps = conjugacy_representatives(carrier)
     images = [image_one_minus_t(LambdaModule(carrier, rep)) for rep in reps]
-    label_of = {image: canonical_label(image) for image in dict.fromkeys(images)}
+    for image in images:
+        if image not in label_of:
+            label_of[image] = canonical_label(image)
     labels = [label_of[image] for image in images]
     payload = {
         "carrier": carrier.spec(),
@@ -213,12 +225,13 @@ def classify_order(
     carriers = enumerate_groups(order)
     triples: dict[tuple[int, ...], list[Triple]] = {}
     if jobs <= 1:
+        label_of: dict[LambdaModule, str] = {}  # shared, so each image is labelled once
         for G in carriers:
-            triples[G.factors] = _carrier_pairs(G.factors, cache_dir)
+            triples[G.factors] = _carrier_pairs(G.factors, cache_dir, label_of)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                G.factors: pool.submit(_carrier_pairs, G.factors, cache_dir) for G in carriers
+                G.factors: pool.submit(_carrier_pairs, G.factors, cache_dir, {}) for G in carriers
             }
             for factors, future in futures.items():
                 triples[factors] = future.result()
@@ -321,7 +334,7 @@ def cross_validate(order: int) -> CrossValidation:
 
 # --- small-order sweep with oracle validation ------------------------------
 
-ORACLE_VALIDATION_MAX_ORDER = 8
+ORACLE_VALIDATION_MAX_ORDER = 15
 
 
 def oracle_class_counts(order: int) -> tuple[int, int]:
@@ -349,8 +362,9 @@ def classify_range(
 ) -> tuple[tuple[int, int, int], ...]:
     """(order, classes, connected) for each order in [lo, hi].
 
-    Orders up to 8 are additionally re-counted with the table-level oracle;
-    a disagreement raises ConsistencyError.
+    Orders up to ORACLE_VALIDATION_MAX_ORDER (15) are additionally
+    re-counted with the table-level oracle over every automorphism; a
+    disagreement raises ConsistencyError.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")

@@ -5,6 +5,13 @@ only n x n tables and decides isomorphism by pruned backtracking over
 element bijections. It exists to validate the image-module criterion, so
 nothing here may consult module structure.
 
+The search only pairs elements with equal fingerprints: orbit size, the
+multiplicities of the element's row, the row's fixed points, and the
+cycle type of its right multiplication x -> x |> a. A table computes its
+fingerprints once and keeps them, so they are freed with it. Computing
+them runs the axiom check, which tests self-distributivity only on a
+generating set (see `check_axioms`).
+
 Table file format: line 1 holds n, lines 2..n+1 hold n space-separated
 zero-based entries; row a, column b is a |> b.
 """
@@ -13,7 +20,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+from operator import itemgetter
 
 from .errors import TableParseError
 from .lambda_modules import LambdaModule
@@ -49,6 +57,26 @@ class CayleyTable:
 
     def op(self, a: int, b: int) -> int:
         return self.table[a][b]
+
+    @cached_property
+    def _fingerprints(self) -> tuple[tuple, ...]:
+        """Per-element invariants preserved by any quandle isomorphism.
+
+        For element a: the size of its orbit, the multiplicities of row a,
+        the number of b with a |> b = a, and the cycle type of R_a (column
+        a). An isomorphism f maps a to an element with equal fields, as
+        f . R_a = R_{f(a)} . f. Column multiplicities are all 1 in a quandle
+        and the fixed points of R_a are its 1-cycles, so neither is a field.
+        Computed once per table and kept on it, so they are freed with it.
+        """
+        orbit_size = [0] * self.n
+        for block in orbits(self):
+            for x in block:
+                orbit_size[x] = len(block)
+        return tuple(
+            (orbit_size[a], tuple(sorted(Counter(row).values())), row.count(a), _cycle_type(col))
+            for a, (row, col) in enumerate(zip(self.table, zip(*self.table)))
+        )
 
     def to_text(self) -> str:
         lines = [str(self.n)]
@@ -132,16 +160,29 @@ def check_axioms(Q: CayleyTable) -> AxiomVerdict:
 
     Returns the first failing axiom with a witness tuple rather than
     raising; malformed tables raise before any axiom is looked at.
+
+    Self-distributivity says that every right multiplication
+    R_c: x -> x |> c is an endomorphism. Once the columns are known to be
+    permutations, it is checked only for c in a generating set, grown
+    greedily: if R_c and R_d are automorphisms, so is
+    R_{c |> d} = R_d . R_c . R_d^-1 (Joyce, J. Pure Appl. Algebra 23,
+    1982), so the elements whose R is an automorphism form a subquandle,
+    and a set that generates Q covers every c. Each R_c is compared one
+    whole row at a time. When a check fails, the full a, b, c loop runs
+    instead, so the witness is the lexicographically first failing triple.
     """
     t = Q.table
     n = Q.n
     for a in range(n):
         if t[a][a] != a:
             return AxiomVerdict(False, "idempotence", (a,))
-    rng = range(n)
-    for b in rng:
-        if len({t[a][b] for a in rng}) != n:
+    columns = list(zip(*t))
+    for b, column in enumerate(columns):
+        if len(set(column)) != n:
             return AxiomVerdict(False, "right-invertibility", (b,))
+    if _distributes_on_generators(t, columns):
+        return AxiomVerdict(True)
+    rng = range(n)
     for a in rng:
         ta = t[a]
         for b in rng:
@@ -149,60 +190,86 @@ def check_axioms(Q: CayleyTable) -> AxiomVerdict:
             for c in rng:
                 if t[ab][c] != t[ta[c]][t[b][c]]:
                     return AxiomVerdict(False, "self-distributivity", (a, b, c))
-    return AxiomVerdict(True)
+    raise RuntimeError("a generator failed self-distributivity but no triple did; bug")
+
+
+def _distributes_on_generators(
+    t: tuple[tuple[int, ...], ...], columns: list[tuple[int, ...]]
+) -> bool:
+    """Whether R_c is an endomorphism for each c of a generating set of t.
+
+    Needs permutation columns. Checked elements are added in increasing
+    order, skipping those already in the subquandle the earlier ones
+    generate, and that subquandle is closed under |> after each one.
+    """
+    n = len(t)
+    # row_at[a](seq) = (seq[a |> b] for b): the images of row a under seq
+    row_at = [itemgetter(*row) for row in t]
+    inside: set[int] = set()
+    members: list[int] = []
+    for c in range(n):
+        if c in inside:
+            continue
+        column = columns[c]
+        at_column = itemgetter(*column)
+        # (a |> b) |> c == (a |> c) |> (b |> c) for every b, one row a at a time
+        if any(row_at[a](column) != at_column(t[ac]) for a, ac in enumerate(column)):
+            return False
+        queue = [c]
+        while queue:
+            x = queue.pop()
+            if x in inside:
+                continue
+            inside.add(x)
+            members.append(x)
+            row, col = t[x], columns[x]
+            queue.extend({row[y] for y in members} | {col[y] for y in members})
+        if len(inside) == n:
+            break
+    return True
 
 
 def orbits(Q: CayleyTable) -> tuple[tuple[int, ...], ...]:
     """Blocks of the equivalence generated by a ~ a |> b (and its inverse).
 
     Blocks are sorted internally and by least member; the quandle is
-    connected iff there is a single block.
+    connected iff there is a single block. As each R_b is a permutation of
+    finite order, the block of a is everything reachable from a along rows.
     """
     verdict = check_axioms(Q)
     if not verdict.ok:
         raise QuandleAxiomError(verdict.describe())
-    n = Q.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for a in range(n):
-        for b in range(n):
-            union(a, Q.table[a][b])
-    blocks: dict[int, list[int]] = {}
-    for x in range(n):
-        blocks.setdefault(find(x), []).append(x)
-    return tuple(tuple(sorted(block)) for block in sorted(blocks.values()))
+    t = Q.table
+    blocks = []
+    seen: set[int] = set()
+    for a in range(Q.n):
+        if a in seen:
+            continue
+        block = {a}
+        frontier = [a]
+        while frontier:
+            new = set(t[frontier.pop()]) - block
+            block |= new
+            frontier.extend(new)
+        seen |= block
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
 
 
-@lru_cache(maxsize=4096)
-def _fingerprints(Q: CayleyTable) -> list[tuple]:
-    """Per-element invariants preserved by any quandle isomorphism."""
-    n = Q.n
-    blocks = orbits(Q)
-    orbit_size = [0] * n
-    for block in blocks:
-        for x in block:
-            orbit_size[x] = len(block)
-    fps = []
-    for a in range(n):
-        row = Q.table[a]
-        col = [Q.table[x][a] for x in range(n)]
-        row_profile = tuple(sorted(Counter(row).values()))
-        col_profile = tuple(sorted(Counter(col).values()))
-        row_fixed = sum(1 for b in range(n) if row[b] == a)
-        col_fixed = sum(1 for x in range(n) if Q.table[x][a] == x)
-        fps.append((orbit_size[a], row_profile, col_profile, row_fixed, col_fixed))
-    return fps
+def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Sorted cycle lengths of a permutation given as its images."""
+    seen = bytearray(len(perm))
+    lengths = []
+    for start in range(len(perm)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            x = perm[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
 
 
 def brute_force_isomorphic(Q1: CayleyTable, Q2: CayleyTable) -> tuple[int, ...] | None:
@@ -218,11 +285,14 @@ def brute_force_isomorphic(Q1: CayleyTable, Q2: CayleyTable) -> tuple[int, ...] 
     n = Q1.n
     if n != Q2.n:
         return None
-    fp1 = _fingerprints(Q1)
-    fp2 = _fingerprints(Q2)
+    fp1 = Q1._fingerprints
+    fp2 = Q2._fingerprints
     if sorted(fp1) != sorted(fp2):
         return None
-    candidates = [frozenset(b for b in range(n) if fp2[b] == fp1[a]) for a in range(n)]
+    by_fp: dict[tuple, set[int]] = {}  # shared, never mutated
+    for b, fp in enumerate(fp2):
+        by_fp.setdefault(fp, set()).add(b)
+    candidates = [by_fp[fp] for fp in fp1]
 
     t1, t2 = Q1.table, Q2.table
 

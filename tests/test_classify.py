@@ -18,6 +18,7 @@ from alexq.autgroup import (
     enumerate_automorphisms,
 )
 from alexq.classify import (
+    ORACLE_VALIDATION_MAX_ORDER,
     _source_digest,
     classify_order,
     classify_range,
@@ -114,33 +115,12 @@ class TestClassifyOrder:
 
     def test_table_oracle_reproduces_order_16(self, report16):
         """The module-blind oracle partitions all 59 members like the report."""
-        members = [
-            (qc.id, alexander_table(LambdaModule(G, rep)))
-            for qc in report16.classes
-            for G, rep in qc.members
-        ]
-        assert len(members) == 59
-        oracle_reps: list[int] = []  # member index of each oracle class
-        pairs = set()  # (report class id, oracle class)
-        for i, (qid, Q) in enumerate(members):
-            cls = next(
-                (
-                    c
-                    for c, j in enumerate(oracle_reps)
-                    if brute_force_isomorphic(members[j][1], Q) is not None
-                ),
-                None,
-            )
-            if cls is None:
-                cls = len(oracle_reps)
-                oracle_reps.append(i)
-            pairs.add((qid, cls))
-        # equal partitions: the (report id, oracle class) pairs are a bijection
-        assert len(oracle_reps) == len(pairs) == len(report16.classes) == 23
-        connected = [len(orbits(members[j][1])) == 1 for j in oracle_reps]
-        assert sum(connected) == 9
-        by_id = {qc.id: qc.connected for qc in report16.classes}
-        assert all(by_id[qid] == connected[cls] for qid, cls in pairs)
+        assert_oracle_partition(report16, members=59, classes=23, connected=9)
+
+    def test_table_oracle_reproduces_order_27(self, tmp_path):
+        """The module-blind oracle partitions all 62 members like the report."""
+        report = classify_order(27, cache_dir=str(tmp_path))
+        assert_oracle_partition(report, members=62, classes=45, connected=30)
 
     def test_order_8_soundness_against_oracle(self):
         report = classify_order(8)
@@ -160,6 +140,37 @@ class TestClassifyOrder:
         for i, qa in enumerate(ids):
             for qb in ids[i + 1 :]:
                 assert brute_force_isomorphic(tables[qa][0], tables[qb][0]) is None
+
+
+def assert_oracle_partition(report, *, members: int, classes: int, connected: int) -> None:
+    """The oracle splits the report's members into exactly its classes."""
+    tables = [
+        (qc.id, alexander_table(LambdaModule(G, rep)))
+        for qc in report.classes
+        for G, rep in qc.members
+    ]
+    assert len(tables) == members
+    oracle_reps: list[int] = []  # member index of each oracle class
+    pairs = set()  # (report class id, oracle class)
+    for i, (qid, Q) in enumerate(tables):
+        cls = next(
+            (
+                c
+                for c, j in enumerate(oracle_reps)
+                if brute_force_isomorphic(tables[j][1], Q) is not None
+            ),
+            None,
+        )
+        if cls is None:
+            cls = len(oracle_reps)
+            oracle_reps.append(i)
+        pairs.add((qid, cls))
+    # equal partitions: the (report id, oracle class) pairs are a bijection
+    assert len(oracle_reps) == len(pairs) == len(report.classes) == classes
+    is_connected = [len(orbits(tables[j][1])) == 1 for j in oracle_reps]
+    assert sum(is_connected) == connected
+    by_id = {qc.id: qc.connected for qc in report.classes}
+    assert all(by_id[qid] == is_connected[cls] for qid, cls in pairs)
 
 
 class TestDeterminismAndCache:
@@ -327,6 +338,21 @@ class TestClassifyRange:
             assert 1 <= n_classes
             assert 0 <= n_connected <= n_classes
 
+    def test_oracle_validates_orders_9_to_15(self, tmp_path):
+        # every order up to ORACLE_VALIDATION_MAX_ORDER is re-counted by the
+        # oracle over every automorphism; a disagreement would raise
+        assert ORACLE_VALIDATION_MAX_ORDER == 15
+        results = classify_range(9, 15, cache_dir=str(tmp_path))
+        assert results == (
+            (9, 11, 8),
+            (10, 4, 0),
+            (11, 10, 9),
+            (12, 6, 1),
+            (13, 12, 11),
+            (14, 6, 0),
+            (15, 8, 3),
+        )
+
     def test_bad_range(self):
         with pytest.raises(ValueError):
             classify_range(3, 2)
@@ -467,3 +493,43 @@ def test_each_partition_has_a_distinct_input(tmp_path, monkeypatch):
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[48]
     assert len(inputs) >= len(enumerate_groups(48))
     assert len(set(inputs)) == len(inputs)
+
+
+@pytest.mark.parametrize("order", [16, 27, 48])
+def test_each_image_is_labelled_once_per_run(order, tmp_path, monkeypatch):
+    # carriers of one order share images; a serial run labels each once
+    labelled = []
+    label = alexq.classify.canonical_label
+
+    def recording(image):
+        labelled.append(image)
+        return label(image)
+
+    monkeypatch.setattr(alexq.classify, "canonical_label", recording)
+    report = classify_order(order, cache_dir=str(tmp_path))
+    assert _report_digest(report) == GOLDEN_REPORT_SHA256[order]
+    assert len(set(labelled)) == len(labelled)
+
+
+def test_cached_labels_are_not_recomputed_by_cold_carriers(tmp_path, monkeypatch):
+    # with all but the last carrier cached, the last one labels only the
+    # images that no earlier carrier has
+    classify_order(16, cache_dir=str(tmp_path))
+    *cached, last = enumerate_groups(16)
+    (tmp_path / f"carrier-{last.spec().replace(',', '-')}-v{alexq.__version__}.json").unlink()
+    cached_images = {
+        image_one_minus_t(LambdaModule(G, rep))
+        for G in cached
+        for rep in conjugacy_representatives(G)
+    }
+    labelled = []
+    label = alexq.classify.canonical_label
+
+    def recording(image):
+        labelled.append(image)
+        return label(image)
+
+    monkeypatch.setattr(alexq.classify, "canonical_label", recording)
+    report = classify_order(16, cache_dir=str(tmp_path))
+    assert _report_digest(report) == GOLDEN_REPORT_SHA256[16]
+    assert labelled and not cached_images & set(labelled)

@@ -1,10 +1,16 @@
+import gc
 import itertools
+import random
+import weakref
 
 import pytest
 
+from alexq.abelian import enumerate_groups
+from alexq.autgroup import conjugacy_representatives, enumerate_automorphisms
 from alexq.errors import TableParseError
-from alexq.lambda_modules import _image_set, parse_module_spec
+from alexq.lambda_modules import LambdaModule, _image_set, parse_module_spec
 from alexq.quandle import (
+    AxiomVerdict,
     CayleyTable,
     MalformedTableError,
     QuandleAxiomError,
@@ -17,6 +23,59 @@ from alexq.quandle import (
 
 def table(spec: str) -> CayleyTable:
     return alexander_table(parse_module_spec(spec))
+
+
+def reference_axioms(Q: CayleyTable) -> AxiomVerdict:
+    """The plain a, b, c loop that check_axioms must agree with."""
+    t = Q.table
+    rng = range(Q.n)
+    for a in rng:
+        if t[a][a] != a:
+            return AxiomVerdict(False, "idempotence", (a,))
+    for b in rng:
+        if len({t[a][b] for a in rng}) != Q.n:
+            return AxiomVerdict(False, "right-invertibility", (b,))
+    for a, b, c in itertools.product(rng, repeat=3):
+        if t[t[a][b]][c] != t[t[a][c]][t[b][c]]:
+            return AxiomVerdict(False, "self-distributivity", (a, b, c))
+    return AxiomVerdict(True)
+
+
+def reference_orbits(Q: CayleyTable) -> tuple[tuple[int, ...], ...]:
+    """Blocks of a ~ a |> b by union-find over every entry."""
+    parent = list(range(Q.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, row in enumerate(Q.table):
+        for v in row:
+            ra, rv = find(a), find(v)
+            parent[max(ra, rv)] = min(ra, rv)
+    blocks: dict[int, list[int]] = {}
+    for x in range(Q.n):
+        blocks.setdefault(find(x), []).append(x)
+    return tuple(tuple(sorted(block)) for block in sorted(blocks.values()))
+
+
+def relabel(Q: CayleyTable, perm: list[int]) -> CayleyTable:
+    """The table with every element x renamed perm[x]."""
+    rows = [[0] * Q.n for _ in range(Q.n)]
+    for a, row in enumerate(Q.table):
+        for b, v in enumerate(row):
+            rows[perm[a]][perm[b]] = perm[v]
+    return CayleyTable(tuple(map(tuple, rows)))
+
+
+def representative_tables(order: int) -> list[CayleyTable]:
+    """The table of one structure per conjugacy class, on every carrier."""
+    return [
+        alexander_table(LambdaModule(G, rep))
+        for G in enumerate_groups(order)
+        for rep in conjugacy_representatives(G)
+    ]
 
 
 class TestAlexanderTable:
@@ -71,6 +130,55 @@ class TestAxioms:
         a, b, c = verdict.witness
         t = Q.table
         assert t[t[a][b]][c] != t[t[a][c]][t[b][c]]
+
+    def test_matches_reference_on_alexander_tables_up_to_8(self):
+        for order in range(1, 9):
+            for G in enumerate_groups(order):
+                for phi in enumerate_automorphisms(G):
+                    Q = alexander_table(LambdaModule(G, phi))
+                    assert check_axioms(Q) == reference_axioms(Q) == AxiomVerdict(True)
+                    assert orbits(Q) == reference_orbits(Q)
+
+    def test_matches_reference_on_every_order_4_candidate(self):
+        # every idempotent table of order 4 with permutation columns, so
+        # each one reaches the self-distributivity check
+        columns = {
+            c: [p for p in itertools.permutations(range(4)) if p[c] == c] for c in range(4)
+        }
+        verdicts = set()
+        for cols in itertools.product(*columns.values()):
+            Q = CayleyTable(tuple(zip(*cols)))
+            verdict = check_axioms(Q)
+            assert verdict == reference_axioms(Q)
+            verdicts.add(verdict.ok)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("order", [16, 27])
+    def test_matches_reference_on_corrupted_tables(self, order):
+        # A changed entry breaks idempotence or right-invertibility; two
+        # entries swapped within a column off the diagonal keep both, so
+        # those tables reach the self-distributivity check.
+        rng = random.Random(order)
+        axioms = set()
+        for Q in representative_tables(order):
+            for _ in range(2):
+                rows = [list(row) for row in Q.table]
+                a, b = rng.randrange(order), rng.randrange(order)
+                rows[a][b] = rng.choice([v for v in range(order) if v != rows[a][b]])
+                bad = CayleyTable(tuple(map(tuple, rows)))
+                verdict = check_axioms(bad)
+                assert verdict == reference_axioms(bad)
+                axioms.add(verdict.axiom)
+
+                rows = [list(row) for row in Q.table]
+                c = rng.randrange(order)
+                x, y = rng.sample([v for v in range(order) if v != c], 2)
+                rows[x][c], rows[y][c] = rows[y][c], rows[x][c]
+                swapped = CayleyTable(tuple(map(tuple, rows)))
+                verdict = check_axioms(swapped)
+                assert verdict == reference_axioms(swapped)
+                axioms.add(verdict.axiom)
+        assert axioms >= {"idempotence", "right-invertibility", "self-distributivity"}
 
     def test_malformed_tables_raise(self):
         with pytest.raises(MalformedTableError):
@@ -154,6 +262,33 @@ class TestOracle:
             assert brute_force_isomorphic(Qa, Qb) is not None
             sizes = lambda Q: sorted(len(block) for block in orbits(Q))
             assert sizes(Qa) == sizes(Qb)
+
+    @pytest.mark.parametrize("order", [16, 27])
+    def test_fingerprints_follow_a_relabelling(self, order):
+        # fp(relabel(Q, p))[p[a]] == fp(Q)[a], field by field: orbit size,
+        # row multiplicities, row fixed points and the cycle type of R_a
+        rng = random.Random(order)
+        for Q in representative_tables(order)[::4]:
+            perm = list(range(order))
+            rng.shuffle(perm)
+            fp, fp_relabelled = Q._fingerprints, relabel(Q, perm)._fingerprints
+            assert all(fp_relabelled[perm[a]] == fp[a] for a in range(order))
+
+    def test_cycle_type_is_a_field(self):
+        # R_a on 16|3 is x -> 3x - 2a mod 16, conjugate to x -> 3x: fixed
+        # 0 and 8, three 2-cycles on the other evens, two 4-cycles on the odds
+        Q = table("16|3")
+        cycle_types = {fp[3] for fp in Q._fingerprints}
+        assert cycle_types == {(1, 1, 2, 2, 2, 4, 4)}
+
+    def test_table_is_freed_after_the_oracle_returns(self):
+        Qa, Qb = table("L16/3"), table("L16/11")
+        assert brute_force_isomorphic(Qa, Qb) is not None
+        assert Qa._fingerprints is Qa._fingerprints  # computed once per table
+        ref = weakref.ref(Qa)
+        del Qa
+        gc.collect()
+        assert ref() is None
 
     def test_distinguishes_same_profile_structures(self):
         # both connected of order 16, but different modules
