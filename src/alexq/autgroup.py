@@ -136,20 +136,7 @@ class Automorphism(Endomorphism):
         cached = self.__dict__.get("_cycle_type")
         if cached is not None:
             return cached
-        perm = self.perm
-        seen = [False] * len(perm)
-        lengths = []
-        for start in range(len(perm)):
-            if seen[start]:
-                continue
-            length = 0
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = perm[i]
-                length += 1
-            lengths.append(length)
-        cycle_type = self.__dict__["_cycle_type"] = tuple(sorted(lengths))
+        cycle_type = self.__dict__["_cycle_type"] = kernels.cycle_type(self.perm)
         return cycle_type
 
     def order(self) -> int:

@@ -30,6 +30,22 @@ def invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
+    """Sorted cycle lengths of the permutation p."""
+    seen = bytearray(len(p))
+    lengths = []
+    for start in range(len(p)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            x = p[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
 def _commuting_levels(factors, t1):
     """The pairs (x, t1[x]) to check at each generator position.
 

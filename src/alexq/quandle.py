@@ -24,6 +24,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import TableParseError
+from .kernels import cycle_type
 from .lambda_modules import LambdaModule
 
 
@@ -74,7 +75,7 @@ class CayleyTable:
             for x in block:
                 orbit_size[x] = len(block)
         return tuple(
-            (orbit_size[a], tuple(sorted(Counter(row).values())), row.count(a), _cycle_type(col))
+            (orbit_size[a], tuple(sorted(Counter(row).values())), row.count(a), cycle_type(col))
             for a, (row, col) in enumerate(zip(self.table, zip(*self.table)))
         )
 
@@ -254,22 +255,6 @@ def orbits(Q: CayleyTable) -> tuple[tuple[int, ...], ...]:
         seen |= block
         blocks.append(tuple(sorted(block)))
     return tuple(blocks)
-
-
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Sorted cycle lengths of a permutation given as its images."""
-    seen = bytearray(len(perm))
-    lengths = []
-    for start in range(len(perm)):
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = 1
-            x = perm[x]
-            length += 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths))
 
 
 def brute_force_isomorphic(Q1: CayleyTable, Q2: CayleyTable) -> tuple[int, ...] | None:
