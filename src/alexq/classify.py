@@ -153,7 +153,7 @@ def _store_cached(path: Path, payload: dict) -> None:
 def _carrier_pairs(
     factors: tuple[int, ...],
     cache_dir: str | None,
-    label_of: dict[LambdaModule, str],
+    earlier: Iterable[list[Triple]] = (),
 ) -> list[Triple]:
     """Conjugacy representatives, their images and the images' labels.
 
@@ -163,19 +163,20 @@ def _carrier_pairs(
     triples are plain frozen values, so they cross process boundaries
     unchanged; the JSON cache stores them as strings.
 
-    `label_of` maps images to labels across calls: labels are looked up in
-    it, and those computed or read from the cache are added to it, so a
-    caller that passes one dict to every carrier labels an image shared by
-    several carriers once.
+    `earlier` holds the triples of carriers already classified in this
+    run, computed or read from the cache. An image labelled there keeps
+    its label, so a caller that passes every earlier carrier's triples
+    labels an image shared by several carriers once. A cache hit reads
+    none of them.
     """
     carrier = AbelianGroup(factors)
     path = _cache_path(resolve_cache_dir(cache_dir), carrier)
     cached = _load_cached(path, carrier)
     if cached is not None:
-        label_of.update((image, label) for _, image, label in cached)
         return cached
     reps = conjugacy_representatives(carrier)
     images = [image_one_minus_t(LambdaModule(carrier, rep)) for rep in reps]
+    label_of = {image: label for pairs in earlier for _, image, label in pairs}
     for image in images:
         if image not in label_of:
             label_of[image] = canonical_label(image)
@@ -225,13 +226,13 @@ def classify_order(
     carriers = enumerate_groups(order)
     triples: dict[tuple[int, ...], list[Triple]] = {}
     if jobs <= 1:
-        label_of: dict[LambdaModule, str] = {}  # shared, so each image is labelled once
         for G in carriers:
-            triples[G.factors] = _carrier_pairs(G.factors, cache_dir, label_of)
+            # the carriers before G lend their labels, so each image is labelled once
+            triples[G.factors] = _carrier_pairs(G.factors, cache_dir, triples.values())
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                G.factors: pool.submit(_carrier_pairs, G.factors, cache_dir, {}) for G in carriers
+                G.factors: pool.submit(_carrier_pairs, G.factors, cache_dir) for G in carriers
             }
             for factors, future in futures.items():
                 triples[factors] = future.result()
