@@ -162,6 +162,15 @@ def _prime_factorization(n: int) -> dict[int, int]:
     return result
 
 
+def _elementary_prime(G: AbelianGroup) -> int | None:
+    """p if G is (Z_p)^k for a prime p and some k >= 1, else None."""
+    if G.factors and len(set(G.factors)) == 1:
+        p = G.factors[0]
+        if _prime_factorization(p) == {p: 1}:
+            return p
+    return None
+
+
 def normalize_cyclic_orders(orders: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """Invariant factors of a direct sum of cyclic groups of the given orders.
 

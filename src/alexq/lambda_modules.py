@@ -30,7 +30,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .abelian import AbelianGroup, Element, _invariant_decomposition, _prime_factorization
+from .abelian import (
+    AbelianGroup,
+    Element,
+    _elementary_prime,
+    _invariant_decomposition,
+    _prime_factorization,
+)
 from .autgroup import (
     Automorphism,
     _group_tables,
@@ -62,15 +68,20 @@ class LambdaModule:
         return self.spec()
 
 
-def _image_indices(M: LambdaModule) -> set[int]:
-    """Im(1 - t) as a set of element indices."""
+def _one_minus_t_indices(M: LambdaModule) -> list[int]:
+    """The index of x - t(x) for each element index x."""
     G = M.group
     elements, perm = G.elements, M.t.perm
     shape = tuple(zip(G.factors, G.generator_indices))
-    return {
+    return [
         sum(((a - b) % d) * s for a, b, (d, s) in zip(x, elements[perm[i]], shape))
         for i, x in enumerate(elements)
-    }
+    ]
+
+
+def _image_indices(M: LambdaModule) -> set[int]:
+    """Im(1 - t) as a set of element indices."""
+    return set(_one_minus_t_indices(M))
 
 
 def _image_set(M: LambdaModule) -> set[Element]:
@@ -285,9 +296,8 @@ def canonical_label(M: LambdaModule) -> str:
     pairs = _scalar_candidate(M)
     if pairs is not None and is_lambda_isomorphic(M, scalar_cyclic_module(pairs)) is not None:
         return _grouped(sorted(cyclic_name(q, a) for q, a in pairs))
-    factors = M.group.factors
-    p = factors[0]
-    if len(set(factors)) == 1 and _prime_factorization(p) == {p: 1}:
+    p = _elementary_prime(M.group)
+    if p is not None:
         # elementary abelian carrier: name by the divisor chain of the action
         from . import polymod
 

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abelian import AbelianGroup, _prime_factorization
+from .abelian import AbelianGroup, _elementary_prime
 from .autgroup import Automorphism
 from .errors import SpecError
 from .lambda_modules import LambdaModule, _poly_terms
@@ -315,12 +315,11 @@ def divisor_chain(M: LambdaModule) -> PolySpec:
     holds the image of the j-th generator: its invariant factors of positive
     degree are the chain, so `build` of the result is isomorphic to M.
     """
-    factors = M.group.factors
-    p = factors[0] if factors else 0
-    if any(d != p for d in factors) or _prime_factorization(p) != {p: 1}:
+    p = _elementary_prime(M.group)
+    if p is None:
         raise ValueError(f"{M.group} is not an elementary abelian p-group")
     images = M.t.images
-    k = len(factors)
+    k = M.group.rank
     matrix = [
         [Poly(p, (-images[j][i], 1) if i == j else (-images[j][i],)) for j in range(k)]
         for i in range(k)

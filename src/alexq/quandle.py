@@ -3,7 +3,10 @@
 The oracle is deliberately independent of the module machinery: it sees
 only n x n tables and decides isomorphism by pruned backtracking over
 element bijections. It exists to validate the image-module criterion, so
-nothing here may consult module structure.
+`check_axioms`, `orbits`, the fingerprints and `brute_force_isomorphic`
+read nothing but the table. Only the builder, `alexander_table`, looks at
+a module, and it reads the carrier's index addition table and the indices
+of x - t(x).
 
 The search only pairs elements with equal fingerprints: orbit size, the
 multiplicities of the element's row, the row's fixed points, and the
@@ -13,7 +16,7 @@ them runs the axiom check, which tests self-distributivity only on a
 generating set (see `check_axioms`).
 
 Table file format: line 1 holds n, lines 2..n+1 hold n space-separated
-zero-based entries; row a, column b is a |> b.
+zero-based entries; row a, column b is a |> b. Only blank lines may follow.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
+from .autgroup import _group_tables
 from .errors import TableParseError
 from .kernels import cycle_type
-from .lambda_modules import LambdaModule
+from .lambda_modules import LambdaModule, _one_minus_t_indices
 
 
 class MalformedTableError(ValueError):
@@ -119,6 +123,9 @@ class CayleyTable:
                     )
                 row.append(v)
             rows.append(tuple(row))
+        for lineno, line in enumerate(lines[n + 1 :], start=n + 2):
+            if line.strip():
+                raise TableParseError(f"expected {n} table rows, found more", line=lineno)
         return cls(tuple(rows))
 
 
@@ -138,22 +145,13 @@ def alexander_table(M: LambdaModule) -> CayleyTable:
     """The operation table of a |> b = t(a) + b - t(b).
 
     Elements are indexed in lexicographic coordinate order, so tables built
-    from equal modules are identical.
+    from equal modules are identical. Each entry t(a) + (b - t(b)) is read
+    from the carrier's index addition table.
     """
-    G = M.group
-    n = G.order
-    perm = M.t.perm
-    elements = G.elements
-    idx = {x: i for i, x in enumerate(elements)}
-    rows = []
-    for a in range(n):
-        ta = elements[perm[a]]
-        row = []
-        for b in range(n):
-            diff = G.sub(elements[b], elements[perm[b]])
-            row.append(idx[G.add(ta, diff)])
-        rows.append(tuple(row))
-    return CayleyTable(tuple(rows))
+    n = M.order
+    add, _ = _group_tables(M.group)
+    diff = _one_minus_t_indices(M)
+    return CayleyTable(tuple(tuple(add[ta * n + d] for d in diff) for ta in M.t.perm))
 
 
 def check_axioms(Q: CayleyTable) -> AxiomVerdict:

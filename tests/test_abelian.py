@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from alexq.abelian import (
     AbelianGroup,
     ShapeError,
+    _elementary_prime,
     enumerate_groups,
     normalize_cyclic_orders,
     subgroup_structure,
@@ -64,6 +65,17 @@ class TestEnumerateGroups:
             assert len({g.factors for g in groups}) == len(groups)
             for g in groups:
                 assert g.order == n
+
+    def test_elementary_prime(self):
+        # (Z_p)^k gives p; every other carrier, the trivial group included, gives None
+        elementary = {
+            G.factors: _elementary_prime(G)
+            for n in range(1, 65)
+            for G in enumerate_groups(n)
+            if _elementary_prime(G) is not None
+        }
+        primes = [p for p in range(2, 65) if all(p % q for q in range(2, p))]
+        assert elementary == {(p,) * k: p for p in primes for k in range(1, 7) if p**k <= 64}
 
 
 class TestArithmetic:

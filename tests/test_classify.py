@@ -451,6 +451,27 @@ def test_report_matches_golden_digest(order, tmp_path):
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[order]
 
 
+# sha256 of the concatenated to_text() of every class member's Alexander
+# table, in report order; recorded while tables were still built with
+# coordinate arithmetic.
+GOLDEN_TABLES_SHA256 = {
+    16: "f9fb5a7484f58547673c664a8866a8435f9c7587b9fb590dfe15a946dbf38455",
+    27: "c4870be14bf6da13d85ffcc4337ce5351d17507b15dda1d87150880e78a21671",
+    48: "aa4055003f7ef30f5032135bdb86c800afeeea9edfbc26ead48c07419b8296a3",
+}
+
+
+@pytest.mark.parametrize("order", sorted(GOLDEN_TABLES_SHA256))
+def test_cayley_tables_match_golden_digest(order, tmp_path):
+    report = classify_order(order, cache_dir=str(tmp_path))
+    text = "".join(
+        alexander_table(LambdaModule(G, rep)).to_text()
+        for qc in report.classes
+        for G, rep in qc.members
+    )
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_TABLES_SHA256[order]
+
+
 def test_parallel_order_48_matches_golden_digest(tmp_path):
     # the workers label their carriers' images; the parent only merges
     report = classify_order(48, jobs=2, cache_dir=str(tmp_path))

@@ -139,6 +139,15 @@ class TestCayleyAndCheck:
         assert err.startswith("error:")
         assert "line 2" in err and "column 2" in err
 
+    def test_rows_after_the_table_are_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("2\n0 0\n1 1\n5 5 5\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", "--table", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "line 4" in err
+        assert err.count("\n") == 1
+
 
 class TestIsoVerb:
     def test_module_specs_use_image_criterion(self, capsys):

@@ -9,6 +9,7 @@ from alexq.abelian import enumerate_groups
 from alexq.autgroup import conjugacy_representatives, enumerate_automorphisms
 from alexq.errors import TableParseError
 from alexq.lambda_modules import LambdaModule, _image_set, parse_module_spec
+from alexq.linearq import units
 from alexq.quandle import (
     AxiomVerdict,
     CayleyTable,
@@ -23,6 +24,24 @@ from alexq.quandle import (
 
 def table(spec: str) -> CayleyTable:
     return alexander_table(parse_module_spec(spec))
+
+
+def _reference_alexander_table(M: LambdaModule) -> CayleyTable:
+    """a |> b by checked coordinate arithmetic: what alexander_table must equal."""
+    G = M.group
+    n = G.order
+    perm = M.t.perm
+    elements = G.elements
+    idx = {x: i for i, x in enumerate(elements)}
+    rows = []
+    for a in range(n):
+        ta = elements[perm[a]]
+        row = []
+        for b in range(n):
+            diff = G.sub(elements[b], elements[perm[b]])
+            row.append(idx[G.add(ta, diff)])
+        rows.append(tuple(row))
+    return CayleyTable(tuple(rows))
 
 
 def reference_axioms(Q: CayleyTable) -> AxiomVerdict:
@@ -91,6 +110,19 @@ class TestAlexanderTable:
     def test_two_element_trivial(self):
         assert table("2|1").table == ((0, 0), (1, 1))
 
+    @pytest.mark.parametrize("order", [n for n in range(1, 49) if n != 32])
+    def test_matches_reference_on_representatives(self, order):
+        for G in enumerate_groups(order):
+            for rep in conjugacy_representatives(G):
+                M = LambdaModule(G, rep)
+                assert alexander_table(M) == _reference_alexander_table(M)
+
+    def test_matches_reference_on_linear_quandles_up_to_16(self):
+        for n in range(1, 17):
+            for a in units(n):
+                M = parse_module_spec(f"L{n}/{a}")
+                assert alexander_table(M) == _reference_alexander_table(M)
+
 
 class TestAxioms:
     def test_alexander_tables_pass(self):
@@ -135,7 +167,9 @@ class TestAxioms:
         for order in range(1, 9):
             for G in enumerate_groups(order):
                 for phi in enumerate_automorphisms(G):
-                    Q = alexander_table(LambdaModule(G, phi))
+                    M = LambdaModule(G, phi)
+                    Q = alexander_table(M)
+                    assert Q == _reference_alexander_table(M)
                     assert check_axioms(Q) == reference_axioms(Q) == AxiomVerdict(True)
                     assert orbits(Q) == reference_orbits(Q)
 
@@ -213,6 +247,7 @@ class TestTableText:
     def test_roundtrip(self):
         Q = table("4,4|0,1;3,2")
         assert CayleyTable.from_text(Q.to_text()) == Q
+        assert CayleyTable.from_text(Q.to_text() + "\n  \n\t\n") == Q
 
     def test_parse_errors_carry_position(self):
         with pytest.raises(TableParseError) as exc:
@@ -230,6 +265,12 @@ class TestTableText:
         with pytest.raises(TableParseError) as exc:
             CayleyTable.from_text("2\n0 3\n1 1\n")
         assert (exc.value.line, exc.value.column) == (2, 2)
+        with pytest.raises(TableParseError) as exc:
+            CayleyTable.from_text("2\n0 0\n1 1\n5 5 5\n")
+        assert (exc.value.line, exc.value.column) == (4, None)
+        with pytest.raises(TableParseError) as exc:
+            CayleyTable.from_text("2\n0 0\n1 1\n\n \n0\n")
+        assert exc.value.line == 6
 
 
 class TestOracle:
