@@ -5,20 +5,25 @@ extends linearly; it is well defined exactly when d_i * image_i = 0. An
 automorphism is a bijective endomorphism; bijectivity is what makes the
 inverse action (needed for t^-1) exist.
 
-Enumeration walks all candidate generator-image tuples whose orders divide
-the corresponding factors, keeping the bijective ones; the budget guard
-counts those tuples in closed form before any table is built and refuses
-a carrier with more than ENUMERATION_BUDGET (2^24) of them. The budget is
-a constant, not a parameter, so the cached enumeration and partition are
-keyed by the carrier alone: each carrier's Aut is partitioned once, and
-every reader of a class (`conjugacy_representatives`, the fallback label
-through `lex_least_conjugate`) reads that one partition. Conjugacy
-classes are orbits under conjugation, computed in `kernels` as closures
-under a generating set S of Aut (at most four maps on every enumerable
-carrier of order up to 48), which costs |Aut| * |S| conjugates instead of
-|Aut| * #classes. Since a linear map is fixed by its generator images, a
-conjugate h o f o h^-1 is evaluated on the generators only: with
-h^-1(g) = h.index(g) that is k lookups and no inverse permutation.
+Enumeration searches the candidate generator-image tuples whose orders
+divide the corresponding factors, keeping the bijective ones: a partial
+tuple spans a subgroup H, and the next image is rejected as soon as one of
+its multiples lies in H, which prunes its whole subtree. The budget guard
+counts the candidate tuples in closed form before any table is built and
+refuses a carrier with more than ENUMERATION_BUDGET (2^24) of them. The
+budget is a constant, not a parameter, so the cached enumeration and
+partition are keyed by the carrier alone: each carrier's Aut is
+partitioned once, and every reader of a class (`conjugacy_representatives`,
+the fallback label through `lex_least_conjugate`) reads that one
+partition. Conjugacy classes are orbits under conjugation, computed in
+`kernels` as closures under a generating set S of Aut (at most four maps
+on every enumerable carrier of order up to 48), which costs |Aut| * |S|
+conjugates instead of |Aut| * #classes. That S generates Aut is proved by
+a Schreier-Sims stabilizer chain on the standard generators, in
+milliseconds on the largest carriers, not by a closure over Aut. Since a
+linear map is fixed by its generator images, a conjugate h o f o h^-1 is
+evaluated on the generators only: with h^-1(g) = h.index(g) that is k
+lookups and no inverse permutation.
 `lex_least_conjugate` reads its answer from the same cached partition.
 `is_conjugate` decides a single pair without enumerating Aut: the kernel
 searches directly for an h with h o f = g o h, the same search that

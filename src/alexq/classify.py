@@ -223,9 +223,11 @@ def classify_order(
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
     carriers = enumerate_groups(order)
     triples: dict[tuple[int, ...], list[Triple]] = {}
-    if jobs <= 1:
+    if jobs == 1:
         for G in carriers:
             # the carriers before G lend their labels, so each image is labelled once
             triples[G.factors] = _carrier_pairs(G.factors, cache_dir, triples.values())

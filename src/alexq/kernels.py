@@ -13,14 +13,23 @@ layer:
 One pruned search over generator images (`_linear_bijections`) finds
 bijective linear maps h. Without constraints it lists Aut; given two
 actions t1 and t2 it stops at the first h with h o t1 = t2 o h, which
-decides both conjugacy in Aut and module isomorphism. The conjugacy
-partition treats each class as an orbit: it finds a small generating set
-S of the group, then closes each class under conjugation by S alone.
+decides both conjugacy in Aut and module isomorphism. The partial map at
+each node sends a span of generators onto a subgroup H, and a candidate
+image img for the next generator, of order d, extends it injectively
+exactly when the multiples c*img, c = 1..d-1, all lie outside H, so a
+candidate costs at most d-1 bitmap lookups before anything is built.
+
+The conjugacy partition treats each class as an orbit: it finds a small
+generating set S of the group, then closes each class under conjugation by
+S alone. That S generates is proved by a Schreier-Sims stabilizer chain on
+the base `gens` (`_StabilizerChain`), whose order is the product of its
+basic orbit lengths, so no closure over the whole group is built.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 
 def invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -77,11 +86,16 @@ def _linear_bijections(n, factors, add, allowed, t1=None, t2=None):
 
     Images are assigned from the last generator position upward, so the
     partial map always covers a prefix of the element indices (the span of
-    the generators chosen so far; index = sum of c_i * suffix strides). A
-    repeated value in a partial map kills the whole candidate subtree, which
-    is what keeps the search near the size of the output. The commuting
-    constraint h[t1[x]] = t2[h[x]] is checked at the first position whose
-    prefix holds both x and t1[x] (`_commuting_levels`).
+    the generators chosen so far; index = sum of c_i * suffix strides). The
+    partial map sends that span injectively onto a subgroup H, and giving
+    generator i (of order d) the image img adds the values c*img + H,
+    c = 1..d-1. These cosets are new and pairwise distinct exactly when no
+    c*img lies in H, so each node marks H once and a candidate is rejected
+    after at most d-1 lookups; the prefix is translated only for survivors.
+    A rejected candidate kills its whole subtree, which is what keeps the
+    search near the size of the output. The commuting constraint
+    h[t1[x]] = t2[h[x]] is checked at the first position whose prefix holds
+    both x and t1[x] (`_commuting_levels`).
     """
     k = len(factors)
     if k == 0:
@@ -90,42 +104,33 @@ def _linear_bijections(n, factors, add, allowed, t1=None, t2=None):
     results = []
 
     def extend(i, partial):
-        # partial maps the span of generators i+1..k-1, a prefix of indices;
-        # returns True once a constrained search has its map
+        # partial maps the span of generators i+1..k-1, a prefix of indices,
+        # onto H; returns True once a constrained search has its map
         d = factors[i]
-        width = len(partial)
+        pairs = checks[i]
+        in_h = bytearray(n)
+        for y in partial:
+            in_h[y] = 1
         for img in allowed[i]:
-            new = list(partial)
-            seen = bytearray(n)
-            for x in partial:
-                seen[x] = 1
-            ok = True
+            rows = []
             base = 0
             for _ in range(1, d):
                 base = add[base * n + img]  # base = c*img for c = 1, 2, ...
-                for x in range(width):
-                    y = add[base * n + partial[x]]
-                    if seen[y]:
-                        ok = False
-                        break
-                    seen[y] = 1
-                    new.append(y)
-                if not ok:
+                if in_h[base]:
                     break
-            if not ok:
-                continue
-            for x, tx in checks[i]:
-                if t2[new[x]] != new[tx]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if i == 0:
-                results.append(tuple(new))
-                if t1 is not None:
+                rows.append(base * n)
+            else:
+                new = list(partial)
+                for row in rows:
+                    new += [add[row + y] for y in partial]
+                if pairs and any(t2[new[x]] != new[tx] for x, tx in pairs):
+                    continue
+                if i == 0:
+                    results.append(tuple(new))
+                    if t1 is not None:
+                        return True
+                elif extend(i - 1, new):
                     return True
-            elif extend(i - 1, new):
-                return True
         return False
 
     extend(k - 1, [0])
@@ -143,8 +148,78 @@ def enumerate_linear_bijections(n, factors, gen_idx, add, allowed):
     equals sorting by flattened image coordinates.
     """
     results = _linear_bijections(n, factors, add, allowed)
-    results.sort(key=lambda p: tuple(p[g] for g in gen_idx))
+    if gen_idx:  # the trivial group has one map and no generators
+        results.sort(key=itemgetter(*gen_idx))
     return results
+
+
+class _StabilizerChain:
+    """A subgroup of Aut as a Schreier-Sims stabilizer chain on the base gens.
+
+    Level l holds generators S_l of the subgroup fixing gens[:l] and the
+    orbit of gens[l] under them; each orbit point b maps to (u, w), where u
+    is the generator-image tuple of a product of S_l sending gens[l] to b
+    and w is the permutation of its inverse. Maps are composed on generator
+    images (s o x sends g to s[x[g]]) and looked up in the full list `perms`
+    through `index_of`, so no permutation is built.
+
+    `add` extends level l by one map (Sims 1970; Seress, "Permutation Group
+    Algorithms", 2003): it closes the orbit, and every Schreier generator
+    u_{s(b)}^-1 o s o u_b, which fixes gens[:l+1], is sifted through the
+    levels below and added to level l+1 when it is not already there. A
+    linear map is fixed by its generator images, so the subgroup fixing all
+    of gens is trivial: a map that sifts through every level is the
+    identity, and the group order is the product of the orbit lengths.
+    """
+
+    def __init__(self, perms, gens, index_of):
+        self._perms = perms
+        self._gens = gens
+        self._index_of = index_of
+        identity = tuple(gens)
+        self._levels = [([], {b: (identity, perms[index_of[identity]])}) for b in gens]
+
+    def order(self) -> int:
+        return math.prod(len(orbit) for _, orbit in self._levels)
+
+    def _sifts(self, images, level) -> bool:
+        """Whether the map with these generator images lies in the group at level."""
+        for l in range(level, len(self._gens)):
+            entry = self._levels[l][1].get(images[l])
+            if entry is None:
+                return False
+            inverse = entry[1]
+            images = [inverse[x] for x in images]
+        return True
+
+    def __contains__(self, perm) -> bool:
+        return self._sifts([perm[g] for g in self._gens], 0)
+
+    def add(self, perm, level=0) -> None:
+        """Extend the group at level by perm, which fixes gens[:level] and lies outside it."""
+        perms, gens, index_of = self._perms, self._gens, self._index_of
+        generators, orbit = self._levels[level]
+        generators.append(perm)
+        # the pairs (b, s) not seen before: the new map on the old points,
+        # then every map on each point the orbit gains
+        old = len(orbit)
+        points = list(orbit)
+        for pos, b in enumerate(points):
+            u, _ = orbit[b]
+            for s in generators if pos >= old else (perm,):
+                image = [s[x] for x in u]
+                c = image[level]
+                entry = orbit.get(c)
+                if entry is None:
+                    su = perms[index_of[tuple(image)]]
+                    inverse = perms[index_of[tuple([su.index(g) for g in gens])]]
+                    orbit[c] = (tuple(image), inverse)
+                    points.append(c)
+                    continue
+                inverse = entry[1]
+                schreier = [inverse[x] for x in image]
+                if not self._sifts(schreier, level + 1):
+                    self.add(perms[index_of[tuple(schreier)]], level + 1)
 
 
 # Step of the walk that picks generators: a large prime reduced mod |Aut|,
@@ -159,45 +234,24 @@ def _generating_set(perms, gens, index_of):
     """A few perms that generate the whole group.
 
     Candidates are visited at the multiples of a stride coprime to |Aut|,
-    so every index is reached and the loop ends. A candidate is kept only
-    if it lies outside the closure of those kept so far; the closure is
-    grown by BFS, composing on generator images (s o x sends g to s[x[g]]),
-    until it holds all |Aut| elements, which proves the set generates.
+    so the walk reaches every index once. A candidate is kept only if it
+    lies outside the group generated by those kept so far, which is decided
+    by sifting it through their stabilizer chain; the walk stops when the
+    chain's order is |Aut|, which proves the set generates.
     """
     count = len(perms)
     step = _GENERATOR_STRIDE % count
     while math.gcd(step, count) != 1:
         step += 1
-    in_closure = bytearray(count)
-    identity = index_of[tuple(gens)]
-    in_closure[identity] = 1
-    closure = [identity]
-
-    def grow(s, x):
-        j = index_of[tuple([s[x[g]] for g in gens])]
-        if not in_closure[j]:
-            in_closure[j] = 1
-            closure.append(j)
-
+    chain = _StabilizerChain(perms, gens, index_of)
     chosen = []
-    cand = 0
-    while len(closure) < count:
-        cand = (cand + step) % count
-        if in_closure[cand]:
-            continue
-        new = perms[cand]
-        chosen.append(new)
-        # the old closure is closed under the earlier generators, so it
-        # needs only the new one; what that adds needs all of them
-        old = len(closure)
-        for pos in range(old):
-            grow(new, perms[closure[pos]])
-        pos = old
-        while pos < len(closure):
-            x = perms[closure[pos]]
-            pos += 1
-            for s in chosen:
-                grow(s, x)
+    for j in range(1, count + 1):
+        if chain.order() == count:
+            break
+        new = perms[j * step % count]
+        if new not in chain:
+            chosen.append(new)
+            chain.add(new)
     return chosen
 
 
@@ -214,14 +268,21 @@ def conjugacy_partition(perms, gens):
 
     A class is the orbit of f under conjugation by Aut, and an orbit under a
     finite group is its closure under a generating set S. So the kernel
-    first finds a small S (`_generating_set`), then expands each class by
-    s o f o s^-1 for s in S, costing |Aut| * |S| conjugates in all instead
-    of |Aut| * #classes. Each conjugate is identified by its generator images
-    alone, s(f(s^-1(g))) for g in gens, so only s^-1 on the generators is
-    stored, and a conjugate costs k lookups.
+    first finds a small S (`_generating_set`, proved by a stabilizer chain),
+    then expands each class by s o f o s^-1 for s in S, costing
+    |Aut| * |S| conjugates in all instead of |Aut| * #classes. Each
+    conjugate is identified by its generator images alone,
+    s(f(s^-1(g))) for g in gens, so only s^-1 on the generators is stored,
+    and a conjugate costs k lookups, done by C-level getters.
     """
-    index_of = {tuple([p[g] for g in gens]): i for i, p in enumerate(perms)}
-    conj = [(s, [s.index(g) for g in gens]) for s in _generating_set(perms, gens, index_of)]
+    if len(gens) < 2:
+        # Aut of a cyclic (or trivial) group is abelian: every class is a singleton
+        return list(range(len(perms))), list(range(len(perms)))
+    index_of = dict(zip(map(itemgetter(*gens), perms), range(len(perms))))
+    conj = [
+        (s, itemgetter(*[s.index(g) for g in gens]))
+        for s in _generating_set(perms, gens, index_of)
+    ]
     class_ids = [-1] * len(perms)
     reps = []
     for i in range(len(perms)):
@@ -234,7 +295,7 @@ def conjugacy_partition(perms, gens):
         while stack:
             f = perms[stack.pop()]
             for s, pull in conj:
-                j = index_of[tuple([s[f[x]] for x in pull])]
+                j = index_of[itemgetter(*pull(f))(s)]
                 if class_ids[j] == -1:
                     class_ids[j] = cid
                     stack.append(j)

@@ -184,6 +184,12 @@ class TestDeterminismAndCache:
         r2 = classify_order(8, jobs=2, cache_dir=str(tmp_path / "c"))
         assert r1 == r2
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs, tmp_path):
+        with pytest.raises(ValueError, match="jobs must be positive"):
+            classify_order(4, jobs=jobs, cache_dir=str(tmp_path))
+        assert not any(tmp_path.iterdir())
+
     def test_cache_files_created_and_reused(self, tmp_path):
         cache = tmp_path / "cache"
         classify_order(8, cache_dir=str(cache))

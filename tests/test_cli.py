@@ -197,6 +197,12 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one(self, capsys, jobs):
+        code, out, err = run(capsys, "classify", "--order", "4", "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert err == f"error: jobs must be positive, got {jobs}\n"
+
     def test_bad_module_spec(self, capsys):
         code, _, err = run(capsys, "image", "--module", "L16/4")
         assert code == 2

@@ -1,16 +1,27 @@
 import itertools
+import math
 
 import pytest
 
 from alexq.abelian import AbelianGroup, enumerate_groups
 from alexq.autgroup import (
     Automorphism,
+    _automorphism_perms,
     _group_tables,
     conjugacy_representatives,
     enumerate_automorphisms,
     is_conjugate,
 )
-from alexq.kernels import _commuting_levels, conjugacy_partition, invert_perm
+from alexq.kernels import (
+    _GENERATOR_STRIDE,
+    _commuting_levels,
+    _generating_set,
+    _linear_bijections,
+    _StabilizerChain,
+    conjugacy_partition,
+    enumerate_linear_bijections,
+    invert_perm,
+)
 from alexq.lambda_modules import (
     LambdaModule,
     _image_indices,
@@ -123,6 +134,161 @@ def _isomorphic_by_prefix_search(M, M2):
     return None if full is None else Automorphism(G, tuple(G.element(full[g]) for g in G.generator_indices))
 
 
+def _reference_linear_bijections(n, factors, add, allowed, t1=None, t2=None):
+    """Reference: the search that marks a fresh bitmap and translates the
+    whole prefix for every candidate before testing injectivity."""
+    k = len(factors)
+    if k == 0:
+        return [(0,)]
+    checks = [()] * k if t1 is None else _commuting_levels(factors, t1)
+    results = []
+
+    def extend(i, partial):
+        d = factors[i]
+        width = len(partial)
+        for img in allowed[i]:
+            new = list(partial)
+            seen = bytearray(n)
+            for x in partial:
+                seen[x] = 1
+            ok = True
+            base = 0
+            for _ in range(1, d):
+                base = add[base * n + img]
+                for x in range(width):
+                    y = add[base * n + partial[x]]
+                    if seen[y]:
+                        ok = False
+                        break
+                    seen[y] = 1
+                    new.append(y)
+                if not ok:
+                    break
+            if not ok:
+                continue
+            for x, tx in checks[i]:
+                if t2[new[x]] != new[tx]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if i == 0:
+                results.append(tuple(new))
+                if t1 is not None:
+                    return True
+            elif extend(i - 1, new):
+                return True
+        return False
+
+    extend(k - 1, [0])
+    return results
+
+
+def _key_index(perms, gens):
+    return {tuple([p[g] for g in gens]): i for i, p in enumerate(perms)}
+
+
+def _closure(perms, gens, index_of, chosen):
+    """Reference: the indices of the group generated by chosen, grown by BFS."""
+    found = {index_of[tuple(gens)]}
+    queue = list(found)
+    for i in queue:
+        x = perms[i]
+        for s in chosen:
+            j = index_of[tuple([s[x[g]] for g in gens])]
+            if j not in found:
+                found.add(j)
+                queue.append(j)
+    return found
+
+
+def _reference_generating_set(perms, gens, index_of):
+    """Reference: the stride walk that proves generation by a BFS closure
+    over the whole group."""
+    count = len(perms)
+    step = _GENERATOR_STRIDE % count
+    while math.gcd(step, count) != 1:
+        step += 1
+    in_closure = bytearray(count)
+    identity = index_of[tuple(gens)]
+    in_closure[identity] = 1
+    closure = [identity]
+
+    def grow(s, x):
+        j = index_of[tuple([s[x[g]] for g in gens])]
+        if not in_closure[j]:
+            in_closure[j] = 1
+            closure.append(j)
+
+    chosen = []
+    cand = 0
+    while len(closure) < count:
+        cand = (cand + step) % count
+        if in_closure[cand]:
+            continue
+        new = perms[cand]
+        chosen.append(new)
+        old = len(closure)
+        for pos in range(old):
+            grow(new, perms[closure[pos]])
+        pos = old
+        while pos < len(closure):
+            x = perms[closure[pos]]
+            pos += 1
+            for s in chosen:
+                grow(s, x)
+    return chosen
+
+
+ENUMERABLE_ORDERS = [n for n in range(1, 49) if n != 32]
+
+
+@pytest.mark.parametrize("order", ENUMERABLE_ORDERS)
+def test_search_matches_reference_search(order):
+    for G in enumerate_groups(order):
+        n, gens = G.order, G.generator_indices
+        add, allowed = _group_tables(G)
+        expected = _reference_linear_bijections(n, G.factors, add, allowed)
+        assert _linear_bijections(n, G.factors, add, allowed) == expected, G
+        expected.sort(key=lambda p: tuple(p[g] for g in gens))
+        assert enumerate_linear_bijections(n, G.factors, gens, add, allowed) == expected, G
+
+
+@pytest.mark.parametrize("order", ENUMERABLE_ORDERS)
+def test_generating_set_matches_bfs_selection(order):
+    for G in enumerate_groups(order):
+        perms, gens = _automorphism_perms(G), G.generator_indices
+        index_of = _key_index(perms, gens)
+        chosen = _generating_set(perms, gens, index_of)
+        assert chosen == _reference_generating_set(perms, gens, index_of), G
+        assert len(_closure(perms, gens, index_of, chosen)) == len(perms), G
+        assert len(chosen) <= 4, G
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2, 2), (3, 3, 3), (2, 4, 4), (2, 2, 2, 6)])
+def test_chain_order_and_members_match_bfs_closure(factors):
+    G = AbelianGroup(factors)
+    perms, gens = _automorphism_perms(G), G.generator_indices
+    index_of = _key_index(perms, gens)
+    chosen = _generating_set(perms, gens, index_of)
+    # the walk stops once the last kept map completes the group, so every
+    # proper prefix of chosen generates a proper subgroup
+    for subset, proper in (
+        ([chosen[0]], True),
+        (chosen[:-1], True),
+        ([chosen[0], perms[len(perms) // 2]], False),
+    ):
+        chain = _StabilizerChain(perms, gens, index_of)
+        for s in subset:
+            if s not in chain:
+                chain.add(s)
+        members = _closure(perms, gens, index_of, subset)
+        assert chain.order() == len(members), subset
+        assert [p in chain for p in perms] == [i in members for i in range(len(perms))]
+        if proper:
+            assert chain.order() < len(perms), subset
+
+
 def _assert_intertwines(G, h, t1, t2):
     """h is a linear bijection of G with h o t1 = t2 o h."""
     assert Automorphism(G, h.images).perm == h.perm
@@ -149,6 +315,8 @@ def test_commuting_levels_list_each_pair_once_where_it_is_first_covered():
 )
 def test_search_matches_replaced_routes_on_automorphism_pairs(factors, step):
     G = AbelianGroup(factors)
+    n = G.order
+    add, allowed = _group_tables(G)
     modules = [LambdaModule(G, f) for f in enumerate_automorphisms(G)[::step]]
     for M in modules:
         f = M.t
@@ -156,6 +324,9 @@ def test_search_matches_replaced_routes_on_automorphism_pairs(factors, step):
         for M2 in modules:
             g = M2.t
             h = is_conjugate(G, f, g)
+            if f.cycle_type() == g.cycle_type():
+                first = _reference_linear_bijections(n, factors, add, allowed, f.perm, g.perm)
+                assert (h.perm if h else None) == (first[0] if first else None), (f, g)
             lam = is_lambda_isomorphic(M, M2)
             expected = tuple(g.perm[x] for x in G.generator_indices) in conjugates
             assert (h is not None) == (lam is not None) == expected, (f, g)
