@@ -171,6 +171,21 @@ def _elementary_prime(G: AbelianGroup) -> int | None:
     return None
 
 
+def sylow_parts(G: AbelianGroup) -> tuple[AbelianGroup, ...]:
+    """The Sylow subgroups of G by ascending prime, in invariant-factor form.
+
+    The factors of the p-part are the p-parts of G's factors that exceed 1,
+    so they come from G's last factors, position for position.
+
+    >>> [P.factors for P in sylow_parts(AbelianGroup((2, 2, 12)))]
+    [(2, 2, 4), (3,)]
+    """
+    return tuple(
+        AbelianGroup(tuple(q for d in G.factors if (q := math.gcd(d, p**e)) > 1))
+        for p, e in sorted(_prime_factorization(G.order).items())
+    )
+
+
 def normalize_cyclic_orders(orders: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """Invariant factors of a direct sum of cyclic groups of the given orders.
 

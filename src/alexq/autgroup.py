@@ -11,34 +11,50 @@ tuple spans a subgroup H, and the next image is rejected as soon as one of
 its multiples lies in H, which prunes its whole subtree. The budget guard
 counts the candidate tuples in closed form before any table is built and
 refuses a carrier with more than ENUMERATION_BUDGET (2^24) of them. The
-budget is a constant, not a parameter, so the cached enumeration and
-partition are keyed by the carrier alone: each carrier's Aut is
-partitioned once, and every reader of a class (`conjugacy_representatives`,
-the fallback label through `lex_least_conjugate`) reads that one
-partition. Conjugacy classes are orbits under conjugation, computed in
-`kernels` as closures under a generating set S of Aut (at most four maps
-on every enumerable carrier of order up to 48), which costs |Aut| * |S|
-conjugates instead of |Aut| * #classes. That S generates Aut is proved by
-a Schreier-Sims stabilizer chain on the standard generators, in
-milliseconds on the largest carriers, not by a closure over Aut. Since a
-linear map is fixed by its generator images, a conjugate h o f o h^-1 is
-evaluated on the generators only: with h^-1(g) = h.index(g) that is k
-lookups and no inverse permutation.
-`lex_least_conjugate` reads its answer from the same cached partition.
-`is_conjugate` decides a single pair without enumerating Aut: the kernel
-searches directly for an h with h o f = g o h, the same search that
-enumerates Aut and that decides module isomorphism in `lambda_modules`.
+budget is a constant, not a parameter, so the cached classes are keyed by
+the carrier alone.
+
+Conjugacy classes are composed from the Sylow parts. G is the direct sum
+of its p-parts G_p, and Aut(G) is the product of the Aut(G_p) (Hillar &
+Rhea, "Automorphisms of finite abelian groups", Amer. Math. Monthly 114,
+2007), so a class of Aut(G) is a product of one class per part and its
+size is the product of theirs. Only the Aut of a p-group is enumerated and
+partitioned, once per part; a prime-power carrier is a product with one
+factor. The least member of a product class in G's invariant-factor
+coordinates comes from one scan of the product through CRT index tables,
+linear in |Aut(G)|, so Aut of a carrier with several primes is never listed
+or partitioned. `conjugacy_representatives`, `conjugacy_class_sizes` and
+`lex_least_conjugate` (the fallback label) all read one cached table per
+carrier, `_conjugacy`. The guard stays on G: G's candidate count is the
+product of the parts' counts and at least |Aut(G)|, so it bounds both the
+part searches and the scan.
+
+A p-group's classes are orbits under conjugation, computed in `kernels` as
+closures under a generating set S of Aut (at most four maps on every
+enumerable carrier of order up to 48), which costs |Aut| * |S| conjugates
+instead of |Aut| * #classes. That S generates Aut is proved by a
+Schreier-Sims stabilizer chain on the standard generators, in milliseconds
+on the largest carriers, not by a closure over Aut. Since a linear map is
+fixed by its generator images, a conjugate h o f o h^-1 is evaluated on the
+generators only: with h^-1(g) = h.index(g) that is k lookups and no inverse
+permutation. `is_conjugate` decides a single pair without enumerating Aut:
+the kernel searches directly for an h with h o f = g o h, the same search
+that enumerates Aut and that decides module isomorphism in
+`lambda_modules`.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
+from typing import NamedTuple
 
 from . import kernels
-from .abelian import AbelianGroup, Element
+from .abelian import AbelianGroup, Element, sylow_parts
 from .errors import EnumerationBudgetError, SpecError
 
 ENUMERATION_BUDGET = 1 << 24
@@ -234,11 +250,102 @@ def enumerate_automorphisms(G: AbelianGroup) -> tuple[Automorphism, ...]:
     return tuple(Automorphism._from_perm(G, p) for p in _automorphism_perms(G))
 
 
-@lru_cache(maxsize=16)
-def _conjugacy(G: AbelianGroup):
-    perms = _automorphism_perms(G)
-    class_ids, rep_indices = kernels.conjugacy_partition(perms, G.generator_indices)
-    return perms, tuple(class_ids), tuple(rep_indices)
+class _SylowPart(NamedTuple):
+    """A Sylow part P of a carrier G, in G's positions offset..k-1."""
+
+    group: AbelianGroup
+    offset: int
+    project: list[int]  # element index in G -> index of its p-part in P
+    perms: tuple[tuple[int, ...], ...]  # Aut(P), sorted by generator images
+    class_ids: tuple[int, ...]  # the conjugacy class of each of perms
+
+
+class _Classes(NamedTuple):
+    """The conjugacy classes of Aut(G), read from the classes of its Sylow parts."""
+
+    parts: tuple[_SylowPart, ...]
+    reps: tuple[Automorphism, ...]  # the least member of each class, sorted
+    sizes: tuple[int, ...]
+    position: dict[tuple[int, ...], int]  # one class id per part -> index in reps
+
+
+def _crt_tables(G: AbelianGroup, P: AbelianGroup) -> tuple[int, list[int], list[int]]:
+    """(offset, embed, project) between G and its Sylow part P.
+
+    P's factors q_j are the p-parts of G's factors d from position offset
+    on. `embed` sends an element y of P to G, with coordinate offset + j
+    set to y_j * u_j for the idempotent u_j = 1 mod q_j, 0 mod d / q_j
+    (Chinese remainder theorem); `project` sends an element x of G to its
+    p-part, with coordinate j set to x_{offset+j} mod q_j. Both act on
+    element indices.
+    """
+    offset = G.rank - P.rank
+    tail = list(zip(G.factors[offset:], P.factors, G.generator_indices[offset:]))
+    units = [d // q * pow(d // q, -1, q) for d, q, _ in tail]
+    embed = [
+        sum(y * u % d * stride for y, u, (d, _, stride) in zip(x, units, tail))
+        for x in P.elements
+    ]
+    project = [
+        sum(c % q * stride for c, q, stride in zip(x[offset:], P.factors, P.generator_indices))
+        for x in G.elements
+    ]
+    return offset, embed, project
+
+
+def _class_columns(part: _SylowPart, embed: list[int]) -> list[list[list[int]]]:
+    """Each class of Aut(P) as one column per generator of G: the p-part
+    that each member contributes to that generator's image.
+
+    A member f_p gives generator offset + j of G the p-part embed[f_p(e_j)]
+    and the generators below offset, whose orders p does not divide, 0.
+    """
+    members = [[] for _ in range(max(part.class_ids) + 1)]
+    for perm, cid in zip(part.perms, part.class_ids):
+        members[cid].append(perm)
+    gens = part.group.generator_indices
+    return [
+        [[0] * len(perms)] * part.offset
+        + [list(map(embed.__getitem__, map(itemgetter(g), perms))) for g in gens]
+        for perms in members
+    ]
+
+
+@lru_cache(maxsize=32)
+def _conjugacy(G: AbelianGroup) -> _Classes:
+    """The conjugacy classes of Aut(G), composed from those of its Sylow parts.
+
+    A p-group is its own single part, whose Aut is enumerated and
+    partitioned here, once; a carrier with several primes reads each part's
+    partition from this cache and scans the products of their classes for
+    the least members (see the module docstring). The guard runs on G
+    before any part is touched.
+    """
+    _check_budget(G)
+    parts, factor_classes = [], []
+    for P in sylow_parts(G):
+        if P == G:
+            perms = _automorphism_perms(G)
+            class_ids = tuple(kernels.conjugacy_partition(perms, G.generator_indices)[0])
+        else:
+            (own,) = _conjugacy(P).parts
+            perms, class_ids = own.perms, own.class_ids
+        offset, embed, project = _crt_tables(G, P)
+        part = _SylowPart(P, offset, project, perms, class_ids)
+        parts.append(part)
+        factor_classes.append(_class_columns(part, embed))
+    found = kernels.least_keys_of_products(
+        G.order, G.rank, _group_tables(G)[0], factor_classes
+    )
+    ids = itertools.product(*(range(len(classes)) for classes in factor_classes))
+    ranked = sorted(zip(found, ids))
+    elements = G.elements
+    return _Classes(
+        tuple(parts),
+        tuple(Automorphism(G, tuple(elements[x] for x in key)) for (key, _), _ in ranked),
+        tuple(size for (_, size), _ in ranked),
+        {cids: i for i, (_, cids) in enumerate(ranked)},
+    )
 
 
 def conjugacy_representatives(G: AbelianGroup) -> tuple[Automorphism, ...]:
@@ -247,17 +354,12 @@ def conjugacy_representatives(G: AbelianGroup) -> tuple[Automorphism, ...]:
     Each representative is the lexicographically least member of its class
     (by flattened image coordinates), and the output is sorted the same way.
     """
-    perms, _, rep_indices = _conjugacy(G)
-    return tuple(Automorphism._from_perm(G, perms[i]) for i in rep_indices)
+    return _conjugacy(G).reps
 
 
 def conjugacy_class_sizes(G: AbelianGroup) -> tuple[int, ...]:
     """Class sizes aligned with conjugacy_representatives; they sum to |Aut|."""
-    _, class_ids, rep_indices = _conjugacy(G)
-    sizes = [0] * len(rep_indices)
-    for cid in class_ids:
-        sizes[cid] += 1
-    return tuple(sizes)
+    return _conjugacy(G).sizes
 
 
 def is_conjugate(G: AbelianGroup, f: Automorphism, g: Automorphism) -> Automorphism | None:
@@ -279,15 +381,21 @@ def is_conjugate(G: AbelianGroup, f: Automorphism, g: Automorphism) -> Automorph
 def lex_least_conjugate(G: AbelianGroup, f: Automorphism) -> Automorphism:
     """The lexicographically least member of f's conjugacy class.
 
-    Read from the cached partition: f is found by bisection in the
-    automorphism list (sorted by generator images), and its class
-    representative is already the least member.
+    Read from the cached classes: each p-part of f is found by bisection in
+    its part's automorphism list (sorted by generator images), and the
+    parts' classes name f's class, whose least member is already known.
     """
     if f.group != G:
         raise ValueError("the map must act on the given group")
-    perms, class_ids, rep_indices = _conjugacy(G)
-    gens = G.generator_indices
-    i = bisect.bisect_left(
-        perms, tuple([f.perm[g] for g in gens]), key=lambda p: tuple([p[g] for g in gens])
-    )
-    return Automorphism._from_perm(G, perms[rep_indices[class_ids[i]]])
+    table = _conjugacy(G)
+    key = [f.perm[g] for g in G.generator_indices]
+    cids = []
+    for P, offset, project, perms, class_ids in table.parts:
+        gens = P.generator_indices
+        i = bisect.bisect_left(
+            perms,
+            tuple([project[x] for x in key[offset:]]),
+            key=lambda p: tuple([p[g] for g in gens]),
+        )
+        cids.append(class_ids[i])
+    return table.reps[table.position[tuple(cids)]]

@@ -24,10 +24,17 @@ generating set S of the group, then closes each class under conjugation by
 S alone. That S generates is proved by a Schreier-Sims stabilizer chain on
 the base `gens` (`_StabilizerChain`), whose order is the product of its
 basic orbit lengths, so no closure over the whole group is built.
+
+The classes of a carrier with several primes are products of classes of
+its Sylow parts. `least_keys_of_products` finds the least member of each
+product by adding up the parts' generator images through the carrier's
+addition table, so such a carrier's classes need neither its full list of
+automorphisms nor any conjugation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from operator import itemgetter
 
@@ -53,6 +60,11 @@ def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
         if length:
             lengths.append(length)
     return tuple(sorted(lengths))
+
+
+def _rows(n, add):
+    """The flat addition table as row tuples: rows[a][b] = add[a*n + b]."""
+    return [tuple(add[r:r + n]) for r in range(0, n * n, n)]
 
 
 def _commuting_levels(factors, t1):
@@ -91,49 +103,58 @@ def _linear_bijections(n, factors, add, allowed, t1=None, t2=None):
     generator i (of order d) the image img adds the values c*img + H,
     c = 1..d-1. These cosets are new and pairwise distinct exactly when no
     c*img lies in H, so each node marks H once and a candidate is rejected
-    after at most d-1 lookups; the prefix is translated only for survivors.
-    A rejected candidate kills its whole subtree, which is what keeps the
-    search near the size of the output. The commuting constraint
-    h[t1[x]] = t2[h[x]] is checked at the first position whose prefix holds
-    both x and t1[x] (`_commuting_levels`).
+    after at most d-1 lookups. The multiples c*img of every candidate are
+    listed once per search, and a survivor's cosets are read from rows of
+    the addition table by one getter per node. A rejected candidate kills
+    its whole subtree, which is what keeps the search near the size of the
+    output. The commuting constraint h[t1[x]] = t2[h[x]] is checked at the
+    first position whose prefix holds both x and t1[x] (`_commuting_levels`).
     """
     k = len(factors)
     if k == 0:
         return [(0,)]
     checks = [()] * k if t1 is None else _commuting_levels(factors, t1)
+    rows = _rows(n, add)
+    # per position, each candidate image as its multiples c*img, c = 1..d-1
+    candidates = []
+    for d, images in zip(factors, allowed):
+        level = []
+        for img in images:
+            multiples = [img]
+            for _ in range(2, d):
+                multiples.append(rows[multiples[-1]][img])
+            level.append(multiples)
+        candidates.append(level)
     results = []
 
     def extend(i, partial):
-        # partial maps the span of generators i+1..k-1, a prefix of indices,
-        # onto H; returns True once a constrained search has its map
-        d = factors[i]
+        # partial (a tuple) maps the span of generators i+1..k-1, a prefix
+        # of indices, onto H; returns True once a constrained search has its map
         pairs = checks[i]
         in_h = bytearray(n)
         for y in partial:
             in_h[y] = 1
-        for img in allowed[i]:
-            rows = []
-            base = 0
-            for _ in range(1, d):
-                base = add[base * n + img]  # base = c*img for c = 1, 2, ...
-                if in_h[base]:
+        # the coset m + H as a tuple; the one-element partial is the root's (0,)
+        take = itemgetter(*partial) if len(partial) > 1 else lambda row: (row[0],)
+        for multiples in candidates[i]:
+            for m in multiples:
+                if in_h[m]:
                     break
-                rows.append(base * n)
             else:
-                new = list(partial)
-                for row in rows:
-                    new += [add[row + y] for y in partial]
+                new = partial
+                for m in multiples:
+                    new += take(rows[m])
                 if pairs and any(t2[new[x]] != new[tx] for x, tx in pairs):
                     continue
                 if i == 0:
-                    results.append(tuple(new))
+                    results.append(new)
                     if t1 is not None:
                         return True
                 elif extend(i - 1, new):
                     return True
         return False
 
-    extend(k - 1, [0])
+    extend(k - 1, (0,))
     return results
 
 
@@ -151,6 +172,39 @@ def enumerate_linear_bijections(n, factors, gen_idx, add, allowed):
     if gen_idx:  # the trivial group has one map and no generators
         results.sort(key=itemgetter(*gen_idx))
     return results
+
+
+def least_keys_of_products(n, k, add, factor_classes):
+    """The least key and the size of each product of classes.
+
+    A key is a tuple of k element indices, the generator images of a map.
+    Each factor gives a summand at every key position, and a member of a
+    product of classes, one class per factor, is the position-wise sum of
+    its factors' summands. factor_classes lists per factor its classes, each
+    as k columns: the summands of the class's members at that position, in
+    one member order.
+
+    Returns (least key, member count) per tuple of classes, in
+    itertools.product order. A product is built as k columns by folding in
+    one class at a time: the side with fewer members is walked, and the
+    other is translated whole by one row of `add` per walked member, so the
+    work is linear in the size of the product and needs no conjugation.
+    """
+    if k == 0:  # the trivial group: one class, the identity, with no generators
+        return [((), 1)]
+    rows = _rows(n, add)
+    out = []
+    for combo in itertools.product(*factor_classes):
+        cols = [[0]] * k
+        for columns in combo:
+            small, large = (cols, columns) if len(cols[0]) <= len(columns[0]) else (columns, cols)
+            new = [[] for _ in range(k)]
+            for t in range(len(small[0])):
+                for col, y, side in zip(new, [c[t] for c in small], large):
+                    col += map(rows[y].__getitem__, side) if y else side
+            cols = new
+        out.append((min(zip(*cols)), len(cols[0])))
+    return out
 
 
 class _StabilizerChain:

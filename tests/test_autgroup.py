@@ -1,13 +1,15 @@
 import itertools
 import math
+import random
 
 import pytest
 
-from alexq import autgroup
-from alexq.abelian import AbelianGroup
+from alexq import autgroup, kernels
+from alexq.abelian import AbelianGroup, _prime_factorization, enumerate_groups, sylow_parts
 from alexq.autgroup import (
     Automorphism,
     Endomorphism,
+    _automorphism_perms,
     _candidate_count,
     _check_budget,
     _group_tables,
@@ -260,6 +262,106 @@ class TestRepresentatives:
         for factors in [(2, 4), (8,), (2, 2, 2), (4, 4)]:
             G = AbelianGroup(factors)
             assert sum(conjugacy_class_sizes(G)) == len(enumerate_automorphisms(G))
+
+
+def _aut_route(G):
+    """Reference: Aut(G) enumerated and partitioned whole, as before the
+    classes were composed from the Sylow parts. Returns (perms, class_ids,
+    representative indices, class sizes)."""
+    perms = _automorphism_perms(G)
+    class_ids, reps = kernels.conjugacy_partition(perms, G.generator_indices)
+    sizes = [0] * len(reps)
+    for cid in class_ids:
+        sizes[cid] += 1
+    return perms, class_ids, reps, tuple(sizes)
+
+
+def _composite_carriers(max_order):
+    return [
+        G
+        for n in range(1, max_order + 1)
+        if len(_prime_factorization(n)) >= 2
+        for G in enumerate_groups(n)
+    ]
+
+
+def hillar_rhea_aut_order(factors):
+    """|Aut| in closed form, prime by prime (Hillar & Rhea, "Automorphisms of
+    finite abelian groups", Amer. Math. Monthly 114, 2007): for exponents
+    e_1 <= ... <= e_k of p, with d_j the last and c_j the first position
+    holding e_j, |Aut| = prod (p^d_j - p^(j-1)) (p^e_j)^(k-d_j) (p^(e_j-1))^(k-c_j+1)."""
+    total = 1
+    primes = sorted({p for d in factors for p in _prime_factorization(d)})
+    for p in primes:
+        e = sorted(v for d in factors if (v := _prime_factorization(d).get(p, 0)))
+        k = len(e)
+        for j in range(1, k + 1):
+            d_j = max(l for l in range(1, k + 1) if e[l - 1] == e[j - 1])
+            c_j = min(l for l in range(1, k + 1) if e[l - 1] == e[j - 1])
+            total *= (p**d_j - p ** (j - 1)) * p ** (e[j - 1] * (k - d_j))
+            total *= p ** ((e[j - 1] - 1) * (k - c_j + 1))
+    return total
+
+
+class TestSylowProduct:
+    """The classes composed from the Sylow parts against the Aut route."""
+
+    @pytest.mark.parametrize("G", _composite_carriers(48), ids=str)
+    def test_representatives_and_sizes_match_aut_route(self, G):
+        perms, _, reps, sizes = _aut_route(G)
+        assert [f.perm for f in conjugacy_representatives(G)] == [perms[i] for i in reps]
+        assert conjugacy_class_sizes(G) == sizes
+
+    def test_lex_least_matches_aut_route_on_every_map(self):
+        for G in _composite_carriers(24):
+            perms, class_ids, reps, _ = _aut_route(G)
+            for perm, cid in zip(perms, class_ids):
+                f = Automorphism._from_perm(G, perm)
+                assert lex_least_conjugate(G, f).perm == perms[reps[cid]], (G, f)
+
+    def test_lex_least_matches_aut_route_on_sampled_maps(self):
+        G = AbelianGroup((2, 2, 2, 6))
+        perms, class_ids, reps, _ = _aut_route(G)
+        for i in random.Random(14).sample(range(len(perms)), 200):
+            f = Automorphism._from_perm(G, perms[i])
+            assert lex_least_conjugate(G, f).perm == perms[reps[class_ids[i]]], f
+
+    def test_closed_form_aut_order_matches_enumeration(self):
+        for n in range(1, 49):
+            if n == 32:
+                continue
+            for G in enumerate_groups(n):
+                assert hillar_rhea_aut_order(G.factors) == len(_automorphism_perms(G)), G
+
+    def test_budget_guard_on_the_carrier_bounds_the_parts_and_the_scan(self):
+        # The guard counts G's candidate tuples. That count is the product of
+        # the parts' counts, so it bounds each part's search, and it is at
+        # least |Aut(G)|, the number of maps the product scan visits.
+        for n in range(1, 201):
+            for G in enumerate_groups(n):
+                count = _candidate_count(G)
+                assert count == math.prod(_candidate_count(P) for P in sylow_parts(G)), G
+                assert count >= hillar_rhea_aut_order(G.factors), G
+
+    @pytest.mark.parametrize(
+        "factors, count",
+        [
+            ((2, 2, 2, 2, 2), 33554432),
+            ((3, 3, 3, 3), 43046721),
+            ((2, 2, 2, 2, 4), 67108864),
+            ((2, 2, 2, 2, 6), 100663296),
+        ],
+    )
+    def test_budget_message_names_the_carrier(self, factors, count):
+        # orders 32, 81 and 64 exit 3 with these messages; a carrier with two
+        # primes is refused as a whole, before any part is searched
+        G = AbelianGroup(factors)
+        with pytest.raises(EnumerationBudgetError) as exc:
+            conjugacy_representatives(G)
+        assert str(exc.value) == (
+            f"enumerating automorphisms of {G} needs {count} candidate "
+            "image tuples, over the budget of 16777216"
+        )
 
 
 def test_z4z4_conjugacy_matches_raw_matrix_computation():

@@ -522,6 +522,31 @@ def test_each_partition_has_a_distinct_input(tmp_path, monkeypatch):
     assert len(set(inputs)) == len(inputs)
 
 
+def test_cold_run_searches_and_partitions_only_prime_power_carriers(tmp_path, monkeypatch):
+    # Aut of a carrier with two primes is composed from its Sylow parts, so
+    # neither a search over all of it nor its partition is ever run.
+    for cached in (autgroup._group_tables, autgroup._automorphism_perms, autgroup._conjugacy):
+        cached.cache_clear()
+    orders = []
+    enumerate_all = kernels.enumerate_linear_bijections
+    partition = kernels.conjugacy_partition
+
+    def recording_enumerate(n, *args):
+        orders.append(n)
+        return enumerate_all(n, *args)
+
+    def recording_partition(perms, generator_indices):
+        orders.append(len(perms[0]))
+        return partition(perms, generator_indices)
+
+    monkeypatch.setattr(kernels, "enumerate_linear_bijections", recording_enumerate)
+    monkeypatch.setattr(kernels, "conjugacy_partition", recording_partition)
+    report = classify_order(48, cache_dir=str(tmp_path))
+    assert _report_digest(report) == GOLDEN_REPORT_SHA256[48]
+    assert 16 in orders and 3 in orders
+    assert all(len(_prime_factorization(n)) == 1 for n in orders), sorted(set(orders))
+
+
 @pytest.mark.parametrize("order", [16, 27, 48])
 def test_each_image_is_labelled_once_per_run(order, tmp_path, monkeypatch):
     # carriers of one order share images; a serial run labels each once
