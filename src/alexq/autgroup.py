@@ -8,7 +8,12 @@ inverse action (needed for t^-1) exist.
 Enumeration searches the candidate generator-image tuples whose orders
 divide the corresponding factors, keeping the bijective ones: a partial
 tuple spans a subgroup H, and the next image is rejected as soon as one of
-its multiples lies in H, which prunes its whole subtree. The budget guard
+its multiples lies in H, which prunes its whole subtree. The search's
+tables (`_search_tables`: the rows of the addition table and each
+candidate's multiples) are kept per carrier, so a witness search that
+stops at once builds nothing. Aut is kept in search order, which is
+ascending in the reversed generator-image key; only the public
+`enumerate_automorphisms` sorts it. The budget guard
 counts the candidate tuples in closed form before any table is built and
 refuses a carrier with more than ENUMERATION_BUDGET (2^24) of them. The
 budget is a constant, not a parameter, so the cached classes are keyed by
@@ -19,11 +24,12 @@ of its p-parts G_p, and Aut(G) is the product of the Aut(G_p) (Hillar &
 Rhea, "Automorphisms of finite abelian groups", Amer. Math. Monthly 114,
 2007), so a class of Aut(G) is a product of one class per part and its
 size is the product of theirs. Only the Aut of a p-group is enumerated and
-partitioned, once per part; a prime-power carrier is a product with one
-factor. The least member of a product class in G's invariant-factor
-coordinates comes from one scan of the product through CRT index tables,
-linear in |Aut(G)|, so Aut of a carrier with several primes is never listed
-or partitioned. `conjugacy_representatives`, `conjugacy_class_sizes` and
+partitioned, once per part, and a prime-power carrier's representatives
+and class sizes are read straight off its partition. The least member of
+a product class in G's invariant-factor coordinates comes from one scan of
+the product through CRT index tables, linear in |Aut(G)|, so Aut of a
+carrier with several primes is never listed or partitioned.
+`conjugacy_representatives`, `conjugacy_class_sizes` and
 `lex_least_conjugate` (the fallback label) all read one cached table per
 carrier, `_conjugacy`. The guard stays on G: G's candidate count is the
 product of the parts' counts and at least |Aut(G)|, so it bounds both the
@@ -48,6 +54,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -213,6 +220,12 @@ def _group_tables(G: AbelianGroup) -> tuple[list[int], list[list[int]]]:
     return add, allowed
 
 
+@lru_cache(maxsize=16)
+def _search_tables(G: AbelianGroup) -> tuple[list[tuple[int, ...]], list[list[list[int]]]]:
+    """(addition rows, candidate multiples): `kernels.search_tables` of G."""
+    return kernels.search_tables(G.order, G.factors, *_group_tables(G))
+
+
 def _candidate_count(G: AbelianGroup) -> int:
     """Number of candidate generator-image tuples the enumeration walks.
 
@@ -233,12 +246,9 @@ def _check_budget(G: AbelianGroup) -> None:
 
 @lru_cache(maxsize=16)
 def _automorphism_perms(G: AbelianGroup) -> tuple[tuple[int, ...], ...]:
+    """Aut(G) as permutations, in search order (ascending in the reversed key)."""
     _check_budget(G)
-    add, allowed = _group_tables(G)
-    perms = kernels.enumerate_linear_bijections(
-        G.order, G.factors, G.generator_indices, add, allowed
-    )
-    return tuple(perms)
+    return tuple(kernels.enumerate_linear_bijections(G.order, G.factors, *_search_tables(G)))
 
 
 def enumerate_automorphisms(G: AbelianGroup) -> tuple[Automorphism, ...]:
@@ -247,7 +257,9 @@ def enumerate_automorphisms(G: AbelianGroup) -> tuple[Automorphism, ...]:
     >>> len(enumerate_automorphisms(AbelianGroup((16,))))
     8
     """
-    return tuple(Automorphism._from_perm(G, p) for p in _automorphism_perms(G))
+    gens = G.generator_indices
+    perms = sorted(_automorphism_perms(G), key=lambda p: [p[g] for g in gens])
+    return tuple(Automorphism._from_perm(G, p) for p in perms)
 
 
 class _SylowPart(NamedTuple):
@@ -256,7 +268,7 @@ class _SylowPart(NamedTuple):
     group: AbelianGroup
     offset: int
     project: list[int]  # element index in G -> index of its p-part in P
-    perms: tuple[tuple[int, ...], ...]  # Aut(P), sorted by generator images
+    perms: tuple[tuple[int, ...], ...]  # Aut(P), ascending in the reversed key
     class_ids: tuple[int, ...]  # the conjugacy class of each of perms
 
 
@@ -315,28 +327,33 @@ def _class_columns(part: _SylowPart, embed: list[int]) -> list[list[list[int]]]:
 def _conjugacy(G: AbelianGroup) -> _Classes:
     """The conjugacy classes of Aut(G), composed from those of its Sylow parts.
 
-    A p-group is its own single part, whose Aut is enumerated and
-    partitioned here, once; a carrier with several primes reads each part's
-    partition from this cache and scans the products of their classes for
-    the least members (see the module docstring). The guard runs on G
-    before any part is touched.
+    A p-group (or the trivial group) is its own single part: its Aut is
+    enumerated and partitioned here, once, and the partition's least
+    members and class counts are the table. A carrier with several primes
+    reads each part's partition from this cache and scans the products of
+    their classes for the least members (see the module docstring). The
+    guard runs on G before any part is touched.
     """
     _check_budget(G)
+    sylow = sylow_parts(G)
+    if len(sylow) < 2:
+        perms = _automorphism_perms(G)
+        class_ids, reps = kernels.conjugacy_partition(perms, G.generator_indices)
+        sizes = Counter(class_ids)
+        return _Classes(
+            (_SylowPart(G, 0, list(range(G.order)), perms, tuple(class_ids)),),
+            tuple(Automorphism._from_perm(G, perms[i]) for i in reps),
+            tuple(sizes[cid] for cid in range(len(reps))),
+            {(cid,): cid for cid in range(len(reps))},
+        )
     parts, factor_classes = [], []
-    for P in sylow_parts(G):
-        if P == G:
-            perms = _automorphism_perms(G)
-            class_ids = tuple(kernels.conjugacy_partition(perms, G.generator_indices)[0])
-        else:
-            (own,) = _conjugacy(P).parts
-            perms, class_ids = own.perms, own.class_ids
+    for P in sylow:
+        (own,) = _conjugacy(P).parts
         offset, embed, project = _crt_tables(G, P)
-        part = _SylowPart(P, offset, project, perms, class_ids)
+        part = _SylowPart(P, offset, project, own.perms, own.class_ids)
         parts.append(part)
         factor_classes.append(_class_columns(part, embed))
-    found = kernels.least_keys_of_products(
-        G.order, G.rank, _group_tables(G)[0], factor_classes
-    )
+    found = kernels.least_keys_of_products(G.rank, _search_tables(G)[0], factor_classes)
     ids = itertools.product(*(range(len(classes)) for classes in factor_classes))
     ranked = sorted(zip(found, ids))
     elements = G.elements
@@ -373,8 +390,7 @@ def is_conjugate(G: AbelianGroup, f: Automorphism, g: Automorphism) -> Automorph
         raise ValueError("both maps must act on the given group")
     if f.cycle_type() != g.cycle_type():
         return None
-    add, allowed = _group_tables(G)
-    found = kernels._linear_bijections(G.order, G.factors, add, allowed, f.perm, g.perm)
+    found = kernels._linear_bijections(G.order, G.factors, *_search_tables(G), f.perm, g.perm)
     return Automorphism._from_perm(G, found[0]) if found else None
 
 
@@ -382,19 +398,21 @@ def lex_least_conjugate(G: AbelianGroup, f: Automorphism) -> Automorphism:
     """The lexicographically least member of f's conjugacy class.
 
     Read from the cached classes: each p-part of f is found by bisection in
-    its part's automorphism list (sorted by generator images), and the
-    parts' classes name f's class, whose least member is already known.
+    its part's automorphism list, which is ascending in the reversed key,
+    and the parts' classes name f's class, whose least member is already
+    known. A part holds G's last generator positions, so its reversed key
+    is the head of G's.
     """
     if f.group != G:
         raise ValueError("the map must act on the given group")
     table = _conjugacy(G)
-    key = [f.perm[g] for g in G.generator_indices]
+    reversed_key = [f.perm[g] for g in reversed(G.generator_indices)]
     cids = []
-    for P, offset, project, perms, class_ids in table.parts:
-        gens = P.generator_indices
+    for P, _, project, perms, class_ids in table.parts:
+        gens = P.generator_indices[::-1]
         i = bisect.bisect_left(
             perms,
-            tuple([project[x] for x in key[offset:]]),
+            tuple([project[x] for x in reversed_key[: P.rank]]),
             key=lambda p: tuple([p[g] for g in gens]),
         )
         cids.append(class_ids[i])

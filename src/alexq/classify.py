@@ -218,7 +218,8 @@ def classify_order(
 ) -> ClassificationReport:
     """Classify every Alexander quandle structure of the given order.
 
-    `jobs` > 1 distributes carriers over worker processes; the merge is a
+    `jobs` > 1 distributes carriers over worker processes, at most one per
+    carrier, and a single worker runs serially; the merge is a
     deterministic reduction, so reports are identical for any job count.
     """
     if order < 1:
@@ -226,13 +227,15 @@ def classify_order(
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     carriers = enumerate_groups(order)
+    workers = min(jobs, len(carriers))
     triples: dict[tuple[int, ...], list[Triple]] = {}
-    if jobs == 1:
+    if workers == 1:
         for G in carriers:
             # the carriers before G lend their labels, so each image is labelled once
             triples[G.factors] = _carrier_pairs(G.factors, cache_dir, triples.values())
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        _source_digest()  # hashed once here, so forked workers inherit it
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 G.factors: pool.submit(_carrier_pairs, G.factors, cache_dir) for G in carriers
             }

@@ -8,7 +8,7 @@ layer:
 - `add` is the flat n*n addition table, add[a*n + b],
 - permutations are tuples p of length n with p[i] = image of element i,
 - `gens` are the element indices of the standard generators; a linear map
-  is fixed by its generator images tuple(p[g] for g in gens).
+  is fixed by its generator images tuple(p[g] for g in gens), its key.
 
 One pruned search over generator images (`_linear_bijections`) finds
 bijective linear maps h. Without constraints it lists Aut; given two
@@ -17,18 +17,25 @@ decides both conjugacy in Aut and module isomorphism. The partial map at
 each node sends a span of generators onto a subgroup H, and a candidate
 image img for the next generator, of order d, extends it injectively
 exactly when the multiples c*img, c = 1..d-1, all lie outside H, so a
-candidate costs at most d-1 bitmap lookups before anything is built.
+candidate costs at most d-1 bitmap lookups before anything is built. The
+rows of `add` and each candidate's multiples (`search_tables`) depend on
+the group alone, so a caller builds them once per group. The search
+assigns images from the last generator to the first, each in ascending
+order, so Aut comes out ascending in the reversed key
+(p[g_k-1], ..., p[g_0]) and is never sorted.
 
 The conjugacy partition treats each class as an orbit: it finds a small
 generating set S of the group, then closes each class under conjugation by
 S alone. That S generates is proved by a Schreier-Sims stabilizer chain on
 the base `gens` (`_StabilizerChain`), whose order is the product of its
-basic orbit lengths, so no closure over the whole group is built.
+basic orbit lengths, so no closure over the whole group is built. The
+input may come in any order: each closure keeps its class's least key, and
+the classes are numbered by those keys.
 
 The classes of a carrier with several primes are products of classes of
 its Sylow parts. `least_keys_of_products` finds the least member of each
 product by adding up the parts' generator images through the carrier's
-addition table, so such a carrier's classes need neither its full list of
+addition rows, so such a carrier's classes need neither its full list of
 automorphisms nor any conjugation.
 """
 
@@ -62,11 +69,6 @@ def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def _rows(n, add):
-    """The flat addition table as row tuples: rows[a][b] = add[a*n + b]."""
-    return [tuple(add[r:r + n]) for r in range(0, n * n, n)]
-
-
 def _commuting_levels(factors, t1):
     """The pairs (x, t1[x]) to check at each generator position.
 
@@ -86,36 +88,18 @@ def _commuting_levels(factors, t1):
     return levels
 
 
-def _linear_bijections(n, factors, add, allowed, t1=None, t2=None):
-    """Bijective linear self-maps h as permutations, in search order.
+def search_tables(n, factors, add, allowed):
+    """(rows, candidates): the tables `_linear_bijections` searches with.
 
-    allowed: per generator position i, the candidate image indices in
+    rows[a][b] = add[a*n + b], as tuples. candidates lists per generator
+    position i, for each allowed image img of that position in ascending
+    order, its multiples c*img, c = 1..d_i-1.
+
+    allowed: per generator position, the candidate image indices in
         ascending order (pre-filtered by element order so every candidate
         tuple extends to a well-defined endomorphism)
-    t1, t2: permutations of the elements; when given, only maps with
-        h o t1 = t2 o h are kept and the search stops at the first one, so
-        the result holds at most one map
-
-    Images are assigned from the last generator position upward, so the
-    partial map always covers a prefix of the element indices (the span of
-    the generators chosen so far; index = sum of c_i * suffix strides). The
-    partial map sends that span injectively onto a subgroup H, and giving
-    generator i (of order d) the image img adds the values c*img + H,
-    c = 1..d-1. These cosets are new and pairwise distinct exactly when no
-    c*img lies in H, so each node marks H once and a candidate is rejected
-    after at most d-1 lookups. The multiples c*img of every candidate are
-    listed once per search, and a survivor's cosets are read from rows of
-    the addition table by one getter per node. A rejected candidate kills
-    its whole subtree, which is what keeps the search near the size of the
-    output. The commuting constraint h[t1[x]] = t2[h[x]] is checked at the
-    first position whose prefix holds both x and t1[x] (`_commuting_levels`).
     """
-    k = len(factors)
-    if k == 0:
-        return [(0,)]
-    checks = [()] * k if t1 is None else _commuting_levels(factors, t1)
-    rows = _rows(n, add)
-    # per position, each candidate image as its multiples c*img, c = 1..d-1
+    rows = [tuple(add[r:r + n]) for r in range(0, n * n, n)]
     candidates = []
     for d, images in zip(factors, allowed):
         level = []
@@ -125,6 +109,38 @@ def _linear_bijections(n, factors, add, allowed, t1=None, t2=None):
                 multiples.append(rows[multiples[-1]][img])
             level.append(multiples)
         candidates.append(level)
+    return rows, candidates
+
+
+def _linear_bijections(n, factors, rows, candidates, t1=None, t2=None):
+    """Bijective linear self-maps h as permutations, in search order.
+
+    rows, candidates: the group's `search_tables`
+    t1, t2: permutations of the elements; when given, only maps with
+        h o t1 = t2 o h are kept and the search stops at the first one, so
+        the result holds at most one map
+
+    Images are assigned from the last generator position upward, so the
+    partial map always covers a prefix of the element indices (the span of
+    the generators chosen so far; index = sum of c_i * suffix strides), and
+    generator i, whose index is the length of the prefix before it, goes to
+    the candidate itself. The candidates of a position are tried in
+    ascending order, so the maps come out ascending in their reversed keys.
+    The partial map sends that span injectively onto a subgroup H, and
+    giving generator i (of order d) the image img adds the values
+    c*img + H, c = 1..d-1. These cosets are new and pairwise distinct
+    exactly when no c*img lies in H, so each node marks H once and a
+    candidate is rejected after at most d-1 lookups. A survivor's cosets
+    are read from rows of the addition table by one getter per node. A
+    rejected candidate kills its whole subtree, which is what keeps the
+    search near the size of the output. The commuting constraint
+    h[t1[x]] = t2[h[x]] is checked at the first position whose prefix holds
+    both x and t1[x] (`_commuting_levels`).
+    """
+    k = len(factors)
+    if k == 0:
+        return [(0,)]
+    checks = [()] * k if t1 is None else _commuting_levels(factors, t1)
     results = []
 
     def extend(i, partial):
@@ -155,26 +171,26 @@ def _linear_bijections(n, factors, add, allowed, t1=None, t2=None):
         return False
 
     extend(k - 1, (0,))
+    # extend refers to itself through its closure; breaking that cycle frees
+    # results with the caller's last reference, not at the next collection
+    del extend
     return results
 
 
-def enumerate_linear_bijections(n, factors, gen_idx, add, allowed):
+def enumerate_linear_bijections(n, factors, rows, candidates):
     """All bijective linear self-maps, as permutations of element indices.
 
     factors: the invariant factors d_1 | ... | d_k
-    gen_idx: element indices of the standard generators
-    allowed: candidate images per generator position, see `_linear_bijections`
+    rows, candidates: the group's `search_tables`
 
-    Returns the permutations sorted by their generator-image tuples, which
-    equals sorting by flattened image coordinates.
+    Returns the permutations in search order, which is ascending in the
+    reversed key (p[g_k-1], ..., p[g_0]); `conjugacy_partition` takes them
+    in any order.
     """
-    results = _linear_bijections(n, factors, add, allowed)
-    if gen_idx:  # the trivial group has one map and no generators
-        results.sort(key=itemgetter(*gen_idx))
-    return results
+    return _linear_bijections(n, factors, rows, candidates)
 
 
-def least_keys_of_products(n, k, add, factor_classes):
+def least_keys_of_products(k, rows, factor_classes):
     """The least key and the size of each product of classes.
 
     A key is a tuple of k element indices, the generator images of a map.
@@ -187,12 +203,10 @@ def least_keys_of_products(n, k, add, factor_classes):
     Returns (least key, member count) per tuple of classes, in
     itertools.product order. A product is built as k columns by folding in
     one class at a time: the side with fewer members is walked, and the
-    other is translated whole by one row of `add` per walked member, so the
-    work is linear in the size of the product and needs no conjugation.
+    other is translated whole by one of `rows` (the addition table) per
+    walked member, so the work is linear in the size of the product and
+    needs no conjugation.
     """
-    if k == 0:  # the trivial group: one class, the identity, with no generators
-        return [((), 1)]
-    rows = _rows(n, add)
     out = []
     for combo in itertools.product(*factor_classes):
         cols = [[0]] * k
@@ -277,9 +291,9 @@ class _StabilizerChain:
 
 
 # Step of the walk that picks generators: a large prime reduced mod |Aut|,
-# so consecutive candidates land far apart in the sorted order. A walk in
-# sorted order keeps many near-identical maps: 9 on Aut(Z2^3 + Z4), where
-# this stride keeps 3 (and at most 4 on every enumerable carrier of order
+# so consecutive candidates land far apart in the search order. A walk in
+# search order keeps many near-identical maps: 10 on Aut(Z2^3 + Z4), where
+# this stride keeps 4 (and at most 4 on every enumerable carrier of order
 # up to 48).
 _GENERATOR_STRIDE = 1_000_003
 
@@ -313,12 +327,12 @@ def conjugacy_partition(perms, gens):
     """Partition a full list of automorphism permutations into conjugacy classes.
 
     perms must be the complete automorphism list (closed under composition
-    and inverses); gens are the generator element indices. Returns
-    (class_ids, reps): class_ids[i] is the class of perms[i]; reps lists one
-    member index per class in discovery order. Scanning in input order makes
-    each discovered representative the least-index member of its class,
-    hence for input sorted by generator images the lexicographically least
-    one.
+    and inverses), in any order; gens are the generator element indices.
+    Returns (class_ids, reps): class_ids[i] is the class of perms[i], and
+    reps[c] is the index of the least member of class c by key. The classes
+    are numbered in ascending order of those least keys, so for input
+    sorted by key every representative is the least-index member of its
+    class and the classes come in discovery order.
 
     A class is the orbit of f under conjugation by Aut, and an orbit under a
     finite group is its closure under a generating set S. So the kernel
@@ -327,30 +341,43 @@ def conjugacy_partition(perms, gens):
     |Aut| * |S| conjugates in all instead of |Aut| * #classes. Each
     conjugate is identified by its generator images alone,
     s(f(s^-1(g))) for g in gens, so only s^-1 on the generators is stored,
-    and a conjugate costs k lookups, done by C-level getters.
+    and a conjugate costs k lookups, done by C-level getters. That key is
+    also what the closure compares, once per new member, to keep the least.
     """
+    count = len(perms)
     if len(gens) < 2:
         # Aut of a cyclic (or trivial) group is abelian: every class is a singleton
-        return list(range(len(perms))), list(range(len(perms)))
-    index_of = dict(zip(map(itemgetter(*gens), perms), range(len(perms))))
+        reps = sorted(range(count), key=lambda i: [perms[i][g] for g in gens])
+        return list(invert_perm(reps)), reps
+    key_of = itemgetter(*gens)
+    index_of = dict(zip(map(key_of, perms), range(count)))
     conj = [
         (s, itemgetter(*[s.index(g) for g in gens]))
         for s in _generating_set(perms, gens, index_of)
     ]
-    class_ids = [-1] * len(perms)
-    reps = []
-    for i in range(len(perms)):
+    class_ids = [-1] * count
+    least = []  # per class in discovery order: (least key, index of that member)
+    for i in range(count):
         if class_ids[i] != -1:
             continue
-        cid = len(reps)
-        reps.append(i)
+        cid = len(least)
         class_ids[i] = cid
+        low, low_i = key_of(perms[i]), i
         stack = [i]
         while stack:
             f = perms[stack.pop()]
             for s, pull in conj:
-                j = index_of[itemgetter(*pull(f))(s)]
+                key = itemgetter(*pull(f))(s)
+                j = index_of[key]
                 if class_ids[j] == -1:
                     class_ids[j] = cid
                     stack.append(j)
-    return class_ids, reps
+                    if key < low:
+                        low, low_i = key, j
+        least.append((low, low_i))
+    # free the key table before the renumbering builds a second id list, so
+    # the peak memory stays that of the closure
+    del index_of
+    order = sorted(range(len(least)), key=least.__getitem__)
+    rank = invert_perm(order)
+    return [rank[cid] for cid in class_ids], [least[cid][1] for cid in order]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,32 @@ from alexq.lambda_modules import (
     is_lambda_isomorphic,
 )
 from alexq.quandle import alexander_table, brute_force_isomorphic, orbits
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replaces the process pool by one that runs each job at submit, in this
+    process. Records per pool its max_workers and whether the source digest
+    was already hashed when the pool was made."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append((max_workers, _source_digest.cache_info().currsize))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(alexq.classify, "ProcessPoolExecutor", InlinePool)
+    return pools
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +210,24 @@ class TestDeterminismAndCache:
         r1 = classify_order(8, jobs=1, cache_dir=str(tmp_path / "a"))
         r2 = classify_order(8, jobs=2, cache_dir=str(tmp_path / "c"))
         assert r1 == r2
+
+    @pytest.mark.parametrize("order, jobs, workers", [(16, 8, 5), (16, 2, 2), (8, 8, 3)])
+    def test_pool_is_capped_at_the_carrier_count(self, order, jobs, workers, inline_pool, tmp_path):
+        report = classify_order(order, jobs=jobs, cache_dir=str(tmp_path / "a"))
+        assert [max_workers for max_workers, _ in inline_pool] == [workers]
+        assert report == classify_order(order, cache_dir=str(tmp_path / "b"))
+
+    @pytest.mark.parametrize("order", [7, 30])
+    def test_one_carrier_runs_serially(self, order, inline_pool, tmp_path):
+        assert len(enumerate_groups(order)) == 1
+        report = classify_order(order, jobs=4, cache_dir=str(tmp_path / "a"))
+        assert inline_pool == []
+        assert report == classify_order(order, cache_dir=str(tmp_path / "b"))
+
+    def test_source_digest_is_hashed_before_the_pool_forks(self, inline_pool, tmp_path):
+        _source_digest.cache_clear()
+        classify_order(8, jobs=2, cache_dir=str(tmp_path))
+        assert inline_pool == [(2, 1)]
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs, tmp_path):
@@ -545,6 +590,25 @@ def test_cold_run_searches_and_partitions_only_prime_power_carriers(tmp_path, mo
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[48]
     assert 16 in orders and 3 in orders
     assert all(len(_prime_factorization(n)) == 1 for n in orders), sorted(set(orders))
+
+
+@pytest.mark.parametrize("order", [16, 27])
+def test_cold_prime_power_run_reads_classes_off_the_partition(order, tmp_path, monkeypatch):
+    # a p-group is its own single Sylow part, so no product of classes is scanned
+    for cached in (
+        autgroup._group_tables,
+        autgroup._search_tables,
+        autgroup._automorphism_perms,
+        autgroup._conjugacy,
+    ):
+        cached.cache_clear()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a prime-power carrier must not scan a product of classes")
+
+    monkeypatch.setattr(kernels, "least_keys_of_products", forbidden)
+    report = classify_order(order, cache_dir=str(tmp_path))
+    assert _report_digest(report) == GOLDEN_REPORT_SHA256[order]
 
 
 @pytest.mark.parametrize("order", [16, 27, 48])

@@ -1,13 +1,15 @@
 import itertools
 import math
+import random
 
 import pytest
 
-from alexq.abelian import AbelianGroup, enumerate_groups
+from alexq.abelian import AbelianGroup, _prime_factorization, enumerate_groups
 from alexq.autgroup import (
     Automorphism,
     _automorphism_perms,
     _group_tables,
+    _search_tables,
     conjugacy_representatives,
     enumerate_automorphisms,
     is_conjugate,
@@ -249,9 +251,48 @@ def test_search_matches_reference_search(order):
         n, gens = G.order, G.generator_indices
         add, allowed = _group_tables(G)
         expected = _reference_linear_bijections(n, G.factors, add, allowed)
-        assert _linear_bijections(n, G.factors, add, allowed) == expected, G
+        assert _linear_bijections(n, G.factors, *_search_tables(G)) == expected, G
+        assert enumerate_linear_bijections(n, G.factors, *_search_tables(G)) == expected, G
         expected.sort(key=lambda p: tuple(p[g] for g in gens))
-        assert enumerate_linear_bijections(n, G.factors, gens, add, allowed) == expected, G
+        assert [f.perm for f in enumerate_automorphisms(G)] == expected, G
+
+
+@pytest.mark.parametrize("order", ENUMERABLE_ORDERS)
+def test_search_order_is_ascending_in_reversed_key(order):
+    # no sort is needed to bisect a part's list or to partition it
+    for G in enumerate_groups(order):
+        gens = G.generator_indices[::-1]
+        keys = [tuple(p[g] for g in gens) for p in _automorphism_perms(G)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), G
+
+
+PRIME_POWER_CARRIERS = [
+    G
+    for n in ENUMERABLE_ORDERS
+    if len(_prime_factorization(n)) <= 1  # the trivial group is its own single part
+    for G in enumerate_groups(n)
+]
+
+
+@pytest.mark.parametrize("G", PRIME_POWER_CARRIERS, ids=str)
+def test_partition_does_not_depend_on_input_order(G):
+    # classes, least members and numbering on search order and on seeded
+    # shuffles are those of the input sorted by key
+    gens = G.generator_indices
+    perms = list(_automorphism_perms(G))
+    in_sorted = [f.perm for f in enumerate_automorphisms(G)]
+    class_ids, reps = conjugacy_partition(in_sorted, gens)
+    class_of = dict(zip(in_sorted, class_ids))
+    least = [in_sorted[i] for i in reps]
+    inputs = [perms]
+    for seed in (1, 2):
+        shuffled = perms[:]
+        random.Random(seed).shuffle(shuffled)
+        inputs.append(shuffled)
+    for shuffled in inputs:
+        ids, found = conjugacy_partition(shuffled, gens)
+        assert dict(zip(shuffled, ids)) == class_of, G
+        assert [shuffled[i] for i in found] == least, G
 
 
 @pytest.mark.parametrize("order", ENUMERABLE_ORDERS)
