@@ -8,16 +8,15 @@ inverse action (needed for t^-1) exist.
 Enumeration searches the candidate generator-image tuples whose orders
 divide the corresponding factors, keeping the bijective ones: a partial
 tuple spans a subgroup H, and the next image is rejected as soon as one of
-its multiples lies in H, which prunes its whole subtree. The search's
-tables (`_search_tables`: the rows of the addition table and each
-candidate's multiples) are kept per carrier, so a witness search that
-stops at once builds nothing. Aut is kept in search order, which is
-ascending in the reversed generator-image key; only the public
-`enumerate_automorphisms` sorts it. The budget guard
-counts the candidate tuples in closed form before any table is built and
-refuses a carrier with more than ENUMERATION_BUDGET (2^24) of them. The
-budget is a constant, not a parameter, so the cached classes are keyed by
-the carrier alone.
+its multiples lies in H, which prunes its whole subtree. A carrier's index
+tables (`_group_tables`: the addition rows and each candidate's multiples)
+are built once per carrier and read by every module. Aut is kept in search
+order, which is ascending in the reversed generator-image key; only the
+public `enumerate_automorphisms` sorts it. The budget guard counts the
+candidate tuples in closed form before any table is built and refuses a
+carrier with more than ENUMERATION_BUDGET (2^24) of them; the same budget
+bounds the n^2 entries of the addition table. The budget is a constant,
+not a parameter, so the cached classes are keyed by the carrier alone.
 
 Conjugacy classes are composed from the Sylow parts. G is the direct sum
 of its p-parts G_p, and Aut(G) is the product of the Aut(G_p) (Hillar &
@@ -201,29 +200,43 @@ def parse_phi_spec(G: AbelianGroup, text: str) -> Automorphism:
 
 
 @lru_cache(maxsize=16)
-def _group_tables(G: AbelianGroup) -> tuple[list[int], list[list[int]]]:
-    """(flat addition table, allowed image indices per generator position)."""
+def _group_tables(G: AbelianGroup) -> tuple[list[tuple[int, ...]], list[list[list[int]]]]:
+    """(rows, candidates): the index tables of G in the `kernels` format.
+
+    rows[a][b] is the index of x_a + x_b. candidates lists per generator
+    position i, for each img whose order divides d_i, ascending, its
+    multiples c*img, c = 1..d_i-1. The table has n^2 entries, so a carrier
+    with n^2 > ENUMERATION_BUDGET is refused before any element is listed.
+    """
     n = G.order
+    if n * n > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"the addition table of {G} has {n * n} entries, over the budget of "
+            f"{ENUMERATION_BUDGET}"
+        )
     elements = G.elements
     shape = tuple(zip(G.factors, G.generator_indices))
     columns = [[x[l] for x in elements] for l in range(G.rank)]
-    add: list[int] = []
+    rows = []
     for i in range(n):
         # row i, one coordinate at a time: index of x_i + y for every y
         row = [0] * n
         for column, (d, stride) in zip(columns, shape):
             a = column[i]
             row = [r + (a + c) % d * stride for r, c in zip(row, column)]
-        add.extend(row)
+        rows.append(tuple(row))
     orders = [G.element_order(x) for x in elements]
-    allowed = [[i for i in range(n) if d % orders[i] == 0] for d in G.factors]
-    return add, allowed
-
-
-@lru_cache(maxsize=16)
-def _search_tables(G: AbelianGroup) -> tuple[list[tuple[int, ...]], list[list[list[int]]]]:
-    """(addition rows, candidate multiples): `kernels.search_tables` of G."""
-    return kernels.search_tables(G.order, G.factors, *_group_tables(G))
+    candidates = []
+    for d in G.factors:
+        level = []
+        for img in range(n):
+            if d % orders[img] == 0:
+                multiples = [img]
+                for _ in range(2, d):
+                    multiples.append(rows[multiples[-1]][img])
+                level.append(multiples)
+        candidates.append(level)
+    return rows, candidates
 
 
 def _candidate_count(G: AbelianGroup) -> int:
@@ -248,7 +261,7 @@ def _check_budget(G: AbelianGroup) -> None:
 def _automorphism_perms(G: AbelianGroup) -> tuple[tuple[int, ...], ...]:
     """Aut(G) as permutations, in search order (ascending in the reversed key)."""
     _check_budget(G)
-    return tuple(kernels.enumerate_linear_bijections(G.order, G.factors, *_search_tables(G)))
+    return tuple(kernels.enumerate_linear_bijections(G.order, G.factors, *_group_tables(G)))
 
 
 def enumerate_automorphisms(G: AbelianGroup) -> tuple[Automorphism, ...]:
@@ -331,8 +344,9 @@ def _conjugacy(G: AbelianGroup) -> _Classes:
     enumerated and partitioned here, once, and the partition's least
     members and class counts are the table. A carrier with several primes
     reads each part's partition from this cache and scans the products of
-    their classes for the least members (see the module docstring). The
-    guard runs on G before any part is touched.
+    their classes for the least members (see the module docstring). Both
+    guards, on G's candidates and on its addition table, run before any part
+    is touched.
     """
     _check_budget(G)
     sylow = sylow_parts(G)
@@ -346,6 +360,7 @@ def _conjugacy(G: AbelianGroup) -> _Classes:
             tuple(sizes[cid] for cid in range(len(reps))),
             {(cid,): cid for cid in range(len(reps))},
         )
+    rows, _ = _group_tables(G)
     parts, factor_classes = [], []
     for P in sylow:
         (own,) = _conjugacy(P).parts
@@ -353,7 +368,7 @@ def _conjugacy(G: AbelianGroup) -> _Classes:
         part = _SylowPart(P, offset, project, own.perms, own.class_ids)
         parts.append(part)
         factor_classes.append(_class_columns(part, embed))
-    found = kernels.least_keys_of_products(G.rank, _search_tables(G)[0], factor_classes)
+    found = kernels.least_keys_of_products(G.rank, rows, factor_classes)
     ids = itertools.product(*(range(len(classes)) for classes in factor_classes))
     ranked = sorted(zip(found, ids))
     elements = G.elements
@@ -390,7 +405,7 @@ def is_conjugate(G: AbelianGroup, f: Automorphism, g: Automorphism) -> Automorph
         raise ValueError("both maps must act on the given group")
     if f.cycle_type() != g.cycle_type():
         return None
-    found = kernels._linear_bijections(G.order, G.factors, *_search_tables(G), f.perm, g.perm)
+    found = kernels._linear_bijections(G.order, G.factors, *_group_tables(G), f.perm, g.perm)
     return Automorphism._from_perm(G, found[0]) if found else None
 
 

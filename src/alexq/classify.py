@@ -26,7 +26,6 @@ import os
 import tempfile
 from collections import Counter
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -234,6 +233,8 @@ def classify_order(
             # the carriers before G lend their labels, so each image is labelled once
             triples[G.factors] = _carrier_pairs(G.factors, cache_dir, triples.values())
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         _source_digest()  # hashed once here, so forked workers inherit it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {

@@ -1,11 +1,15 @@
 """The hot-loop kernels: the search for linear bijections and conjugacy partitioning.
 
-They operate on flat integer tables so they stay independent of the object
+They operate on integer tables so they stay independent of the object
 layer:
 
 - elements of a group of order n are the indices 0..n-1 (lexicographic
   coordinate order, zero element at index 0),
-- `add` is the flat n*n addition table, add[a*n + b],
+- `rows` is the addition table, one tuple per element: rows[a][b] is the
+  index of a + b,
+- `candidates` lists per generator position i, for each image allowed
+  there (its order divides d_i) in ascending order, its multiples c*img,
+  c = 1..d_i-1,
 - permutations are tuples p of length n with p[i] = image of element i,
 - `gens` are the element indices of the standard generators; a linear map
   is fixed by its generator images tuple(p[g] for g in gens), its key.
@@ -17,9 +21,9 @@ decides both conjugacy in Aut and module isomorphism. The partial map at
 each node sends a span of generators onto a subgroup H, and a candidate
 image img for the next generator, of order d, extends it injectively
 exactly when the multiples c*img, c = 1..d-1, all lie outside H, so a
-candidate costs at most d-1 bitmap lookups before anything is built. The
-rows of `add` and each candidate's multiples (`search_tables`) depend on
-the group alone, so a caller builds them once per group. The search
+candidate costs at most d-1 bitmap lookups before anything is built.
+`rows` and `candidates` depend on the group alone, so a caller builds them
+once per group (`autgroup._group_tables`). The search
 assigns images from the last generator to the first, each in ascending
 order, so Aut comes out ascending in the reversed key
 (p[g_k-1], ..., p[g_0]) and is never sorted.
@@ -88,34 +92,10 @@ def _commuting_levels(factors, t1):
     return levels
 
 
-def search_tables(n, factors, add, allowed):
-    """(rows, candidates): the tables `_linear_bijections` searches with.
-
-    rows[a][b] = add[a*n + b], as tuples. candidates lists per generator
-    position i, for each allowed image img of that position in ascending
-    order, its multiples c*img, c = 1..d_i-1.
-
-    allowed: per generator position, the candidate image indices in
-        ascending order (pre-filtered by element order so every candidate
-        tuple extends to a well-defined endomorphism)
-    """
-    rows = [tuple(add[r:r + n]) for r in range(0, n * n, n)]
-    candidates = []
-    for d, images in zip(factors, allowed):
-        level = []
-        for img in images:
-            multiples = [img]
-            for _ in range(2, d):
-                multiples.append(rows[multiples[-1]][img])
-            level.append(multiples)
-        candidates.append(level)
-    return rows, candidates
-
-
 def _linear_bijections(n, factors, rows, candidates, t1=None, t2=None):
     """Bijective linear self-maps h as permutations, in search order.
 
-    rows, candidates: the group's `search_tables`
+    rows, candidates: the group's addition rows and candidate multiples
     t1, t2: permutations of the elements; when given, only maps with
         h o t1 = t2 o h are kept and the search stops at the first one, so
         the result holds at most one map
@@ -181,7 +161,7 @@ def enumerate_linear_bijections(n, factors, rows, candidates):
     """All bijective linear self-maps, as permutations of element indices.
 
     factors: the invariant factors d_1 | ... | d_k
-    rows, candidates: the group's `search_tables`
+    rows, candidates: the group's addition rows and candidate multiples
 
     Returns the permutations in search order, which is ascending in the
     reversed key (p[g_k-1], ..., p[g_0]); `conjugacy_partition` takes them

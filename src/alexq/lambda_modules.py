@@ -105,21 +105,20 @@ def image_one_minus_t(M: LambdaModule) -> LambdaModule:
     the one the same decomposition picks on coordinate tuples.
     """
     G = M.group
-    n = G.order
-    add, _ = _group_tables(G)
+    rows, _ = _group_tables(G)
     perm = M.t.perm
     img = _image_indices(M)
     if any(perm[x] not in img for x in img):
         raise ConsistencyError(f"t does not preserve Im(1-t) on {M.spec()}")
-    factors, basis = _invariant_decomposition(img, lambda x, y: add[x * n + y], 0)
+    factors, basis = _invariant_decomposition(img, lambda x, y: rows[x][y], 0)
     # span[i] = the element whose coordinates in the basis are the i-th
     # tuple of the image carrier, in lexicographic order
     span = [0]
     for d, b in zip(reversed(factors), reversed(basis)):
         multiples = [0]
         for _ in range(d - 1):
-            multiples.append(add[multiples[-1] * n + b])
-        span = [add[m * n + y] for m in multiples for y in span]
+            multiples.append(rows[multiples[-1]][b])
+        span = [rows[m][y] for m in multiples for y in span]
     position = {x: i for i, x in enumerate(span)}
     if len(position) != len(img):
         raise ConsistencyError(f"the image basis of {M.spec()} is not a basis")
@@ -192,17 +191,16 @@ def _scalar_candidate(M: LambdaModule) -> tuple[tuple[int, int], ...] | None:
     confirm.
     """
     G = M.group
-    n = G.order
-    add, _ = _group_tables(G)
+    rows, _ = _group_tables(G)
     perm = M.t.perm
     # (p, g, rho) for each x of order p^g whose image t(x) = rho*x lies in <x>
     eigen: Counter[tuple[int, int, int]] = Counter()
-    for x in range(1, n):
+    for x in range(1, G.order):
         multiples = [0, x]
-        y = add[x * n + x]
+        y = rows[x][x]
         while y:
             multiples.append(y)
-            y = add[y * n + x]
+            y = rows[y][x]
         factorization = _prime_factorization(len(multiples))
         tx = perm[x]
         if len(factorization) == 1 and tx in multiples:

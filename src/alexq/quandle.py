@@ -148,10 +148,9 @@ def alexander_table(M: LambdaModule) -> CayleyTable:
     from equal modules are identical. Each entry t(a) + (b - t(b)) is read
     from the carrier's index addition table.
     """
-    n = M.order
-    add, _ = _group_tables(M.group)
+    rows, _ = _group_tables(M.group)
     diff = _one_minus_t_indices(M)
-    return CayleyTable(tuple(tuple(add[ta * n + d] for d in diff) for ta in M.t.perm))
+    return CayleyTable(tuple(tuple(map(rows[ta].__getitem__, diff)) for ta in M.t.perm))
 
 
 def check_axioms(Q: CayleyTable) -> AxiomVerdict:

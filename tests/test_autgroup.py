@@ -147,11 +147,15 @@ class TestMapAlgebra:
     @pytest.mark.parametrize("factors", [(), (12,), (2, 4), (3, 9), (2, 2, 6)])
     def test_addition_table_matches_checked_addition(self, factors):
         G = AbelianGroup(factors)
-        add, _ = _group_tables(G)
-        n = G.order
-        for i, x in enumerate(G.elements):
-            for j, y in enumerate(G.elements):
-                assert add[i * n + j] == G.index(G.add(x, y))
+        rows, candidates = _group_tables(G)
+        elements = G.elements
+        assert rows == [tuple(G.index(G.add(x, y)) for y in elements) for x in elements]
+        assert len(candidates) == G.rank
+        for d, level in zip(G.factors, candidates):
+            allowed = [x for x in elements if G.scalar_mul(d, x) == G.zero]
+            assert level == [
+                [G.index(G.scalar_mul(c, x)) for c in range(1, d)] for x in allowed
+            ]
 
     def test_perm_matches_kernel_enumeration(self):
         G = AbelianGroup((2, 2, 6))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -59,7 +60,7 @@ def inline_pool(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(alexq.classify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return pools
 
 
@@ -546,6 +547,7 @@ def test_warm_run_does_no_aut_work(tmp_path, monkeypatch):
     monkeypatch.setattr(alexq.classify, "canonical_label", forbidden)
     report = classify_order(48, cache_dir=str(tmp_path))
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[48]
+    assert autgroup._group_tables.cache_info().misses == 0
 
 
 def test_each_partition_has_a_distinct_input(tmp_path, monkeypatch):
@@ -597,7 +599,6 @@ def test_cold_prime_power_run_reads_classes_off_the_partition(order, tmp_path, m
     # a p-group is its own single Sylow part, so no product of classes is scanned
     for cached in (
         autgroup._group_tables,
-        autgroup._search_tables,
         autgroup._automorphism_perms,
         autgroup._conjugacy,
     ):

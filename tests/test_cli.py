@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,22 @@ class TestClassifyVerb:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.rstrip("\n").splitlines()[-1] == "23 classes, 9 connected"
+
+    def test_import_loads_neither_the_process_pool_nor_hashlib(self):
+        # both are imported where they are used: the pool by --jobs > 1,
+        # hashlib by the first cache access
+        probe = (
+            "import sys, alexq.cli; "
+            "print(sorted({'concurrent.futures.process', 'hashlib'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(alexq.__file__).parents[1])},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
 
 
 class TestLinearVerb:
@@ -221,6 +238,24 @@ class TestErrors:
         code, _, err = run(capsys, "classify", "--order", str(2**25))
         assert code == 3
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("image", "--module", "L4097/3"),
+            ("cayley", "--module", "L4097/3"),
+            # Z_4098 has 4098 candidates, within budget, and three Sylow parts
+            ("classify", "--order", "4098"),
+        ],
+    )
+    def test_addition_table_over_budget_exit_code(self, capsys, argv):
+        # 4097^2 entries is just over the budget; the guard refuses the table
+        # before any of it is built
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "--table", "/nonexistent/t.txt")

@@ -9,7 +9,6 @@ from alexq.autgroup import (
     Automorphism,
     _automorphism_perms,
     _group_tables,
-    _search_tables,
     conjugacy_representatives,
     enumerate_automorphisms,
     is_conjugate,
@@ -95,6 +94,17 @@ def _conjugates_by_full_scan(G, f):
     return found
 
 
+def _reference_tables(G):
+    """Reference: the flat addition table add[a*n + b] and the image indices
+    allowed per generator position, from the checked group operations."""
+    elements = G.elements
+    add = [G.index(G.add(x, y)) for x in elements for y in elements]
+    allowed = [
+        [i for i, x in enumerate(elements) if G.scalar_mul(d, x) == G.zero] for d in G.factors
+    ]
+    return add, allowed
+
+
 def _isomorphic_by_prefix_search(M, M2):
     """Reference: the witness search that re-checks the whole prefix at every node."""
     if M.group != M2.group:
@@ -109,7 +119,7 @@ def _isomorphic_by_prefix_search(M, M2):
         return Automorphism(G, ())
     t1, t2 = M.t.perm, M2.t.perm
     orders = [G.element_order(x) for x in G.elements]
-    add, _ = _group_tables(G)
+    add, _ = _reference_tables(G)
     candidates = [[i for i in range(n) if orders[i] == d] for d in G.factors]
 
     def extend(i, partial):
@@ -249,10 +259,9 @@ ENUMERABLE_ORDERS = [n for n in range(1, 49) if n != 32]
 def test_search_matches_reference_search(order):
     for G in enumerate_groups(order):
         n, gens = G.order, G.generator_indices
-        add, allowed = _group_tables(G)
-        expected = _reference_linear_bijections(n, G.factors, add, allowed)
-        assert _linear_bijections(n, G.factors, *_search_tables(G)) == expected, G
-        assert enumerate_linear_bijections(n, G.factors, *_search_tables(G)) == expected, G
+        expected = _reference_linear_bijections(n, G.factors, *_reference_tables(G))
+        assert _linear_bijections(n, G.factors, *_group_tables(G)) == expected, G
+        assert enumerate_linear_bijections(n, G.factors, *_group_tables(G)) == expected, G
         expected.sort(key=lambda p: tuple(p[g] for g in gens))
         assert [f.perm for f in enumerate_automorphisms(G)] == expected, G
 
@@ -357,7 +366,7 @@ def test_commuting_levels_list_each_pair_once_where_it_is_first_covered():
 def test_search_matches_replaced_routes_on_automorphism_pairs(factors, step):
     G = AbelianGroup(factors)
     n = G.order
-    add, allowed = _group_tables(G)
+    add, allowed = _reference_tables(G)
     modules = [LambdaModule(G, f) for f in enumerate_automorphisms(G)[::step]]
     for M in modules:
         f = M.t
