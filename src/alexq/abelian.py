@@ -6,6 +6,11 @@ group. Elements are coordinate tuples, one coordinate per factor,
 reduced modulo that factor. Elements are indexed lexicographically by
 their coordinates, so the zero element always has index 0.
 
+This module owns the index order and all arithmetic on indices:
+`_linear_indices` evaluates a homomorphism given by generator images (t,
+1 - t, the Sylow embed and project maps, an image's basis) and
+`_addition_rows` builds the addition table.
+
 >>> G = AbelianGroup((4, 4))
 >>> G.add((3, 2), (2, 3))
 (1, 1)
@@ -55,23 +60,13 @@ class AbelianGroup:
         return len(self.factors)
 
     @cached_property
-    def _strides(self) -> tuple[int, ...]:
-        # mixed-radix strides for lexicographic indexing, most significant first
-        strides = []
-        acc = 1
-        for d in reversed(self.factors):
-            strides.append(acc)
-            acc *= d
-        return tuple(reversed(strides))
-
-    @cached_property
     def elements(self) -> tuple[Element, ...]:
         """All elements in lexicographic coordinate order."""
         return tuple(itertools.product(*(range(d) for d in self.factors)))
 
     def index(self, x: Element) -> int:
         self.check_element(x)
-        return sum(c * s for c, s in zip(x, self._strides))
+        return sum(c * s for c, s in zip(x, self.generator_indices))
 
     def element(self, i: int) -> Element:
         return self.elements[i]
@@ -118,10 +113,10 @@ class AbelianGroup:
             tuple(1 if j == i else 0 for j in range(k)) for i in range(k)
         )
 
-    @property
+    @cached_property
     def generator_indices(self) -> tuple[int, ...]:
-        """Element indices of the standard generators (equal to the strides)."""
-        return self._strides
+        """Element indices of the standard generators: the mixed-radix strides."""
+        return tuple(math.prod(self.factors[i + 1 :]) for i in range(self.rank))
 
     def spec(self) -> str:
         """Comma-separated factor string; the trivial group is "1"."""
@@ -147,6 +142,42 @@ class AbelianGroup:
 
     def __str__(self) -> str:
         return self.spec()
+
+
+def _linear_indices(source: AbelianGroup, target: AbelianGroup, images) -> list[int]:
+    """The index in `target` of f(x) for each x of `source`, in index order.
+
+    f is the homomorphism with f(e_j) = images[j] (coordinates need not be
+    reduced). Built by the recurrence f(x) = f(x - e_j) + f(e_j), one target
+    coordinate at a time, unchecked: the elements whose leading coordinates
+    are zero are a prefix of the index order, and each generator, taken
+    from the last, extends that prefix by its multiples.
+
+    >>> _linear_indices(AbelianGroup((2,)), AbelianGroup((2, 4)), [(1, 2)])
+    [0, 6]
+    """
+    indices = [0] * source.order
+    for l, (d, stride) in enumerate(zip(target.factors, target.generator_indices)):
+        column = [0]  # coordinate l of f(x), x in index order
+        for m, img in zip(reversed(source.factors), reversed(images)):
+            a = img[l]
+            column = [(y + c * a) % d for c in range(m) for y in column] if a else column * m
+        indices = [i + y * stride for i, y in zip(indices, column)]
+    return indices
+
+
+def _addition_rows(G: AbelianGroup) -> list[tuple[int, ...]]:
+    """rows[a][b] is the index of x_a + x_b, built one coordinate at a time."""
+    columns = [[x[l] for x in G.elements] for l in range(G.rank)]
+    shape = tuple(zip(columns, G.factors, G.generator_indices))
+    rows = []
+    for i in range(G.order):
+        row = [0] * G.order
+        for column, d, stride in shape:
+            a = column[i]
+            row = [r + (a + c) % d * stride for r, c in zip(row, column)]
+        rows.append(tuple(row))
+    return rows
 
 
 def _prime_factorization(n: int) -> dict[int, int]:

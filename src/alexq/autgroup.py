@@ -10,9 +10,10 @@ divide the corresponding factors, keeping the bijective ones: a partial
 tuple spans a subgroup H, and the next image is rejected as soon as one of
 its multiples lies in H, which prunes its whole subtree. A carrier's index
 tables (`_group_tables`: the addition rows and each candidate's multiples)
-are built once per carrier and read by every module. Aut is kept in search
-order, which is ascending in the reversed generator-image key; only the
-public `enumerate_automorphisms` sorts it. The budget guard counts the
+are built once per carrier and read by every module; `abelian` computes
+them, `perm` and the CRT tables. Aut is kept in search order, which is
+ascending in the reversed generator-image key; only the public
+`enumerate_automorphisms` sorts it. The budget guard counts the
 candidate tuples in closed form before any table is built and refuses a
 carrier with more than ENUMERATION_BUDGET (2^24) of them; the same budget
 bounds the n^2 entries of the addition table. The budget is a constant,
@@ -60,7 +61,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import kernels
-from .abelian import AbelianGroup, Element, sylow_parts
+from .abelian import AbelianGroup, Element, _addition_rows, _linear_indices, sylow_parts
 from .errors import EnumerationBudgetError, SpecError
 
 ENUMERATION_BUDGET = 1 << 24
@@ -90,23 +91,8 @@ class Endomorphism:
 
     @cached_property
     def perm(self) -> tuple[int, ...]:
-        """The full map as element indices: perm[i] = index of f(element i).
-
-        Built by the mixed-radix recurrence f(x) = f(x - e_j) + f(e_j), one
-        output coordinate at a time and without checked group operations:
-        the elements whose leading coordinates are zero are a prefix of the
-        index order, and each generator, taken from the last, extends that
-        prefix by its multiples.
-        """
-        G = self.group
-        perm = [0] * G.order
-        for l, (d, stride) in enumerate(zip(G.factors, G.generator_indices)):
-            column = [0]  # coordinate l of f(x), x in index order
-            for j in reversed(range(G.rank)):
-                a = self.images[j][l]
-                column = [(y + c * a) % d for c in range(G.factors[j]) for y in column]
-            perm = [i + y * stride for i, y in zip(perm, column)]
-        return tuple(perm)
+        """The full map as element indices: perm[i] = index of f(element i)."""
+        return tuple(_linear_indices(self.group, self.group, self.images))
 
     def apply(self, x: Element) -> Element:
         G = self.group
@@ -199,33 +185,29 @@ def parse_phi_spec(G: AbelianGroup, text: str) -> Automorphism:
         raise SpecError(str(exc)) from None
 
 
-@lru_cache(maxsize=16)
-def _group_tables(G: AbelianGroup) -> tuple[list[tuple[int, ...]], list[list[list[int]]]]:
-    """(rows, candidates): the index tables of G in the `kernels` format.
-
-    rows[a][b] is the index of x_a + x_b. candidates lists per generator
-    position i, for each img whose order divides d_i, ascending, its
-    multiples c*img, c = 1..d_i-1. The table has n^2 entries, so a carrier
-    with n^2 > ENUMERATION_BUDGET is refused before any element is listed.
-    """
+def _check_table_budget(G: AbelianGroup) -> None:
+    """Refuse a carrier whose addition table has over ENUMERATION_BUDGET entries."""
     n = G.order
     if n * n > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"the addition table of {G} has {n * n} entries, over the budget of "
             f"{ENUMERATION_BUDGET}"
         )
-    elements = G.elements
-    shape = tuple(zip(G.factors, G.generator_indices))
-    columns = [[x[l] for x in elements] for l in range(G.rank)]
-    rows = []
-    for i in range(n):
-        # row i, one coordinate at a time: index of x_i + y for every y
-        row = [0] * n
-        for column, (d, stride) in zip(columns, shape):
-            a = column[i]
-            row = [r + (a + c) % d * stride for r, c in zip(row, column)]
-        rows.append(tuple(row))
-    orders = [G.element_order(x) for x in elements]
+
+
+@lru_cache(maxsize=16)
+def _group_tables(G: AbelianGroup) -> tuple[list[tuple[int, ...]], list[list[list[int]]]]:
+    """(rows, candidates): the index tables of G in the `kernels` format.
+
+    rows[a][b] is the index of x_a + x_b. candidates lists per generator
+    position i, for each img whose order divides d_i, ascending, its
+    multiples c*img, c = 1..d_i-1. The table has n^2 entries, so the budget
+    is checked before any element is listed.
+    """
+    _check_table_budget(G)
+    n = G.order
+    rows = _addition_rows(G)
+    orders = [G.element_order(x) for x in G.elements]
     candidates = []
     for d in G.factors:
         level = []
@@ -298,23 +280,16 @@ def _crt_tables(G: AbelianGroup, P: AbelianGroup) -> tuple[int, list[int], list[
     """(offset, embed, project) between G and its Sylow part P.
 
     P's factors q_j are the p-parts of G's factors d from position offset
-    on. `embed` sends an element y of P to G, with coordinate offset + j
-    set to y_j * u_j for the idempotent u_j = 1 mod q_j, 0 mod d / q_j
-    (Chinese remainder theorem); `project` sends an element x of G to its
-    p-part, with coordinate j set to x_{offset+j} mod q_j. Both act on
-    element indices.
+    on. Both are homomorphisms on element indices: `embed` sends P's e_j to
+    u_j * e_{offset+j} for the idempotent u_j = 1 mod q_j, 0 mod d / q_j
+    (Chinese remainder theorem); `project` sends e_{offset+j} to e_j and the
+    generators below offset to 0, so x goes to its p-part.
     """
     offset = G.rank - P.rank
-    tail = list(zip(G.factors[offset:], P.factors, G.generator_indices[offset:]))
-    units = [d // q * pow(d // q, -1, q) for d, q, _ in tail]
-    embed = [
-        sum(y * u % d * stride for y, u, (d, _, stride) in zip(x, units, tail))
-        for x in P.elements
-    ]
-    project = [
-        sum(c % q * stride for c, q, stride in zip(x[offset:], P.factors, P.generator_indices))
-        for x in G.elements
-    ]
+    gens = G.generators()[offset:]
+    units = [d // q * pow(d // q, -1, q) for d, q in zip(G.factors[offset:], P.factors)]
+    embed = _linear_indices(P, G, [G.scalar_mul(u, e) for u, e in zip(units, gens)])
+    project = _linear_indices(G, P, (P.zero,) * offset + P.generators())
     return offset, embed, project
 
 

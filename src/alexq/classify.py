@@ -63,10 +63,6 @@ class QuandleClass:
     connected: bool
     members: tuple[Member, ...]
 
-    @property
-    def representative(self) -> Member:
-        return self.members[0]
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -149,7 +145,7 @@ def _store_cached(path: Path, payload: dict) -> None:
                 os.unlink(tmp)
 
 
-def _carrier_pairs(
+def _carrier_triples(
     factors: tuple[int, ...],
     cache_dir: str | None,
     earlier: Iterable[list[Triple]] = (),
@@ -231,14 +227,14 @@ def classify_order(
     if workers == 1:
         for G in carriers:
             # the carriers before G lend their labels, so each image is labelled once
-            triples[G.factors] = _carrier_pairs(G.factors, cache_dir, triples.values())
+            triples[G.factors] = _carrier_triples(G.factors, cache_dir, triples.values())
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         _source_digest()  # hashed once here, so forked workers inherit it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                G.factors: pool.submit(_carrier_pairs, G.factors, cache_dir) for G in carriers
+                G.factors: pool.submit(_carrier_triples, G.factors, cache_dir) for G in carriers
             }
             for factors, future in futures.items():
                 triples[factors] = future.result()

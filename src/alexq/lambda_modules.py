@@ -35,10 +35,13 @@ from .abelian import (
     Element,
     _elementary_prime,
     _invariant_decomposition,
+    _linear_indices,
     _prime_factorization,
+    normalize_cyclic_orders,
 )
 from .autgroup import (
     Automorphism,
+    _check_table_budget,
     _group_tables,
     is_conjugate,
     lex_least_conjugate,
@@ -70,13 +73,9 @@ class LambdaModule:
 
 def _one_minus_t_indices(M: LambdaModule) -> list[int]:
     """The index of x - t(x) for each element index x."""
-    G = M.group
-    elements, perm = G.elements, M.t.perm
-    shape = tuple(zip(G.factors, G.generator_indices))
-    return [
-        sum(((a - b) % d) * s for a, b, (d, s) in zip(x, elements[perm[i]], shape))
-        for i, x in enumerate(elements)
-    ]
+    # e_j - t(e_j), left unreduced
+    images = [tuple(int(i == j) - a for i, a in enumerate(img)) for j, img in enumerate(M.t.images)]
+    return _linear_indices(M.group, M.group, images)
 
 
 def _image_indices(M: LambdaModule) -> set[int]:
@@ -102,7 +101,9 @@ def image_one_minus_t(M: LambdaModule) -> LambdaModule:
     the action is the restriction of t rewritten in the subgroup basis.
     The decomposition runs on element indices with the carrier's addition
     table; index order is lexicographic coordinate order, so the basis is
-    the one the same decomposition picks on coordinate tuples.
+    the one the same decomposition picks on coordinate tuples. The span is
+    the map from the image carrier to G that sends its generators to the
+    basis.
     """
     G = M.group
     rows, _ = _group_tables(G)
@@ -111,18 +112,11 @@ def image_one_minus_t(M: LambdaModule) -> LambdaModule:
     if any(perm[x] not in img for x in img):
         raise ConsistencyError(f"t does not preserve Im(1-t) on {M.spec()}")
     factors, basis = _invariant_decomposition(img, lambda x, y: rows[x][y], 0)
-    # span[i] = the element whose coordinates in the basis are the i-th
-    # tuple of the image carrier, in lexicographic order
-    span = [0]
-    for d, b in zip(reversed(factors), reversed(basis)):
-        multiples = [0]
-        for _ in range(d - 1):
-            multiples.append(rows[multiples[-1]][b])
-        span = [rows[m][y] for m in multiples for y in span]
+    carrier = AbelianGroup(factors)
+    span = _linear_indices(carrier, G, [G.element(b) for b in basis])
     position = {x: i for i, x in enumerate(span)}
     if len(position) != len(img):
         raise ConsistencyError(f"the image basis of {M.spec()} is not a basis")
-    carrier = AbelianGroup(factors)
     images = tuple(carrier.element(position[perm[b]]) for b in basis)
     return LambdaModule(carrier, Automorphism(carrier, images))
 
@@ -314,12 +308,17 @@ def canonical_label(M: LambdaModule) -> str:
 
 
 def parse_module_spec(text: str) -> LambdaModule:
-    """Parse "L16/3" or "<group>|<phi>" (e.g. "4,4|0,1;3,2")."""
+    """Parse "L16/3" or "<group>|<phi>" (e.g. "4,4|0,1;3,2").
+
+    A carrier over the addition-table budget is refused before a map is built.
+    """
     text = text.strip()
     if text.upper().startswith("L"):
         from .linearq import LinearQuandleSpec, build_linear
 
-        return build_linear(LinearQuandleSpec.from_shorthand(text))
+        spec = LinearQuandleSpec.from_shorthand(text)
+        _check_table_budget(AbelianGroup(normalize_cyclic_orders((spec.n,))))
+        return build_linear(spec)
     if "|" not in text:
         raise SpecError(
             f"bad module spec {text!r}: expected 'L<n>/<a>' or '<group>|<phi>'"
@@ -329,4 +328,5 @@ def parse_module_spec(text: str) -> LambdaModule:
         G = AbelianGroup.from_spec(group_part)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
+    _check_table_budget(G)
     return LambdaModule(G, parse_phi_spec(G, phi_part))

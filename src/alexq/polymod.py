@@ -295,15 +295,10 @@ def build(spec: PolySpec) -> LambdaModule:
     offset = 0
     for h in spec.chain:
         d = h.degree
-        for j in range(d):
-            if j < d - 1:
-                images.append(gens[offset + j + 1])
-            else:
-                x = G.zero
-                for i in range(d):
-                    c = (-h.coeffs[i]) % spec.p
-                    x = G.add(x, G.scalar_mul(c, gens[offset + i]))
-                images.append(x)
+        images.extend(gens[offset + 1 : offset + d])
+        # t^d = -(h_0 + h_1 t + ... + h_{d-1} t^(d-1)) in the quotient by h
+        fold = tuple(-c % spec.p for c in h.coeffs[:d])
+        images.append((0,) * offset + fold + (0,) * (D - offset - d))
         offset += d
     return LambdaModule(G, Automorphism(G, tuple(images)))
 

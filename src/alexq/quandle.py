@@ -60,9 +60,6 @@ class CayleyTable:
     def n(self) -> int:
         return len(self.table)
 
-    def op(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     @cached_property
     def _fingerprints(self) -> tuple[tuple, ...]:
         """Per-element invariants preserved by any quandle isomorphism.

@@ -9,10 +9,12 @@ from alexq.abelian import (
     AbelianGroup,
     ShapeError,
     _elementary_prime,
+    _linear_indices,
     enumerate_groups,
     normalize_cyclic_orders,
     subgroup_structure,
 )
+from alexq.autgroup import conjugacy_representatives
 
 
 def partition_count(n: int) -> int:
@@ -194,3 +196,49 @@ class TestSubgroupStructure:
         # declared basis orders match the factors
         for d, b in zip(S.factors, S.basis):
             assert G.element_order(b) == d
+
+
+def _checked_linear_indices(source, target, images):
+    """The index of sum_j c_j * images[j] for each element c of source,
+    through the checked group operations of target."""
+    images = [tuple(c % d for c, d in zip(img, target.factors)) for img in images]
+    out = []
+    for x in source.elements:
+        y = target.zero
+        for c, img in zip(x, images):
+            y = target.add(y, target.scalar_mul(c, img))
+        out.append(target.index(y))
+    return out
+
+
+class TestIndexArithmetic:
+    @pytest.mark.parametrize("order", [16, 27, 48])
+    def test_linear_indices_from_each_image_carrier(self, order):
+        # the image of 1 - t of every class representative, as a map from
+        # its own carrier into G that sends the generators to its basis
+        seen = set()
+        for G in enumerate_groups(order):
+            for t in conjugacy_representatives(G):
+                S = subgroup_structure(G, [G.sub(e, t.apply(e)) for e in G.generators()])
+                if (G, S.basis) in seen:
+                    continue
+                seen.add((G, S.basis))
+                H = S.as_group()
+                expected = _checked_linear_indices(H, G, S.basis)
+                assert _linear_indices(H, G, S.basis) == expected, (G, S.basis)
+        assert len(seen) > 1
+
+    @pytest.mark.parametrize(
+        "source, target, images",
+        [
+            ((), (2, 4), ()),
+            ((6,), (), ((),)),
+            ((2, 4), (4,), ((2,), (1,))),
+            ((4,), (2, 2, 4), ((1, 0, 2),)),
+            ((3, 9), (9,), ((3,), (7,))),
+            ((2, 4), (2, 4), ((0, -2), (-1, -1))),  # unreduced images, as for 1 - t
+        ],
+    )
+    def test_linear_indices_between_carriers(self, source, target, images):
+        S, T = AbelianGroup(source), AbelianGroup(target)
+        assert _linear_indices(S, T, images) == _checked_linear_indices(S, T, images)

@@ -12,6 +12,7 @@ from alexq.autgroup import (
     _automorphism_perms,
     _candidate_count,
     _check_budget,
+    _crt_tables,
     _group_tables,
     conjugacy_class_sizes,
     conjugacy_representatives,
@@ -307,8 +308,30 @@ def hillar_rhea_aut_order(factors):
     return total
 
 
+def _reference_crt_tables(G, P):
+    """(offset, embed, project) by coordinates: y in P goes to G with
+    coordinate offset + j set to y_j * u_j mod d for the CRT idempotent u_j,
+    and x in G goes to P with coordinate j set to x_{offset+j} mod q_j."""
+    offset = G.rank - P.rank
+    tail = list(zip(G.factors[offset:], P.factors))
+    units = [d // q * pow(d // q, -1, q) for d, q in tail]
+    embed = [
+        G.index((0,) * offset + tuple(y * u % d for y, u, (d, _) in zip(x, units, tail)))
+        for x in P.elements
+    ]
+    project = [P.index(tuple(c % q for c, q in zip(x[offset:], P.factors))) for x in G.elements]
+    return offset, embed, project
+
+
 class TestSylowProduct:
     """The classes composed from the Sylow parts against the Aut route."""
+
+    @pytest.mark.parametrize("G", _composite_carriers(48), ids=str)
+    def test_crt_tables_match_coordinate_reference(self, G):
+        for P in sylow_parts(G):
+            offset, embed, project = _crt_tables(G, P)
+            assert (offset, embed, project) == _reference_crt_tables(G, P), P
+            assert [project[x] for x in embed] == list(range(P.order)), P
 
     @pytest.mark.parametrize("G", _composite_carriers(48), ids=str)
     def test_representatives_and_sizes_match_aut_route(self, G):

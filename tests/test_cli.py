@@ -257,6 +257,21 @@ class TestErrors:
         assert (code, out) == (3, "")
         assert err.startswith("error:") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("spec", ["L4000000/3", "4000000|3"])
+    @pytest.mark.parametrize("verb", ["image", "cayley", "iso"])
+    def test_spec_over_table_budget_is_refused_when_parsed(self, capsys, verb, spec):
+        # the carrier is checked before any map on it is built, so a spec far
+        # over the budget costs no time or memory linear in its order
+        argv = ("iso", "--a", spec, "--b", "L16/3") if verb == "iso" else (verb, "--module", spec)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: the addition table of 4000000 has 16000000000000 entries, "
+            "over the budget of 16777216\n"
+        )
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "--table", "/nonexistent/t.txt")
         assert code == 2
