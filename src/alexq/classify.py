@@ -15,6 +15,11 @@ and a digest of the package's source files, so an entry written by other
 code is recomputed; a warm run parses the entries and does no work on
 Aut. ALEXQ_CACHE overrides the default ./.alexq-cache directory and entries
 are safe to delete.
+
+With `jobs` > 1 the carriers are dealt, heaviest first, into one share per
+process; the calling process runs the share with the heaviest carrier and
+forked children run the others. Where `os.fork` does not exist the run is
+serial.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from pathlib import Path
 from ._version import __version__
 from .abelian import AbelianGroup, _prime_factorization, enumerate_groups
 from .autgroup import (
+    ENUMERATION_BUDGET,
     Automorphism,
+    _candidate_count,
     conjugacy_representatives,
     enumerate_automorphisms,
     parse_phi_spec,
@@ -51,6 +58,8 @@ from .quandle import alexander_table, brute_force_isomorphic, orbits
 Member = tuple[AbelianGroup, Automorphism]
 # (representative, image of 1 - t, canonical label of the image)
 Triple = tuple[Automorphism, LambdaModule, str]
+# a carrier's triples, or the exception its classification raised
+Outcome = list[Triple] | Exception
 
 
 @dataclass(frozen=True)
@@ -154,9 +163,9 @@ def _carrier_triples(
 
     Each distinct image is labelled once, right after the carrier's
     partition is built, so a fallback label's least conjugate reads that
-    partition from `_conjugacy`'s cache (in the worker, under --jobs). The
-    triples are plain frozen values, so they cross process boundaries
-    unchanged; the JSON cache stores them as strings.
+    partition from `_conjugacy`'s cache in the same process. The triples
+    are plain frozen values, so they cross process boundaries unchanged;
+    the JSON cache stores them as strings.
 
     `earlier` holds the triples of carriers already classified in this
     run, computed or read from the cache. An image labelled there keeps
@@ -208,41 +217,154 @@ def per_carrier_counts(
     return {spec: on[spec] for spec in carrier_specs}
 
 
+def _shares(carriers: tuple[AbelianGroup, ...], workers: int) -> list[list[AbelianGroup]]:
+    """The carriers dealt into `workers` shares of about equal cost.
+
+    Heaviest first, each carrier goes to the share with the least cost so
+    far (longest processing time first; Graham, SIAM J. Appl. Math. 17,
+    1969), so share 0 holds the heaviest. The cost is the enumeration's
+    candidate count; a carrier over ENUMERATION_BUDGET costs 0, as it fails
+    at its guard at once. Each share keeps the carriers' given order.
+    """
+
+    def cost(G: AbelianGroup) -> int:
+        count = _candidate_count(G)
+        return count if count <= ENUMERATION_BUDGET else 0
+
+    shares: list[list[AbelianGroup]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for G in sorted(carriers, key=cost, reverse=True):
+        lightest = loads.index(min(loads))
+        shares[lightest].append(G)
+        loads[lightest] += cost(G)
+    position = {G: i for i, G in enumerate(carriers)}
+    return [sorted(share, key=position.__getitem__) for share in shares]
+
+
+def _run_share(
+    carriers: list[AbelianGroup], cache_dir: str | None
+) -> dict[tuple[int, ...], Outcome]:
+    """Each carrier's triples, in order, up to and including the first that raises.
+
+    Earlier carriers lend their labels to later ones, so each image is
+    labelled once. A carrier after a failure is not run: the failure comes
+    first in carrier order, and it is what classify_order raises.
+    """
+    done: dict[tuple[int, ...], Outcome] = {}
+    for G in carriers:
+        try:
+            done[G.factors] = _carrier_triples(G.factors, cache_dir, done.values())
+        except Exception as exc:  # noqa: BLE001 - handed to the caller, which raises it
+            done[G.factors] = exc
+            break
+    return done
+
+
+def _run_child(
+    carriers: list[AbelianGroup], cache_dir: str | None, read_end: int, write_end: int
+) -> None:
+    """In a forked child: run a share, pickle its outcomes to the pipe, exit.
+
+    The child leaves only through os._exit, so it runs no handler or buffer
+    flush inherited from the caller; the status is 0 only after a complete
+    write.
+    """
+    status = 1
+    try:
+        import pickle
+
+        os.close(read_end)
+        outcomes = _run_share(carriers, cache_dir)
+        with os.fdopen(write_end, "wb") as pipe:
+            pickle.dump(outcomes, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_join(
+    shares: list[list[AbelianGroup]], cache_dir: str | None
+) -> dict[tuple[int, ...], Outcome]:
+    """Run shares[0] here and every other share in a forked child.
+
+    Every child is reaped before this returns or raises. A child that ends
+    without a complete result raises RuntimeError; if anything escapes this
+    process's own share (say, KeyboardInterrupt), the children are killed.
+    """
+    if len(shares) == 1:
+        return _run_share(shares[0], cache_dir)
+    # imported here, not at import: both are slow to load and a serial run needs neither
+    import pickle
+    import signal
+
+    _source_digest()  # hashed once here, so the children inherit it
+    pending: dict[int, tuple[int, list[AbelianGroup]]] = {}  # pid -> (read end, share)
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _run_child(share, cache_dir, read_end, write_end)
+            os.close(write_end)
+            pending[pid] = read_end, share
+        outcomes = _run_share(shares[0], cache_dir)
+        for pid, (read_end, share) in list(pending.items()):
+            with os.fdopen(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del pending[pid]
+            os.close(read_end)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                how = f"exit code {code}" if code > 0 else f"signal {-code}"
+                raise RuntimeError(
+                    f"the process for carriers {' '.join(G.spec() for G in share)} "
+                    f"ended without a result ({how})"
+                )
+            outcomes.update(pickle.loads(data))  # written by _run_child above
+        return outcomes
+    finally:
+        for pid, (read_end, _) in pending.items():
+            os.close(read_end)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def classify_order(
     order: int, *, jobs: int = 1, cache_dir: str | None = None
 ) -> ClassificationReport:
     """Classify every Alexander quandle structure of the given order.
 
-    `jobs` > 1 distributes carriers over worker processes, at most one per
-    carrier, and a single worker runs serially; the merge is a
-    deterministic reduction, so reports are identical for any job count.
+    `jobs` counts the processes that work at once, this one included, and
+    at most one per carrier. With `jobs` > 1 the carriers are dealt,
+    heaviest first, into shares of about equal cost; this process runs the
+    share with the heaviest carrier and forked children run the others.
+    Where `os.fork` does not exist, the run is serial. An error raised for
+    a carrier is raised here for the first such carrier in carrier order,
+    as in a serial run, and the merge is a deterministic reduction, so
+    reports are identical for any job count.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     carriers = enumerate_groups(order)
-    workers = min(jobs, len(carriers))
-    triples: dict[tuple[int, ...], list[Triple]] = {}
-    if workers == 1:
-        for G in carriers:
-            # the carriers before G lend their labels, so each image is labelled once
-            triples[G.factors] = _carrier_triples(G.factors, cache_dir, triples.values())
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        _source_digest()  # hashed once here, so forked workers inherit it
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                G.factors: pool.submit(_carrier_triples, G.factors, cache_dir) for G in carriers
-            }
-            for factors, future in futures.items():
-                triples[factors] = future.result()
+    workers = min(jobs, len(carriers)) if hasattr(os, "fork") else 1
+    outcomes = _fork_join(_shares(carriers, workers), cache_dir)
 
     # label -> (first image seen, members); equal labels are isomorphic images
     classes: dict[str, tuple[LambdaModule, list[Member]]] = {}
     for G in carriers:
-        for rep, image, label in triples[G.factors]:
+        outcome = outcomes[G.factors]
+        if isinstance(outcome, Exception):
+            raise outcome
+        for rep, image, label in outcome:
             classes.setdefault(label, (image, []))[1].append((G, rep))
 
     ordered = sorted(classes.items(), key=lambda item: (item[1][0].order, item[0]))

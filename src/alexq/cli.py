@@ -46,7 +46,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p.add_argument("--connected-only", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for carriers")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="processes that classify carriers at once, this one included",
+    )
 
     p = sub.add_parser("linear", help="isomorphism classes of linear quandles mod n")
     p.add_argument("--n", type=int, required=True)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 from .abelian import (
     AbelianGroup,
-    Element,
     _elementary_prime,
     _invariant_decomposition,
     _linear_indices,
@@ -81,11 +80,6 @@ def _one_minus_t_indices(M: LambdaModule) -> list[int]:
 def _image_indices(M: LambdaModule) -> set[int]:
     """Im(1 - t) as a set of element indices."""
     return set(_one_minus_t_indices(M))
-
-
-def _image_set(M: LambdaModule) -> set[Element]:
-    elements = M.group.elements
-    return {elements[i] for i in _image_indices(M)}
 
 
 def is_connected(M: LambdaModule) -> bool:

@@ -28,7 +28,6 @@ from alexq.classify import classify_order
 from alexq.cli import main as cli_main
 from alexq.lambda_modules import (
     LambdaModule,
-    _image_set,
     canonical_label,
     image_one_minus_t,
     is_lambda_isomorphic,
@@ -37,6 +36,8 @@ from alexq.lambda_modules import (
 from alexq.linearq import LinearQuandleSpec, build_linear, classify_linear
 from alexq.polymod import PolySpec, Poly, build, enumerate_specs
 from alexq.quandle import alexander_table, brute_force_isomorphic, check_axioms, orbits
+
+from helpers import image_set
 
 
 def _verdict(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -329,7 +330,7 @@ def test_criterion_09_axiom_and_orbit_suite(report16, small_structures):
         if not verdict.ok:
             failures.append((M.spec(), verdict.describe()))
             continue
-        if len(orbits(Q)) != M.order // len(_image_set(M)):
+        if len(orbits(Q)) != M.order // len(image_set(M)):
             failures.append((M.spec(), "orbit count != |M| / |Im(1-t)|"))
         checked += 1
     ok = not failures

@@ -1,11 +1,11 @@
-import concurrent.futures
 import hashlib
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
-from concurrent.futures import Future
+import time
 from pathlib import Path
 
 import pytest
@@ -29,6 +29,7 @@ from alexq.classify import (
     resolve_cache_dir,
 )
 from alexq.cli import report_to_json
+from alexq.errors import ConsistencyError
 from alexq.lambda_modules import (
     LambdaModule,
     canonical_label,
@@ -39,29 +40,18 @@ from alexq.quandle import alexander_table, brute_force_isomorphic, orbits
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Replaces the process pool by one that runs each job at submit, in this
-    process. Records per pool its max_workers and whether the source digest
-    was already hashed when the pool was made."""
-    pools = []
+def forks(monkeypatch):
+    """Records each os.fork, then forks. Per fork it records whether the
+    source digest was already hashed."""
+    made = []
+    fork = os.fork
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            pools.append((max_workers, _source_digest.cache_info().currsize))
+    def recording():
+        made.append(_source_digest.cache_info().currsize)
+        return fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return pools
+    monkeypatch.setattr(os, "fork", recording)
+    return made
 
 
 @pytest.fixture(scope="module")
@@ -213,22 +203,28 @@ class TestDeterminismAndCache:
         assert r1 == r2
 
     @pytest.mark.parametrize("order, jobs, workers", [(16, 8, 5), (16, 2, 2), (8, 8, 3)])
-    def test_pool_is_capped_at_the_carrier_count(self, order, jobs, workers, inline_pool, tmp_path):
+    def test_forks_are_capped_at_the_carrier_count(self, order, jobs, workers, forks, tmp_path):
+        # jobs counts the calling process too, so it forks one child fewer
         report = classify_order(order, jobs=jobs, cache_dir=str(tmp_path / "a"))
-        assert [max_workers for max_workers, _ in inline_pool] == [workers]
+        assert len(forks) == workers - 1
         assert report == classify_order(order, cache_dir=str(tmp_path / "b"))
 
     @pytest.mark.parametrize("order", [7, 30])
-    def test_one_carrier_runs_serially(self, order, inline_pool, tmp_path):
+    def test_one_carrier_runs_serially(self, order, forks, tmp_path):
         assert len(enumerate_groups(order)) == 1
         report = classify_order(order, jobs=4, cache_dir=str(tmp_path / "a"))
-        assert inline_pool == []
+        assert forks == []
         assert report == classify_order(order, cache_dir=str(tmp_path / "b"))
 
-    def test_source_digest_is_hashed_before_the_pool_forks(self, inline_pool, tmp_path):
+    def test_source_digest_is_hashed_before_the_first_fork(self, forks, tmp_path):
         _source_digest.cache_clear()
         classify_order(8, jobs=2, cache_dir=str(tmp_path))
-        assert inline_pool == [(2, 1)]
+        assert forks == [1]
+
+    def test_without_fork_jobs_run_serially(self, monkeypatch, tmp_path):
+        monkeypatch.delattr(os, "fork")
+        report = classify_order(16, jobs=2, cache_dir=str(tmp_path / "a"))
+        assert _report_digest(report) == GOLDEN_REPORT_SHA256[16]
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs, tmp_path):
@@ -525,9 +521,171 @@ def test_cayley_tables_match_golden_digest(order, tmp_path):
 
 
 def test_parallel_order_48_matches_golden_digest(tmp_path):
-    # the workers label their carriers' images; the parent only merges
+    # each process labels the images of its own share; the merge only reads labels
     report = classify_order(48, jobs=2, cache_dir=str(tmp_path))
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[48]
+
+
+# order 48 at jobs=2 is the test above
+@pytest.mark.parametrize("order, jobs", [(16, 2), (27, 2), (16, 3), (27, 3), (48, 3)])
+def test_forked_report_matches_golden_digest(order, jobs, tmp_path):
+    report = classify_order(order, jobs=jobs, cache_dir=str(tmp_path))
+    assert _report_digest(report) == GOLDEN_REPORT_SHA256[order]
+
+
+# --- jobs > 1: the split into shares and the fork-join ----------------------
+
+
+def _share_cost(share) -> int:
+    return sum(
+        count
+        for count in map(autgroup._candidate_count, share)
+        if count <= autgroup.ENUMERATION_BUDGET
+    )
+
+
+def test_order_16_caller_share_is_the_heaviest_carrier_alone():
+    shares = alexq.classify._shares(enumerate_groups(16), 2)
+    assert shares[0] == [AbelianGroup((2, 2, 2, 2))]
+    assert shares[1] == list(enumerate_groups(16)[:-1])
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("order", [16, 27, 32, 48, 64, 81])
+def test_shares_partition_the_carriers_in_order(order, workers):
+    carriers = enumerate_groups(order)
+    shares = alexq.classify._shares(carriers, workers)
+    assert len(shares) == workers
+    assert sorted(G.factors for share in shares for G in share) == sorted(
+        G.factors for G in carriers
+    )
+    assert all(share == [G for G in carriers if G in share] for share in shares)
+    heaviest = max(carriers, key=lambda G: _share_cost([G]))
+    assert heaviest in shares[0]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("order", [32, 64, 81])
+def test_over_budget_carriers_do_not_unbalance_the_shares(order, workers):
+    # they fail at their guard at once, so they weigh nothing: the carriers
+    # in budget are split exactly as they would be without them
+    carriers = enumerate_groups(order)
+    in_budget = [G for G in carriers if _share_cost([G]) > 0]
+    assert len(in_budget) < len(carriers)
+    shares = alexq.classify._shares(carriers, workers)
+    assert [[G for G in share if G in in_budget] for share in shares] == (
+        alexq.classify._shares(in_budget, workers)
+    )
+    assert all(_share_cost(share) > 0 for share in shares)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_children(monkeypatch, action):
+    """Makes _carrier_triples run `action` for the carrier 4,4 in a forked
+    child; the caller's own carriers are classified as usual."""
+    caller = os.getpid()
+    triples = alexq.classify._carrier_triples
+
+    def patched(factors, *args):
+        if factors == (4, 4) and os.getpid() != caller:
+            action()
+        return triples(factors, *args)
+
+    monkeypatch.setattr(alexq.classify, "_carrier_triples", patched)
+
+
+def test_normal_forked_run_leaves_no_child(tmp_path):
+    classify_order(16, jobs=3, cache_dir=str(tmp_path))
+    _assert_no_child_left()
+
+
+def test_child_error_is_raised_with_its_type_and_message(monkeypatch, tmp_path):
+    assert AbelianGroup((4, 4)) not in alexq.classify._shares(enumerate_groups(16), 2)[0]
+
+    def fail():
+        raise ConsistencyError("carrier 4,4 refused")
+
+    _in_children(monkeypatch, fail)
+    with pytest.raises(ConsistencyError, match="^carrier 4,4 refused$"):
+        classify_order(16, jobs=2, cache_dir=str(tmp_path))
+    _assert_no_child_left()
+
+
+def test_first_error_in_carrier_order_is_raised(monkeypatch, tmp_path):
+    # 4,4 fails in a child and 2,2,2,2 in the caller; 4,4 comes first in
+    # carrier order, so its error is raised, as in a serial run
+    triples = alexq.classify._carrier_triples
+
+    def patched(factors, *args):
+        if factors in ((4, 4), (2, 2, 2, 2)):
+            raise ConsistencyError(f"carrier {factors} refused")
+        return triples(factors, *args)
+
+    monkeypatch.setattr(alexq.classify, "_carrier_triples", patched)
+    for jobs in (1, 2):
+        with pytest.raises(ConsistencyError, match=r"^carrier \(4, 4\) refused$"):
+            classify_order(16, jobs=jobs, cache_dir=str(tmp_path / str(jobs)))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "die, how",
+    [
+        (lambda: os._exit(7), "exit code 7"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+    ],
+    ids=["exit", "killed"],
+)
+def test_child_without_a_result_raises_a_clear_error(die, how, monkeypatch, tmp_path):
+    _in_children(monkeypatch, die)
+    with pytest.raises(RuntimeError) as info:
+        classify_order(16, jobs=2, cache_dir=str(tmp_path))
+    assert str(info.value) == (
+        f"the process for carriers 16 2,8 4,4 2,2,4 ended without a result ({how})"
+    )
+    _assert_no_child_left()
+
+
+def test_interrupt_in_the_caller_kills_and_reaps_the_children(monkeypatch, tmp_path):
+    # the child would sleep for a minute; the caller must not wait for it
+    _in_children(monkeypatch, lambda: time.sleep(60))
+    triples = alexq.classify._carrier_triples
+
+    def interrupted(factors, *args):
+        if factors == (2, 2, 2, 2):
+            raise KeyboardInterrupt
+        return triples(factors, *args)
+
+    monkeypatch.setattr(alexq.classify, "_carrier_triples", interrupted)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        classify_order(16, jobs=2, cache_dir=str(tmp_path))
+    assert time.perf_counter() - start < 30
+    _assert_no_child_left()
+
+
+def test_forked_run_imports_pickle_and_signal_only_when_it_forks():
+    # a serial run needs neither; no run imports concurrent.futures. The
+    # cache is the test's own, through ALEXQ_CACHE.
+    probe = (
+        "import sys; from alexq.classify import classify_order; "
+        "classify_order(8, jobs=1); "
+        "print(sorted({'pickle', 'signal'} & set(sys.modules))); "
+        "classify_order(8, jobs=2); "
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(alexq.__file__).parents[1])},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n[]\n"
 
 
 def test_warm_run_does_no_aut_work(tmp_path, monkeypatch):

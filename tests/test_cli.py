@@ -239,6 +239,13 @@ class TestErrors:
         assert code == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("order", ["32", "64", "81"])
+    def test_budget_error_under_jobs_matches_serial(self, capsys, order):
+        # the first carrier over budget, in carrier order, names the error
+        serial = run(capsys, "classify", "--order", order, "--jobs", "1")
+        assert serial[0] == 3
+        assert run(capsys, "classify", "--order", order, "--jobs", "2") == serial
+
     @pytest.mark.parametrize(
         "argv",
         [

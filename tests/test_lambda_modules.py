@@ -16,7 +16,6 @@ from alexq.errors import SpecError
 from alexq.lambda_modules import (
     LambdaModule,
     _grouped,
-    _image_set,
     _primary_parts,
     canonical_label,
     cyclic_name,
@@ -29,6 +28,8 @@ from alexq.lambda_modules import (
 )
 from alexq.linearq import LinearQuandleSpec, build_linear
 from alexq.polymod import build, enumerate_specs
+
+from helpers import image_set
 
 
 def module(spec: str) -> LambdaModule:
@@ -49,7 +50,7 @@ class TestImage:
     def test_connected_companion_maps_onto_itself(self):
         # multiplication by t modulo 1 + t + t^4 on (Z2)^4
         M = module("2,2,2,2|0,1,0,0;0,0,1,0;0,0,0,1;1,1,0,0")
-        assert len(_image_set(M)) == 16
+        assert len(image_set(M)) == 16
         img = image_one_minus_t(M)
         assert img.group == M.group
         assert is_lambda_isomorphic(img, M) is not None
@@ -57,7 +58,7 @@ class TestImage:
     def test_image_is_action_stable(self):
         for spec in ["L16/3", "L16/5", "4,4|0,1;3,2", "2,8|1,4;1,1"]:
             M = module(spec)
-            img = _image_set(M)
+            img = image_set(M)
             for x in img:
                 assert M.t.apply(x) in img
 
@@ -67,7 +68,7 @@ class TestImage:
             G = AbelianGroup(factors)
             for f in enumerate_automorphisms(G):
                 M = LambdaModule(G, f)
-                assert G.order % len(_image_set(M)) == 0
+                assert G.order % len(image_set(M)) == 0
 
 
 class TestIsomorphism:
@@ -131,7 +132,7 @@ class TestConnectivity:
     def test_connectivity_is_image_cardinality(self):
         for spec in ["L16/3", "L16/1", "4,4|0,1;1,1", "2,8|1,4;1,1"]:
             M = module(spec)
-            assert is_connected(M) == (len(_image_set(M)) == M.order)
+            assert is_connected(M) == (len(image_set(M)) == M.order)
 
 
 class TestLabels:

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexq.lambda_modules import (
-    _image_set,
     is_connected,
     is_lambda_isomorphic,
     parse_module_spec,
@@ -24,6 +23,8 @@ from alexq.polymod import (
     poly_mul,
     smith_invariant_factors,
 )
+
+from helpers import image_set
 
 
 def p2(text: str) -> Poly:
@@ -171,7 +172,7 @@ class TestQuotientIdentity:
                 continue
             h = spec.chain[0]
             M = build(spec)
-            image_size = len(_image_set(M))
+            image_size = len(image_set(M))
             if poly_divides(one_plus_t, h):
                 quotient, r = poly_divmod(h, one_plus_t)
                 assert r.is_zero
@@ -192,7 +193,7 @@ class TestQuotientIdentity:
             h = spec.chain[0]
             M = build(spec)
             terms = sum(h.coeffs)
-            (even_sets if terms % 2 == 0 else odd_sets).append(frozenset(_image_set(M)))
+            (even_sets if terms % 2 == 0 else odd_sets).append(frozenset(image_set(M)))
         assert len(even_sets) == 4 and len(odd_sets) == 4
         assert len(set(even_sets)) == 1
         assert len(set(odd_sets)) == 1

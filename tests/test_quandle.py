@@ -8,7 +8,7 @@ import pytest
 from alexq.abelian import enumerate_groups
 from alexq.autgroup import conjugacy_representatives, enumerate_automorphisms
 from alexq.errors import TableParseError
-from alexq.lambda_modules import LambdaModule, _image_set, parse_module_spec
+from alexq.lambda_modules import LambdaModule, parse_module_spec
 from alexq.linearq import units
 from alexq.quandle import (
     AxiomVerdict,
@@ -20,6 +20,8 @@ from alexq.quandle import (
     check_axioms,
     orbits,
 )
+
+from helpers import image_set
 
 
 def table(spec: str) -> CayleyTable:
@@ -236,7 +238,7 @@ class TestOrbits:
         for spec in ["L16/3", "L16/5", "L16/9", "4,4|0,1;3,2", "2,8|1,4;1,1"]:
             M = parse_module_spec(spec)
             Q = alexander_table(M)
-            assert len(orbits(Q)) == M.order // len(_image_set(M))
+            assert len(orbits(Q)) == M.order // len(image_set(M))
 
     def test_rejects_non_quandles(self):
         with pytest.raises(QuandleAxiomError):
