@@ -12,10 +12,8 @@ criterion at small orders.
 from ._version import __version__
 from .abelian import (
     AbelianGroup,
-    SubgroupStructure,
     enumerate_groups,
     normalize_cyclic_orders,
-    subgroup_structure,
 )
 from .autgroup import (
     ENUMERATION_BUDGET,
@@ -72,10 +70,8 @@ from .quandle import (
 __all__ = [
     "__version__",
     "AbelianGroup",
-    "SubgroupStructure",
     "enumerate_groups",
     "normalize_cyclic_orders",
-    "subgroup_structure",
     "ENUMERATION_BUDGET",
     "Automorphism",
     "Endomorphism",

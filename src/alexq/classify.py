@@ -40,6 +40,8 @@ from .autgroup import (
     ENUMERATION_BUDGET,
     Automorphism,
     _candidate_count,
+    _check_budget,
+    _check_table_budget,
     conjugacy_representatives,
     enumerate_automorphisms,
     parse_phi_spec,
@@ -345,9 +347,11 @@ def classify_order(
     at most one per carrier. With `jobs` > 1 the carriers are dealt,
     heaviest first, into shares of about equal cost; this process runs the
     share with the heaviest carrier and forked children run the others.
-    Where `os.fork` does not exist, the run is serial. An error raised for
-    a carrier is raised here for the first such carrier in carrier order,
-    as in a serial run, and the merge is a deterministic reduction, so
+    Where `os.fork` does not exist, the run is serial. The budget guards
+    of every carrier run first, so a carrier over budget raises before any
+    carrier is classified or cached. An error raised for a carrier is
+    raised here for the first such carrier in carrier order, as in a
+    serial run, and the merge is a deterministic reduction, so
     reports are identical for any job count.
     """
     if order < 1:
@@ -355,6 +359,11 @@ def classify_order(
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     carriers = enumerate_groups(order)
+    # both guards of every carrier, in the order `_conjugacy` runs them,
+    # before any carrier is classified, cached or forked
+    for G in carriers:
+        _check_budget(G)
+        _check_table_budget(G)
     workers = min(jobs, len(carriers)) if hasattr(os, "fork") else 1
     outcomes = _fork_join(_shares(carriers, workers), cache_dir)
 

@@ -10,10 +10,13 @@ of x - t(x).
 
 The search only pairs elements with equal fingerprints: orbit size, the
 multiplicities of the element's row, the row's fixed points, and the
-cycle type of its right multiplication x -> x |> a. A table computes its
-fingerprints once and keeps them, so they are freed with it. Computing
-them runs the axiom check, which tests self-distributivity only on a
-generating set (see `check_axioms`).
+cycle type of its right multiplication x -> x |> a. Every R_b is an
+automorphism, as R_{a |> b} = R_b . R_a . R_b^-1 (Joyce, J. Pure Appl.
+Algebra 23, 1982), so these fields are constant on each orbit and are
+computed once per orbit. A table computes its fingerprints once and keeps
+them, so they are freed with it. Computing them runs the axiom check,
+which tests self-distributivity only on a generating set, and only once
+per distinct column (see `check_axioms`).
 
 Table file format: line 1 holds n, lines 2..n+1 hold n space-separated
 zero-based entries; row a, column b is a |> b. Only blank lines may follow.
@@ -69,16 +72,26 @@ class CayleyTable:
         a). An isomorphism f maps a to an element with equal fields, as
         f . R_a = R_{f(a)} . f. Column multiplicities are all 1 in a quandle
         and the fixed points of R_a are its 1-cycles, so neither is a field.
-        Computed once per table and kept on it, so they are freed with it.
+
+        Each R_b is an automorphism, so every field is constant on an orbit
+        (the orbit of a under the R_b), and it is computed once per orbit,
+        from the orbit's least member. Computed once per table and kept on
+        it, so they are freed with it.
         """
-        orbit_size = [0] * self.n
+        t = self.table
+        fingerprints: list[tuple] = [()] * self.n
         for block in orbits(self):
+            a = block[0]
+            row = t[a]
+            fp = (
+                len(block),
+                tuple(sorted(Counter(row).values())),
+                row.count(a),
+                cycle_type(tuple(map(itemgetter(a), t))),
+            )
             for x in block:
-                orbit_size[x] = len(block)
-        return tuple(
-            (orbit_size[a], tuple(sorted(Counter(row).values())), row.count(a), cycle_type(col))
-            for a, (row, col) in enumerate(zip(self.table, zip(*self.table)))
-        )
+                fingerprints[x] = fp
+        return tuple(fingerprints)
 
     def to_text(self) -> str:
         lines = [str(self.n)]
@@ -163,7 +176,8 @@ def check_axioms(Q: CayleyTable) -> AxiomVerdict:
     R_{c |> d} = R_d . R_c . R_d^-1 (Joyce, J. Pure Appl. Algebra 23,
     1982), so the elements whose R is an automorphism form a subquandle,
     and a set that generates Q covers every c. Each R_c is compared one
-    whole row at a time. When a check fails, the full a, b, c loop runs
+    whole row at a time, and a column equal to one already checked is not
+    checked again. When a check fails, the full a, b, c loop runs
     instead, so the witness is the lexicographically first failing triple.
     """
     t = Q.table
@@ -196,20 +210,26 @@ def _distributes_on_generators(
     Needs permutation columns. Checked elements are added in increasing
     order, skipping those already in the subquandle the earlier ones
     generate, and that subquandle is closed under |> after each one.
+    Whether R_c is an endomorphism depends only on column c as a map, so a
+    column equal to one already checked is not checked again (on a trivial
+    quandle every column is the identity).
     """
     n = len(t)
     # row_at[a](seq) = (seq[a |> b] for b): the images of row a under seq
     row_at = [itemgetter(*row) for row in t]
+    checked: set[tuple[int, ...]] = set()
     inside: set[int] = set()
     members: list[int] = []
     for c in range(n):
         if c in inside:
             continue
         column = columns[c]
-        at_column = itemgetter(*column)
-        # (a |> b) |> c == (a |> c) |> (b |> c) for every b, one row a at a time
-        if any(row_at[a](column) != at_column(t[ac]) for a, ac in enumerate(column)):
-            return False
+        if column not in checked:
+            at_column = itemgetter(*column)
+            # (a |> b) |> c == (a |> c) |> (b |> c) for every b, one row a at a time
+            if any(row_at[a](column) != at_column(t[ac]) for a, ac in enumerate(column)):
+                return False
+            checked.add(column)
         queue = [c]
         while queue:
             x = queue.pop()
@@ -217,8 +237,11 @@ def _distributes_on_generators(
                 continue
             inside.add(x)
             members.append(x)
-            row, col = t[x], columns[x]
-            queue.extend({row[y] for y in members} | {col[y] for y in members})
+            # x |> y and y |> x for every member y, minus those already inside
+            new = set(map(t[x].__getitem__, members))
+            new.update(map(columns[x].__getitem__, members))
+            new -= inside
+            queue.extend(new)
         if len(inside) == n:
             break
     return True

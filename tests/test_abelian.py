@@ -12,9 +12,10 @@ from alexq.abelian import (
     _linear_indices,
     enumerate_groups,
     normalize_cyclic_orders,
-    subgroup_structure,
 )
 from alexq.autgroup import conjugacy_representatives
+
+from helpers import subgroup_structure
 
 
 def partition_count(n: int) -> int:

@@ -29,7 +29,7 @@ from alexq.classify import (
     resolve_cache_dir,
 )
 from alexq.cli import report_to_json
-from alexq.errors import ConsistencyError
+from alexq.errors import ConsistencyError, EnumerationBudgetError
 from alexq.lambda_modules import (
     LambdaModule,
     canonical_label,
@@ -230,6 +230,31 @@ class TestDeterminismAndCache:
     def test_jobs_below_one_rejected(self, jobs, tmp_path):
         with pytest.raises(ValueError, match="jobs must be positive"):
             classify_order(4, jobs=jobs, cache_dir=str(tmp_path))
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            # nine carriers of 64 in budget come before 2,2,2,2,4
+            (64, "enumerating automorphisms of 2,2,2,2,4 needs 67108864 candidate"),
+            # Z_4098 is in the candidate budget, but its table is not
+            (4098, "the addition table of 4098 has 16793604 entries"),
+            # Z_2^25 is over both; the candidate guard runs first
+            (2**25, "enumerating automorphisms of 33554432 needs 33554432 candidate"),
+        ],
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_guards_run_before_any_carrier_is_classified(
+        self, order, message, jobs, forks, monkeypatch, tmp_path
+    ):
+        classified = []
+        monkeypatch.setattr(
+            alexq.classify, "_carrier_triples", lambda *args: classified.append(args)
+        )
+        with pytest.raises(EnumerationBudgetError, match=f"^{message}"):
+            classify_order(order, jobs=jobs, cache_dir=str(tmp_path))
+        assert classified == []
+        assert forks == []
         assert not any(tmp_path.iterdir())
 
     def test_cache_files_created_and_reused(self, tmp_path):

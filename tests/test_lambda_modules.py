@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from alexq.abelian import AbelianGroup, enumerate_groups, subgroup_structure
+from alexq.abelian import AbelianGroup, enumerate_groups
 from alexq.autgroup import (
     Automorphism,
     conjugacy_representatives,
@@ -29,7 +29,7 @@ from alexq.lambda_modules import (
 from alexq.linearq import LinearQuandleSpec, build_linear
 from alexq.polymod import build, enumerate_specs
 
-from helpers import image_set
+from helpers import image_set, subgroup_structure
 
 
 def module(spec: str) -> LambdaModule:

@@ -2,12 +2,15 @@ import gc
 import itertools
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
+from alexq import quandle
 from alexq.abelian import enumerate_groups
 from alexq.autgroup import conjugacy_representatives, enumerate_automorphisms
 from alexq.errors import TableParseError
+from alexq.kernels import cycle_type
 from alexq.lambda_modules import LambdaModule, parse_module_spec
 from alexq.linearq import units
 from alexq.quandle import (
@@ -79,6 +82,39 @@ def reference_orbits(Q: CayleyTable) -> tuple[tuple[int, ...], ...]:
     for x in range(Q.n):
         blocks.setdefault(find(x), []).append(x)
     return tuple(tuple(sorted(block)) for block in sorted(blocks.values()))
+
+
+def reference_fingerprints(Q: CayleyTable) -> tuple[tuple, ...]:
+    """The fingerprint fields computed element by element, with no orbit shared."""
+    orbit_size = [0] * Q.n
+    for block in orbits(Q):
+        for x in block:
+            orbit_size[x] = len(block)
+    return tuple(
+        (orbit_size[a], tuple(sorted(Counter(row).values())), row.count(a), cycle_type(col))
+        for a, (row, col) in enumerate(zip(Q.table, zip(*Q.table)))
+    )
+
+
+def trivial(n: int) -> CayleyTable:
+    """The trivial quandle: a |> b = a."""
+    return CayleyTable(tuple((a,) * n for a in range(n)))
+
+
+def trivial_and_r3(m: int) -> CayleyTable:
+    """The trivial quandle on 0..m-1 beside the dihedral quandle R3 on m..m+2.
+
+    Within R3, a |> b = 2b - a mod 3; across the parts x |> y = x. The orbits
+    are m singletons and one block of 3.
+    """
+    n = m + 3
+
+    def op(a: int, b: int) -> int:
+        if a < m or b < m:
+            return a
+        return m + (2 * (b - m) - (a - m)) % 3
+
+    return CayleyTable(tuple(tuple(op(a, b) for b in range(n)) for a in range(n)))
 
 
 def relabel(Q: CayleyTable, perm: list[int]) -> CayleyTable:
@@ -216,6 +252,29 @@ class TestAxioms:
                 axioms.add(verdict.axiom)
         assert axioms >= {"idempotence", "right-invertibility", "self-distributivity"}
 
+    def test_matches_reference_on_repeated_columns(self):
+        # trivial columns are all the identity, so most are never re-checked
+        tables = [trivial(1), trivial(5)] + [trivial_and_r3(m) for m in range(4)]
+        # columns 0 and 1 are both (2 3), and that map is not an endomorphism:
+        # (0 |> 2) |> 0 = 1, but (0 |> 0) |> (2 |> 0) = 0 |> 3 = 0
+        broken = CayleyTable(((0, 0, 1, 0), (1, 1, 0, 1), (3, 3, 2, 2), (2, 2, 3, 3)))
+        columns = list(zip(*broken.table))
+        assert columns[0] == columns[1] == (0, 1, 3, 2)
+        tables.append(broken)
+        # swap two R3 rows in every trivial column at once: the trivial
+        # columns stay equal to each other, and idempotent
+        for m in range(1, 4):
+            for x, y in itertools.combinations(range(m, m + 3), 2):
+                rows = [list(row) for row in trivial_and_r3(m).table]
+                for c in range(m):
+                    rows[x][c], rows[y][c] = rows[y][c], rows[x][c]
+                tables.append(CayleyTable(tuple(map(tuple, rows))))
+        verdicts = [check_axioms(Q) for Q in tables]
+        assert verdicts == [reference_axioms(Q) for Q in tables]
+        assert verdicts[6] == AxiomVerdict(False, "self-distributivity", (0, 2, 0))
+        assert {v.ok for v in verdicts[7:]} == {False}
+        assert all(v.ok for v in verdicts[:6])
+
     def test_malformed_tables_raise(self):
         with pytest.raises(MalformedTableError):
             CayleyTable(((0, 1), (1,)))
@@ -316,6 +375,41 @@ class TestOracle:
             rng.shuffle(perm)
             fp, fp_relabelled = Q._fingerprints, relabel(Q, perm)._fingerprints
             assert all(fp_relabelled[perm[a]] == fp[a] for a in range(order))
+
+    @pytest.mark.parametrize("order", [16, 27])
+    def test_fingerprints_match_the_per_element_reference(self, order):
+        rng = random.Random(order)
+        for Q in representative_tables(order):
+            assert Q._fingerprints == reference_fingerprints(Q)
+            perm = list(range(order))
+            rng.shuffle(perm)
+            relabelled = relabel(Q, perm)
+            assert relabelled._fingerprints == reference_fingerprints(relabelled)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_fingerprints_on_orbits_of_different_sizes(self, m):
+        reversed_labels = list(range(m + 3))[::-1]
+        for Q in (trivial(m), trivial_and_r3(m), relabel(trivial_and_r3(m), reversed_labels)):
+            assert Q._fingerprints == reference_fingerprints(Q)
+        assert set(trivial_and_r3(m)._fingerprints) == {
+            (1, (m + 3,), m + 3, (1,) * (m + 3)),  # row a is constant, R_a the identity
+            (3, (1, 1, m + 1), m + 1, (1,) * (m + 1) + (2,)),  # a reflection of R3
+        }
+
+    @pytest.mark.parametrize("spec", ["16|3", "L16/3", "4,4|0,1;3,2", "27|1"])
+    def test_fingerprints_compute_one_cycle_type_per_orbit(self, spec, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return cycle_type(p)
+
+        monkeypatch.setattr(quandle, "cycle_type", counting)
+        for Q in (table(spec), trivial_and_r3(2)):
+            calls.clear()
+            fingerprints = Q._fingerprints
+            assert len(calls) == len(orbits(Q))
+            assert fingerprints == reference_fingerprints(Q)
 
     def test_cycle_type_is_a_field(self):
         # R_a on 16|3 is x -> 3x - 2a mod 16, conjugate to x -> 3x: fixed
