@@ -39,11 +39,11 @@ from .abelian import AbelianGroup, _prime_factorization, enumerate_groups
 from .autgroup import (
     ENUMERATION_BUDGET,
     Automorphism,
+    _automorphism_perms,
     _candidate_count,
     _check_budget,
     _check_table_budget,
     conjugacy_representatives,
-    enumerate_automorphisms,
     parse_phi_spec,
 )
 from .errors import ConsistencyError
@@ -475,13 +475,14 @@ def oracle_class_counts(order: int) -> tuple[int, int]:
     """(classes, connected) by partitioning all Cayley tables of the order.
 
     Independent of the image criterion: every structure's table is compared
-    against the class representatives with the brute-force oracle.
+    against the class representatives with the brute-force oracle. Aut is
+    walked in search order, as the counts do not depend on the order.
     """
     reps = []
     connected = []
     for G in enumerate_groups(order):
-        for phi in enumerate_automorphisms(G):
-            Q = alexander_table(LambdaModule(G, phi))
+        for perm in _automorphism_perms(G):
+            Q = alexander_table(LambdaModule(G, Automorphism._from_perm(G, perm)))
             for R in reps:
                 if brute_force_isomorphic(Q, R) is not None:
                     break

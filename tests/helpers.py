@@ -6,6 +6,7 @@ from functools import cached_property
 
 from alexq.abelian import AbelianGroup, Element, _invariant_decomposition
 from alexq.lambda_modules import LambdaModule, _image_indices
+from alexq.quandle import CayleyTable
 
 
 def image_set(M: LambdaModule) -> set[Element]:
@@ -73,3 +74,62 @@ def subgroup_structure(G: AbelianGroup, generators) -> SubgroupStructure:
     elems = _closure(G, generators)
     factors, basis = _invariant_decomposition(elems, G.add, G.zero)
     return SubgroupStructure(group=G, elements=elems, factors=factors, basis=basis)
+
+
+def reference_isomorphic(Q1: CayleyTable, Q2: CayleyTable) -> tuple[int, ...] | None:
+    """The oracle's search with the all-pairs closure: what it must agree with.
+
+    Same candidates and search order as `brute_force_isomorphic`, but every
+    new assignment f(x) = y is checked against every mapped z, in both
+    orders, so no quandle axiom is relied on for the closure.
+    """
+    n = Q1.n
+    if n != Q2.n:
+        return None
+    fp1, fp2 = Q1._fingerprints, Q2._fingerprints
+    if sorted(fp1) != sorted(fp2):
+        return None
+    by_fp: dict[tuple, set[int]] = {}
+    for b, fp in enumerate(fp2):
+        by_fp.setdefault(fp, set()).add(b)
+    candidates = [by_fp[fp] for fp in fp1]
+    t1, t2 = Q1.table, Q2.table
+
+    def propagate(fwd: dict[int, int], rev: dict[int, int], a: int, b: int) -> bool:
+        queue = [(a, b)]
+        while queue:
+            x, y = queue.pop()
+            if x in fwd:
+                if fwd[x] != y:
+                    return False
+                continue
+            if y in rev or y not in candidates[x]:
+                return False
+            fwd[x] = y
+            rev[y] = x
+            for z in list(fwd):
+                queue.append((t1[x][z], t2[y][fwd[z]]))
+                queue.append((t1[z][x], t2[fwd[z]][y]))
+        return True
+
+    def search(fwd: dict[int, int], rev: dict[int, int]) -> dict[int, int] | None:
+        if len(fwd) == n:
+            return fwd
+        best = min(
+            (a for a in range(n) if a not in fwd),
+            key=lambda a: (len(candidates[a] - rev.keys()), a),
+        )
+        for b in sorted(candidates[best] - rev.keys()):
+            fwd2, rev2 = dict(fwd), dict(rev)
+            if propagate(fwd2, rev2, best, b):
+                result = search(fwd2, rev2)
+                if result is not None:
+                    return result
+        return None
+
+    solution = search({}, {})
+    if solution is None:
+        return None
+    f = tuple(solution[a] for a in range(n))
+    assert all(f[t1[a][b]] == t2[f[a]][f[b]] for a in range(n) for b in range(n))
+    return f

@@ -9,6 +9,7 @@ import pytest
 from alexq import quandle
 from alexq.abelian import enumerate_groups
 from alexq.autgroup import conjugacy_representatives, enumerate_automorphisms
+from alexq.classify import classify_order
 from alexq.errors import TableParseError
 from alexq.kernels import cycle_type
 from alexq.lambda_modules import LambdaModule, parse_module_spec
@@ -24,7 +25,7 @@ from alexq.quandle import (
     orbits,
 )
 
-from helpers import image_set
+from helpers import image_set, reference_isomorphic
 
 
 def table(spec: str) -> CayleyTable:
@@ -124,6 +125,15 @@ def relabel(Q: CayleyTable, perm: list[int]) -> CayleyTable:
         for b, v in enumerate(row):
             rows[perm[a]][perm[b]] = perm[v]
     return CayleyTable(tuple(map(tuple, rows)))
+
+
+def member_tables(order: int) -> list[tuple[int, CayleyTable]]:
+    """(class id, table) of every member of every class of the order."""
+    return [
+        (qc.id, alexander_table(LambdaModule(G, phi)))
+        for qc in classify_order(order).classes
+        for G, phi in qc.members
+    ]
 
 
 def representative_tables(order: int) -> list[CayleyTable]:
@@ -281,6 +291,55 @@ class TestAxioms:
         with pytest.raises(MalformedTableError):
             CayleyTable(((0, 5), (1, 0)))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # the first bad entry of the first bad row, mid-row
+            (((0, 1, 2), (1, 7, 9), (2, 0, 5)), "entry [1][1] = 7 out of range for order 3"),
+            (((0, 1, 2), (1, 1, -1), (2, 2, 2)), "entry [1][2] = -1 out of range for order 3"),
+            # a short row is reported before a later row's bad entry
+            (((0, 1, 2), (1, 1), (2, 9, 2)), "row 1 has 2 entries, expected 3"),
+            (((0, 3, 2), (1, 1), (2, 2, 2)), "entry [0][1] = 3 out of range for order 3"),
+            # an entry that is no element label, though between 0 and n
+            (((0, 1.5, 2), (1, 1, 1), (2, 2, 2)), "entry [0][1] = 1.5 out of range for order 3"),
+        ],
+    )
+    def test_malformed_table_message_names_the_first_fault(self, rows, message):
+        with pytest.raises(MalformedTableError) as exc:
+            CayleyTable(rows)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("order", [16, 27])
+    def test_generating_set_on_member_tables(self, order):
+        # every R_s of the returned set is an automorphism, closing the set
+        # under full rows gives the whole table, and orbits match the
+        # union-find reference
+        rng = random.Random(order)
+        for _, Q in member_tables(order):
+            perm = list(range(order))
+            rng.shuffle(perm)
+            for R in (Q, relabel(Q, perm)):
+                verdict, generators = quandle._axioms(R)
+                assert verdict == AxiomVerdict(True)
+                t = R.table
+                for s in generators:
+                    r_s = [row[s] for row in t]
+                    assert sorted(r_s) == list(range(order))
+                    pairs = itertools.product(range(order), repeat=2)
+                    assert all(r_s[t[a][b]] == t[r_s[a]][r_s[b]] for a, b in pairs)
+                inside: set[int] = set()
+                grown = set(generators)
+                while grown != inside:
+                    inside = grown
+                    grown = inside | {t[x][y] for x in inside for y in inside}
+                assert inside == set(range(order))
+                assert orbits(R) == reference_orbits(R)
+
+    def test_failing_tables_return_no_generators(self):
+        for Q in (CayleyTable(((0, 1), (1, 0))), CayleyTable(((0, 1), (1, 1)))):
+            verdict, generators = quandle._axioms(Q)
+            assert not verdict.ok and generators == []
+
 
 class TestOrbits:
     def test_trivial_quandle_is_discrete(self):
@@ -426,6 +485,41 @@ class TestOracle:
         del Qa
         gc.collect()
         assert ref() is None
+
+    @pytest.mark.parametrize("order", [16, 27])
+    def test_witness_matches_the_all_pairs_reference(self, order):
+        # a seeded stream of relabelled member pairs: even pairs from one
+        # class, odd pairs from anywhere
+        members = member_tables(order)
+        by_class: dict[int, list[CayleyTable]] = {}
+        for cid, Q in members:
+            by_class.setdefault(cid, []).append(Q)
+        rng = random.Random(order)
+        positive = 0
+        for k in range(200):
+            cid_a, Qa = rng.choice(members)
+            if k % 2 == 0:
+                cid_b, Qb = cid_a, rng.choice(by_class[cid_a])
+            else:
+                cid_b, Qb = rng.choice(members)
+            A = relabel(Qa, rng.sample(range(order), order))
+            B = relabel(Qb, rng.sample(range(order), order))
+            witness = brute_force_isomorphic(A, B)
+            assert witness == reference_isomorphic(A, B)
+            assert (witness is not None) == (cid_a == cid_b)
+            positive += witness is not None
+        assert 100 <= positive < 200
+
+    def test_witness_matches_the_reference_on_mixed_orbits(self):
+        rng = random.Random(3)
+        tables = [trivial_and_r3(m) for m in (1, 2, 4)] + [trivial(5), table("L16/3")]
+        for Q in tables:
+            for other in (Q, *(R for R in tables if R.n == Q.n and R != Q)):
+                A = relabel(Q, rng.sample(range(Q.n), Q.n))
+                B = relabel(other, rng.sample(range(Q.n), Q.n))
+                witness = brute_force_isomorphic(A, B)
+                assert witness == reference_isomorphic(A, B)
+                assert (witness is not None) == (other == Q)
 
     def test_distinguishes_same_profile_structures(self):
         # both connected of order 16, but different modules
