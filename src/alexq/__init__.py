@@ -19,9 +19,7 @@ from .autgroup import (
     ENUMERATION_BUDGET,
     Automorphism,
     Endomorphism,
-    conjugacy_class_sizes,
     conjugacy_representatives,
-    enumerate_automorphisms,
     identity_automorphism,
     is_conjugate,
     lex_least_conjugate,
@@ -75,9 +73,7 @@ __all__ = [
     "ENUMERATION_BUDGET",
     "Automorphism",
     "Endomorphism",
-    "conjugacy_class_sizes",
     "conjugacy_representatives",
-    "enumerate_automorphisms",
     "identity_automorphism",
     "is_conjugate",
     "lex_least_conjugate",

@@ -12,8 +12,10 @@ its multiples lies in H, which prunes its whole subtree. A carrier's index
 tables (`_group_tables`: the addition rows and each candidate's multiples)
 are built once per carrier and read by every module; `abelian` computes
 them, `perm` and the CRT tables. Aut is kept in search order, which is
-ascending in the reversed generator-image key; only the public
-`enumerate_automorphisms` sorts it. The budget guard counts the
+ascending in the reversed generator-image key, and is never sorted. Its
+maps are stored in the search's format (`kernels.search_rows`): `bytes`,
+one byte per element index, up to 256 elements, tuples of ints above;
+`Automorphism.perm` is a tuple either way. The budget guard counts the
 candidate tuples in closed form before any table is built and refuses a
 carrier with more than ENUMERATION_BUDGET (2^24) of them; the same budget
 bounds the n^2 entries of the addition table. The budget is a constant,
@@ -29,11 +31,10 @@ and class sizes are read straight off its partition. The least member of
 a product class in G's invariant-factor coordinates comes from one scan of
 the product through CRT index tables, linear in |Aut(G)|, so Aut of a
 carrier with several primes is never listed or partitioned.
-`conjugacy_representatives`, `conjugacy_class_sizes` and
-`lex_least_conjugate` (the fallback label) all read one cached table per
-carrier, `_conjugacy`. The guard stays on G: G's candidate count is the
-product of the parts' counts and at least |Aut(G)|, so it bounds both the
-part searches and the scan.
+`conjugacy_representatives` and `lex_least_conjugate` (the fallback label)
+both read one cached table per carrier, `_conjugacy`. The guard stays on
+G: G's candidate count is the product of the parts' counts and at least
+|Aut(G)|, so it bounds both the part searches and the scan.
 
 A p-group's classes are orbits under conjugation, computed in `kernels` as
 closures under a generating set S of Aut (at most four maps on every
@@ -43,10 +44,10 @@ Schreier-Sims stabilizer chain on the standard generators, in milliseconds
 on the largest carriers, not by a closure over Aut. Since a linear map is
 fixed by its generator images, a conjugate h o f o h^-1 is evaluated on the
 generators only: with h^-1(g) = h.index(g) that is k lookups and no inverse
-permutation. `is_conjugate` decides a single pair without enumerating Aut:
-the kernel searches directly for an h with h o f = g o h, the same search
-that enumerates Aut and that decides module isomorphism in
-`lambda_modules`.
+permutation, after one `bytes.translate` for h o f on bytes maps.
+`is_conjugate` decides a single pair without enumerating Aut: the kernel
+searches directly for an h with h o f = g o h, the same search that
+enumerates Aut and that decides module isomorphism in `lambda_modules`.
 """
 
 from __future__ import annotations
@@ -128,14 +129,14 @@ class Automorphism(Endomorphism):
             raise ValueError(f"map {self.spec() or 'id'} on {self.group} is not bijective")
 
     @classmethod
-    def _from_perm(cls, group: AbelianGroup, perm: tuple[int, ...]) -> Automorphism:
+    def _from_perm(cls, group: AbelianGroup, perm: kernels.Perm) -> Automorphism:
         # trusted fast path for kernel output: skips validation, seeds the
-        # cached permutation
+        # cached permutation, which is a tuple whatever the kernel's format
         images = tuple(group.element(perm[g]) for g in group.generator_indices)
         self = object.__new__(cls)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "images", images)
-        self.__dict__["perm"] = perm
+        self.__dict__["perm"] = tuple(perm)
         return self
 
     def invert(self) -> Automorphism:
@@ -240,21 +241,17 @@ def _check_budget(G: AbelianGroup) -> None:
 
 
 @lru_cache(maxsize=16)
-def _automorphism_perms(G: AbelianGroup) -> tuple[tuple[int, ...], ...]:
+def _search_tables(G: AbelianGroup) -> tuple[list[kernels.Perm], list[list[list[int]]]]:
+    """(rows, candidates) of `_group_tables`, with rows in the search's format."""
+    rows, candidates = _group_tables(G)
+    return kernels.search_rows(G.order, rows), candidates
+
+
+@lru_cache(maxsize=16)
+def _automorphism_perms(G: AbelianGroup) -> tuple[kernels.Perm, ...]:
     """Aut(G) as permutations, in search order (ascending in the reversed key)."""
     _check_budget(G)
-    return tuple(kernels.enumerate_linear_bijections(G.order, G.factors, *_group_tables(G)))
-
-
-def enumerate_automorphisms(G: AbelianGroup) -> tuple[Automorphism, ...]:
-    """Every automorphism of G, ordered by flattened image coordinates.
-
-    >>> len(enumerate_automorphisms(AbelianGroup((16,))))
-    8
-    """
-    gens = G.generator_indices
-    perms = sorted(_automorphism_perms(G), key=lambda p: [p[g] for g in gens])
-    return tuple(Automorphism._from_perm(G, p) for p in perms)
+    return tuple(kernels.enumerate_linear_bijections(G.order, G.factors, *_search_tables(G)))
 
 
 class _SylowPart(NamedTuple):
@@ -263,7 +260,7 @@ class _SylowPart(NamedTuple):
     group: AbelianGroup
     offset: int
     project: list[int]  # element index in G -> index of its p-part in P
-    perms: tuple[tuple[int, ...], ...]  # Aut(P), ascending in the reversed key
+    perms: tuple[kernels.Perm, ...]  # Aut(P), ascending in the reversed key
     class_ids: tuple[int, ...]  # the conjugacy class of each of perms
 
 
@@ -360,13 +357,11 @@ def conjugacy_representatives(G: AbelianGroup) -> tuple[Automorphism, ...]:
 
     Each representative is the lexicographically least member of its class
     (by flattened image coordinates), and the output is sorted the same way.
+
+    >>> [f.spec() for f in conjugacy_representatives(AbelianGroup((2, 2)))]
+    ['0,1;1,0', '0,1;1,1', '1,0;0,1']
     """
     return _conjugacy(G).reps
-
-
-def conjugacy_class_sizes(G: AbelianGroup) -> tuple[int, ...]:
-    """Class sizes aligned with conjugacy_representatives; they sum to |Aut|."""
-    return _conjugacy(G).sizes
 
 
 def is_conjugate(G: AbelianGroup, f: Automorphism, g: Automorphism) -> Automorphism | None:
@@ -380,7 +375,7 @@ def is_conjugate(G: AbelianGroup, f: Automorphism, g: Automorphism) -> Automorph
         raise ValueError("both maps must act on the given group")
     if f.cycle_type() != g.cycle_type():
         return None
-    found = kernels._linear_bijections(G.order, G.factors, *_group_tables(G), f.perm, g.perm)
+    found = kernels._linear_bijections(G.order, G.factors, *_search_tables(G), f.perm, g.perm)
     return Automorphism._from_perm(G, found[0]) if found else None
 
 

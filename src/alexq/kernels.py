@@ -10,7 +10,10 @@ layer:
 - `candidates` lists per generator position i, for each image allowed
   there (its order divides d_i) in ascending order, its multiples c*img,
   c = 1..d_i-1,
-- permutations are tuples p of length n with p[i] = image of element i,
+- a permutation p has length n with p[i] = image of element i; the search
+  gives `bytes` when its rows are `search_rows` tables (n <= 256, one byte
+  per element) and tuples of ints when they are the tuple rows, and every
+  kernel takes either,
 - `gens` are the element indices of the standard generators; a linear map
   is fixed by its generator images tuple(p[g] for g in gens), its key.
 
@@ -21,11 +24,13 @@ decides both conjugacy in Aut and module isomorphism. The partial map at
 each node sends a span of generators onto a subgroup H, and a candidate
 image img for the next generator, of order d, extends it injectively
 exactly when the multiples c*img, c = 1..d-1, all lie outside H, so a
-candidate costs at most d-1 bitmap lookups before anything is built.
+candidate costs at most d-1 bitmap lookups before anything is built; a
+survivor's cosets m + H are read off rows of the addition table in C, by
+`bytes.translate` on a bytes partial map and by one itemgetter on a tuple.
 `rows` and `candidates` depend on the group alone, so a caller builds them
-once per group (`autgroup._group_tables`). The search
-assigns images from the last generator to the first, each in ascending
-order, so Aut comes out ascending in the reversed key
+once per group (`autgroup._group_tables`, `autgroup._search_tables`). The
+search assigns images from the last generator to the first, each in
+ascending order, so Aut comes out ascending in the reversed key
 (p[g_k-1], ..., p[g_0]) and is never sorted.
 
 The conjugacy partition treats each class as an orbit: it finds a small
@@ -50,14 +55,34 @@ import math
 from operator import itemgetter
 
 
-def invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
+Perm = bytes | tuple[int, ...]
+
+# The largest group whose element indices fit in one byte each, and the
+# length of a `bytes.translate` table
+BYTES_LIMIT = 256
+
+
+def search_rows(n: int, rows: list[tuple[int, ...]]) -> list[bytes] | list[tuple[int, ...]]:
+    """The addition rows in the format the search gives its perms.
+
+    Up to BYTES_LIMIT elements, row m becomes a bytes object padded to 256,
+    the `bytes.translate` table of y -> m + y, so a perm is one byte per
+    element; above that the tuple rows are returned as they are.
+    """
+    if n > BYTES_LIMIT:
+        return rows
+    pad = bytes(BYTES_LIMIT - n)
+    return [bytes(row) + pad for row in rows]
+
+
+def invert_perm(p: Perm) -> tuple[int, ...]:
     inv = [0] * len(p)
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
 
 
-def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
+def cycle_type(p: Perm) -> tuple[int, ...]:
     """Sorted cycle lengths of the permutation p."""
     seen = bytearray(len(p))
     lengths = []
@@ -95,7 +120,8 @@ def _commuting_levels(factors, t1):
 def _linear_bijections(n, factors, rows, candidates, t1=None, t2=None):
     """Bijective linear self-maps h as permutations, in search order.
 
-    rows, candidates: the group's addition rows and candidate multiples
+    rows, candidates: the group's addition rows and candidate multiples;
+        the maps are bytes when rows are `search_rows` tables, else tuples
     t1, t2: permutations of the elements; when given, only maps with
         h o t1 = t2 o h are kept and the search stops at the first one, so
         the result holds at most one map
@@ -111,27 +137,33 @@ def _linear_bijections(n, factors, rows, candidates, t1=None, t2=None):
     c*img + H, c = 1..d-1. These cosets are new and pairwise distinct
     exactly when no c*img lies in H, so each node marks H once and a
     candidate is rejected after at most d-1 lookups. A survivor's cosets
-    are read from rows of the addition table by one getter per node. A
-    rejected candidate kills its whole subtree, which is what keeps the
-    search near the size of the output. The commuting constraint
-    h[t1[x]] = t2[h[x]] is checked at the first position whose prefix holds
-    both x and t1[x] (`_commuting_levels`).
+    are read from rows of the addition table, by `bytes.translate` or by
+    one getter per node. A rejected candidate kills its whole subtree,
+    which is what keeps the search near the size of the output. The
+    commuting constraint h[t1[x]] = t2[h[x]] is checked at the first
+    position whose prefix holds both x and t1[x] (`_commuting_levels`).
     """
     k = len(factors)
+    compact = isinstance(rows[0], bytes)
+    identity = bytes(1) if compact else (0,)
     if k == 0:
-        return [(0,)]
+        return [identity]
     checks = [()] * k if t1 is None else _commuting_levels(factors, t1)
     results = []
 
     def extend(i, partial):
-        # partial (a tuple) maps the span of generators i+1..k-1, a prefix
-        # of indices, onto H; returns True once a constrained search has its map
+        # partial maps the span of generators i+1..k-1, a prefix of indices,
+        # onto H; returns True once a constrained search has its map
         pairs = checks[i]
         in_h = bytearray(n)
         for y in partial:
             in_h[y] = 1
-        # the coset m + H as a tuple; the one-element partial is the root's (0,)
-        take = itemgetter(*partial) if len(partial) > 1 else lambda row: (row[0],)
+        # coset(rows[m]) is the coset m + H in partial's format; the
+        # one-element tuple partial is the root's (0,)
+        if compact:
+            coset = partial.translate
+        else:
+            coset = itemgetter(*partial) if len(partial) > 1 else lambda row: (row[0],)
         for multiples in candidates[i]:
             for m in multiples:
                 if in_h[m]:
@@ -139,7 +171,7 @@ def _linear_bijections(n, factors, rows, candidates, t1=None, t2=None):
             else:
                 new = partial
                 for m in multiples:
-                    new += take(rows[m])
+                    new += coset(rows[m])
                 if pairs and any(t2[new[x]] != new[tx] for x, tx in pairs):
                     continue
                 if i == 0:
@@ -150,7 +182,7 @@ def _linear_bijections(n, factors, rows, candidates, t1=None, t2=None):
                     return True
         return False
 
-    extend(k - 1, (0,))
+    extend(k - 1, identity)
     # extend refers to itself through its closure; breaking that cycle frees
     # results with the caller's last reference, not at the next collection
     del extend
@@ -320,9 +352,11 @@ def conjugacy_partition(perms, gens):
     then expands each class by s o f o s^-1 for s in S, costing
     |Aut| * |S| conjugates in all instead of |Aut| * #classes. Each
     conjugate is identified by its generator images alone,
-    s(f(s^-1(g))) for g in gens, so only s^-1 on the generators is stored,
-    and a conjugate costs k lookups, done by C-level getters. That key is
-    also what the closure compares, once per new member, to keep the least.
+    s(f(s^-1(g))) for g in gens, so only s^-1 on the generators is stored.
+    On bytes, s o f is one `f.translate(s)` and the key is read off it by a
+    getter; on tuples the key costs k lookups, done by C-level getters.
+    That key is also what the closure compares, once per new member, to
+    keep the least. The perms may be bytes or tuples, not a mix.
     """
     count = len(perms)
     if len(gens) < 2:
@@ -331,8 +365,10 @@ def conjugacy_partition(perms, gens):
         return list(invert_perm(reps)), reps
     key_of = itemgetter(*gens)
     index_of = dict(zip(map(key_of, perms), range(count)))
+    # a bytes s is padded to a translate table, so f.translate(s) is s o f
+    pad = bytes(BYTES_LIMIT - len(perms[0])) if isinstance(perms[0], bytes) else None
     conj = [
-        (s, itemgetter(*[s.index(g) for g in gens]))
+        (s if pad is None else s + pad, itemgetter(*[s.index(g) for g in gens]))
         for s in _generating_set(perms, gens, index_of)
     ]
     class_ids = [-1] * count
@@ -347,7 +383,7 @@ def conjugacy_partition(perms, gens):
         while stack:
             f = perms[stack.pop()]
             for s, pull in conj:
-                key = itemgetter(*pull(f))(s)
+                key = itemgetter(*pull(f))(s) if pad is None else pull(f.translate(s))
                 j = index_of[key]
                 if class_ids[j] == -1:
                     class_ids[j] = cid

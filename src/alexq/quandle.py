@@ -301,6 +301,17 @@ def _grow(inside: set[int], start: list[int], moves: Iterable[tuple[int, ...]]) 
         frontier = reached - inside
 
 
+def _most_constrained(classes: list[set[int]], fwd: dict[int, int]) -> int:
+    """The unmapped element with the fewest free candidates, least on ties.
+
+    classes: the elements of the first table grouped by fingerprint. An
+    element's candidates are the members of its class in the second table,
+    and the map sends each class into its match, so the free ones number
+    the unmapped members of the element's own class.
+    """
+    return min((len(free), min(free)) for free in (c.difference(fwd) for c in classes) if free)[1]
+
+
 def brute_force_isomorphic(Q1: CayleyTable, Q2: CayleyTable) -> tuple[int, ...] | None:
     """A bijection f with f(a |> b) = f(a) |> f(b), or None.
 
@@ -326,6 +337,10 @@ def brute_force_isomorphic(Q1: CayleyTable, Q2: CayleyTable) -> tuple[int, ...] 
     for b, fp in enumerate(fp2):
         by_fp.setdefault(fp, set()).add(b)
     candidates = [by_fp[fp] for fp in fp1]
+    by_fp1: dict[tuple, set[int]] = {}
+    for a, fp in enumerate(fp1):
+        by_fp1.setdefault(fp, set()).add(a)
+    classes1 = list(by_fp1.values())
 
     t1, t2 = Q1.table, Q2.table
     columns1, columns2 = list(zip(*t1)), list(zip(*t2))
@@ -372,11 +387,7 @@ def brute_force_isomorphic(Q1: CayleyTable, Q2: CayleyTable) -> tuple[int, ...] 
     ) -> dict[int, int] | None:
         if len(fwd) == n:
             return fwd
-        # most constrained unmapped element first
-        best = min(
-            (a for a in range(n) if a not in fwd),
-            key=lambda a: (len(candidates[a] - rev.keys()), a),
-        )
+        best = _most_constrained(classes1, fwd)
         for b in sorted(candidates[best] - rev.keys()):
             fwd2, rev2 = dict(fwd), dict(rev)
             generators2 = [*generators, (best, b)]

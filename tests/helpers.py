@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from alexq.abelian import AbelianGroup, Element, _invariant_decomposition
+from alexq.autgroup import Automorphism, _automorphism_perms, _conjugacy
 from alexq.lambda_modules import LambdaModule, _image_indices
 from alexq.quandle import CayleyTable
 
@@ -74,6 +75,22 @@ def subgroup_structure(G: AbelianGroup, generators) -> SubgroupStructure:
     elems = _closure(G, generators)
     factors, basis = _invariant_decomposition(elems, G.add, G.zero)
     return SubgroupStructure(group=G, elements=elems, factors=factors, basis=basis)
+
+
+def enumerate_automorphisms(G: AbelianGroup) -> tuple[Automorphism, ...]:
+    """Every automorphism of G, ordered by flattened image coordinates.
+
+    The search lists Aut in its own order (ascending in the reversed key);
+    this sorts it by the key, as the public function that it replaced did.
+    """
+    gens = G.generator_indices
+    perms = sorted(_automorphism_perms(G), key=lambda p: [p[g] for g in gens])
+    return tuple(Automorphism._from_perm(G, p) for p in perms)
+
+
+def conjugacy_class_sizes(G: AbelianGroup) -> tuple[int, ...]:
+    """Class sizes aligned with conjugacy_representatives; they sum to |Aut|."""
+    return _conjugacy(G).sizes
 
 
 def reference_isomorphic(Q1: CayleyTable, Q2: CayleyTable) -> tuple[int, ...] | None:

@@ -23,7 +23,7 @@ import time
 import pytest
 
 from alexq.abelian import AbelianGroup, enumerate_groups
-from alexq.autgroup import enumerate_automorphisms, is_conjugate
+from alexq.autgroup import is_conjugate
 from alexq.classify import classify_order
 from alexq.cli import main as cli_main
 from alexq.lambda_modules import (
@@ -37,7 +37,7 @@ from alexq.linearq import LinearQuandleSpec, build_linear, classify_linear
 from alexq.polymod import PolySpec, Poly, build, enumerate_specs
 from alexq.quandle import alexander_table, brute_force_isomorphic, check_axioms, orbits
 
-from helpers import image_set
+from helpers import enumerate_automorphisms, image_set
 
 
 def _verdict(num: int, description: str, ok: bool, detail: str = "") -> None:

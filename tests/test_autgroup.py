@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,15 +16,15 @@ from alexq.autgroup import (
     _check_budget,
     _crt_tables,
     _group_tables,
-    conjugacy_class_sizes,
     conjugacy_representatives,
-    enumerate_automorphisms,
     identity_automorphism,
     is_conjugate,
     lex_least_conjugate,
     parse_phi_spec,
 )
 from alexq.errors import EnumerationBudgetError, SpecError
+
+from helpers import conjugacy_class_sizes, enumerate_automorphisms
 
 
 def brute_force_automorphism_count(factors):
@@ -269,6 +271,63 @@ class TestRepresentatives:
             assert sum(conjugacy_class_sizes(G)) == len(enumerate_automorphisms(G))
 
 
+
+class TestStorage:
+    """Aut is stored one byte per element up to 256 elements, as tuples above."""
+
+    @pytest.mark.parametrize("factors", [(), (8,), (2, 2, 4), (2, 6), (3, 3), (2, 2, 12)])
+    def test_public_perms_are_tuples(self, factors):
+        G = AbelianGroup(factors)
+        assert all(type(p) is bytes for p in _automorphism_perms(G))
+        reps = conjugacy_representatives(G)
+        assert all(type(f.perm) is tuple for f in reps)
+        for p in _automorphism_perms(G)[::7]:
+            f = Automorphism._from_perm(G, p)
+            assert type(f.perm) is tuple and f.perm == tuple(p)
+            least = lex_least_conjugate(G, f)
+            assert type(least.perm) is tuple and least in reps
+            h = is_conjugate(G, f, least)
+            assert type(h.perm) is tuple
+            assert h.compose(f) == least.compose(h)
+            assert Automorphism(G, h.images).perm == h.perm
+
+    def test_stored_maps_take_under_n_plus_64_bytes_each(self):
+        # a tuple of 32 ints takes 8 * 32 + 40 bytes; bytes of 32 take 65,
+        # plus the slot that holds them
+        G = AbelianGroup((2, 2, 2, 4))
+        _group_tables(G)  # built before tracing: only the listing is measured
+        _automorphism_perms.cache_clear()
+        tracemalloc.start()
+        try:
+            perms = _automorphism_perms(G)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(perms) == 21504
+        assert held < len(perms) * (G.order + 64)
+
+    @pytest.mark.parametrize(
+        "factors, count, digest",
+        [
+            ((257,), 256, "02c90beb0cd27c125b1542738d59951c449231b1c90dc6580d6886b8e7b767d8"),
+            ((17, 17), 288, "852ff21a75910171f805465f21efc3941a2a732ce091eed7234570ef9d3d4b8c"),
+        ],
+    )
+    def test_tuple_perms_above_256_elements(self, factors, count, digest):
+        # the sha256 of the representatives' specs joined by spaces, as
+        # computed when every perm was a tuple
+        G = AbelianGroup(factors)
+        try:
+            assert all(type(p) is tuple for p in _automorphism_perms(G))
+            specs = [f.spec() for f in conjugacy_representatives(G)]
+            assert len(specs) == count
+            assert hashlib.sha256(" ".join(specs).encode()).hexdigest() == digest
+            assert all(type(f.perm) is tuple for f in conjugacy_representatives(G))
+        finally:
+            # Aut(17,17) as tuples is about 185 MB
+            _automorphism_perms.cache_clear()
+            autgroup._conjugacy.cache_clear()
+
 def _aut_route(G):
     """Reference: Aut(G) enumerated and partitioned whole, as before the
     classes were composed from the Sylow parts. Returns (perms, class_ids,
@@ -278,7 +337,7 @@ def _aut_route(G):
     sizes = [0] * len(reps)
     for cid in class_ids:
         sizes[cid] += 1
-    return perms, class_ids, reps, tuple(sizes)
+    return [tuple(p) for p in perms], class_ids, reps, tuple(sizes)
 
 
 def _composite_carriers(max_order):

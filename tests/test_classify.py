@@ -14,11 +14,7 @@ import alexq
 
 from alexq import autgroup, kernels, polymod
 from alexq.abelian import AbelianGroup, _prime_factorization, enumerate_groups
-from alexq.autgroup import (
-    conjugacy_class_sizes,
-    conjugacy_representatives,
-    enumerate_automorphisms,
-)
+from alexq.autgroup import conjugacy_representatives
 from alexq.classify import (
     ORACLE_VALIDATION_MAX_ORDER,
     _source_digest,
@@ -37,6 +33,8 @@ from alexq.lambda_modules import (
     is_lambda_isomorphic,
 )
 from alexq.quandle import alexander_table, brute_force_isomorphic, orbits
+
+from helpers import conjugacy_class_sizes, enumerate_automorphisms
 
 
 @pytest.fixture

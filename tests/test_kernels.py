@@ -10,7 +10,6 @@ from alexq.autgroup import (
     _automorphism_perms,
     _group_tables,
     conjugacy_representatives,
-    enumerate_automorphisms,
     is_conjugate,
 )
 from alexq.kernels import (
@@ -22,6 +21,7 @@ from alexq.kernels import (
     conjugacy_partition,
     enumerate_linear_bijections,
     invert_perm,
+    search_rows,
 )
 from alexq.lambda_modules import (
     LambdaModule,
@@ -29,6 +29,8 @@ from alexq.lambda_modules import (
     image_one_minus_t,
     is_lambda_isomorphic,
 )
+
+from helpers import enumerate_automorphisms
 
 
 def _partition_by_full_expansion(perms, gens):
@@ -300,8 +302,8 @@ def test_partition_does_not_depend_on_input_order(G):
         inputs.append(shuffled)
     for shuffled in inputs:
         ids, found = conjugacy_partition(shuffled, gens)
-        assert dict(zip(shuffled, ids)) == class_of, G
-        assert [shuffled[i] for i in found] == least, G
+        assert dict(zip(map(tuple, shuffled), ids)) == class_of, G
+        assert [tuple(shuffled[i]) for i in found] == least, G
 
 
 @pytest.mark.parametrize("order", ENUMERABLE_ORDERS)
@@ -399,3 +401,48 @@ def test_search_matches_prefix_search_on_image_pairs(order):
             assert (h is None) == (_isomorphic_by_prefix_search(M, M2) is None), (M, M2)
             if h is not None:
                 _assert_intertwines(M.group, h, M.t, M2.t)
+
+
+# --- perms as bytes and as tuples -------------------------------------------
+
+
+@pytest.mark.parametrize("order", ENUMERABLE_ORDERS)
+def test_search_gives_bytes_from_bytes_rows_and_tuples_from_tuple_rows(order):
+    for G in enumerate_groups(order):
+        n = G.order
+        rows, candidates = _group_tables(G)
+        compact = _linear_bijections(n, G.factors, search_rows(n, rows), candidates)
+        assert all(type(p) is bytes and len(p) == n for p in compact), G
+        assert _automorphism_perms(G) == tuple(compact), G
+        assert [tuple(p) for p in compact] == _linear_bijections(n, G.factors, rows, candidates)
+
+
+def test_search_rows_keep_tuples_above_one_byte_per_element():
+    rows = _group_tables(AbelianGroup((257,)))[0]
+    assert search_rows(257, rows) is rows
+    rows = _group_tables(AbelianGroup((2, 128)))[0]
+    table = search_rows(256, rows)
+    assert all(type(t) is bytes and len(t) == 256 for t in table)
+    assert [tuple(t) for t in table] == rows
+
+
+@pytest.mark.parametrize("order", ENUMERABLE_ORDERS)
+def test_kernels_give_the_same_results_on_bytes_and_on_tuples(order):
+    for G in enumerate_groups(order):
+        gens = G.generator_indices
+        compact = _automorphism_perms(G)
+        tuples = [tuple(p) for p in compact]
+        assert conjugacy_partition(tuples, gens) == conjugacy_partition(compact, gens), G
+        chains, chosen = [], []
+        for perms in (compact, tuples):
+            index_of = _key_index(perms, gens)
+            found = _generating_set(perms, gens, index_of)
+            chosen.append([tuple(s) for s in found])
+            # a proper subgroup, so that membership is not always true
+            chain = _StabilizerChain(perms, gens, index_of)
+            for s in found[:-1]:
+                if s not in chain:
+                    chain.add(s)
+            chains.append((chain.order(), [p in chain for p in perms]))
+        assert chosen[0] == chosen[1], G
+        assert chains[0] == chains[1], G

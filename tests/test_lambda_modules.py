@@ -7,7 +7,6 @@ from alexq.abelian import AbelianGroup, enumerate_groups
 from alexq.autgroup import (
     Automorphism,
     conjugacy_representatives,
-    enumerate_automorphisms,
     identity_automorphism,
     is_conjugate,
     lex_least_conjugate,
@@ -29,7 +28,7 @@ from alexq.lambda_modules import (
 from alexq.linearq import LinearQuandleSpec, build_linear
 from alexq.polymod import build, enumerate_specs
 
-from helpers import image_set, subgroup_structure
+from helpers import enumerate_automorphisms, image_set, subgroup_structure
 
 
 def module(spec: str) -> LambdaModule:

@@ -8,7 +8,7 @@ import pytest
 
 from alexq import quandle
 from alexq.abelian import enumerate_groups
-from alexq.autgroup import conjugacy_representatives, enumerate_automorphisms
+from alexq.autgroup import conjugacy_representatives
 from alexq.classify import classify_order
 from alexq.errors import TableParseError
 from alexq.kernels import cycle_type
@@ -25,7 +25,7 @@ from alexq.quandle import (
     orbits,
 )
 
-from helpers import image_set, reference_isomorphic
+from helpers import enumerate_automorphisms, image_set, reference_isomorphic
 
 
 def table(spec: str) -> CayleyTable:
@@ -520,6 +520,51 @@ class TestOracle:
                 witness = brute_force_isomorphic(A, B)
                 assert witness == reference_isomorphic(A, B)
                 assert (witness is not None) == (other == Q)
+
+    def test_choice_matches_the_set_difference_rule(self, monkeypatch):
+        # Pairs drawn as the benchmark draws them (blocks of one pair per
+        # order, even blocks from one class, both tables relabelled). At
+        # every node the element chosen is the one the earlier rule chose:
+        # the least (free candidates, element) over the unmapped elements,
+        # with the free candidates found by a set difference per element.
+        members = {order: member_tables(order) for order in (16, 27)}
+        by_class = {
+            order: {cid: [m for m in found if m[0] == cid] for cid, _ in found}
+            for order, found in members.items()
+        }
+        state = {}
+        choose = quandle._most_constrained
+
+        def checked(classes, fwd):
+            candidates, rev = state["candidates"], {y: x for x, y in fwd.items()}
+            expected = min(
+                (a for a in range(len(candidates)) if a not in fwd),
+                key=lambda a: (len(candidates[a] - rev.keys()), a),
+            )
+            best = choose(classes, fwd)
+            assert best == expected
+            state["nodes"] += 1
+            return best
+
+        monkeypatch.setattr(quandle, "_most_constrained", checked)
+        rng = random.Random(11)
+        state["nodes"] = 0
+        for k in range(60):
+            for order in (16, 27):
+                cid_a, Qa = rng.choice(members[order])
+                cid_b, Qb = rng.choice(by_class[order][cid_a] if k % 2 == 0 else members[order])
+                pa, pb = list(range(order)), list(range(order))
+                rng.shuffle(pa)
+                rng.shuffle(pb)
+                A, B = relabel(Qa, pa), relabel(Qb, pb)
+                fp2 = B._fingerprints
+                state["candidates"] = [
+                    {b for b in range(order) if fp2[b] == fp} for fp in A._fingerprints
+                ]
+                witness = brute_force_isomorphic(A, B)
+                assert (witness is not None) == (cid_a == cid_b)
+                assert witness == reference_isomorphic(A, B)
+        assert state["nodes"] > 200
 
     def test_distinguishes_same_profile_structures(self):
         # both connected of order 16, but different modules
