@@ -273,19 +273,11 @@ def enumerate_groups(order: int) -> tuple[AbelianGroup, ...]:
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    if order == 1:
-        return (AbelianGroup(()),)
-    primes = _prime_factorization(order)
-    per_prime = [(p, _partitions(e)) for p, e in sorted(primes.items())]
+    primes = sorted(_prime_factorization(order).items())
     groups = []
-    for choice in itertools.product(*(parts for _, parts in per_prime)):
-        length = max(len(part) for part in choice)
-        factors = [1] * length
-        for (p, _), part in zip(per_prime, choice):
-            padded = [0] * (length - len(part)) + list(part)
-            for i, e in enumerate(padded):
-                factors[i] *= p**e
-        groups.append(AbelianGroup(tuple(factors)))
+    for choice in itertools.product(*(_partitions(e) for _, e in primes)):
+        orders = [p**e for (p, _), part in zip(primes, choice) for e in part]
+        groups.append(AbelianGroup(normalize_cyclic_orders(orders)))
     groups.sort(key=lambda g: (len(g.factors), g.factors))
     return tuple(groups)
 

@@ -10,12 +10,15 @@ divide the corresponding factors, keeping the bijective ones: a partial
 tuple spans a subgroup H, and the next image is rejected as soon as one of
 its multiples lies in H, which prunes its whole subtree. A carrier's index
 tables (`_group_tables`: the addition rows and each candidate's multiples)
-are built once per carrier and read by every module; `abelian` computes
-them, `perm` and the CRT tables. Aut is kept in search order, which is
-ascending in the reversed generator-image key, and is never sorted. Its
-maps are stored in the search's format (`kernels.search_rows`): `bytes`,
-one byte per element index, up to 256 elements, tuples of ints above;
-`Automorphism.perm` is a tuple either way. The budget guard counts the
+are built once per carrier, in the search's format (`kernels.search_rows`:
+`bytes` rows up to 256 elements, tuples of ints above), and every module
+reads that one copy; `abelian` computes the rows, `perm` and the CRT
+tables. Aut is kept in search order, which is ascending in the reversed
+generator-image key, and is never sorted. Its maps come out of the search
+in the rows' format, one byte per element index up to 256 elements;
+`Automorphism.perm` is a tuple either way. A carrier has two caches, one
+per stage: its tables and its classes (`_conjugacy`), which keep the Aut
+list of each prime-power part. The budget guard counts the
 candidate tuples in closed form before any table is built and refuses a
 carrier with more than ENUMERATION_BUDGET (2^24) of them; the same budget
 bounds the n^2 entries of the addition table. The budget is a constant,
@@ -197,17 +200,19 @@ def _check_table_budget(G: AbelianGroup) -> None:
 
 
 @lru_cache(maxsize=16)
-def _group_tables(G: AbelianGroup) -> tuple[list[tuple[int, ...]], list[list[list[int]]]]:
-    """(rows, candidates): the index tables of G in the `kernels` format.
+def _group_tables(G: AbelianGroup) -> tuple[list[kernels.Perm], list[list[list[int]]]]:
+    """(rows, candidates): the index tables of G, built once and read everywhere.
 
-    rows[a][b] is the index of x_a + x_b. candidates lists per generator
-    position i, for each img whose order divides d_i, ascending, its
-    multiples c*img, c = 1..d_i-1. The table has n^2 entries, so the budget
-    is checked before any element is listed.
+    rows[a][b] is the index of x_a + x_b, in the search's format
+    (`kernels.search_rows`): up to 256 elements row a is a `bytes` translate
+    table padded to 256, above that a tuple of ints. candidates lists per
+    generator position i, for each img whose order divides d_i, ascending,
+    its multiples c*img, c = 1..d_i-1. The table has n^2 entries, so the
+    budget is checked before any element is listed.
     """
     _check_table_budget(G)
     n = G.order
-    rows = _addition_rows(G)
+    rows = kernels.search_rows(n, _addition_rows(G))
     orders = [G.element_order(x) for x in G.elements]
     candidates = []
     for d in G.factors:
@@ -240,18 +245,13 @@ def _check_budget(G: AbelianGroup) -> None:
         )
 
 
-@lru_cache(maxsize=16)
-def _search_tables(G: AbelianGroup) -> tuple[list[kernels.Perm], list[list[list[int]]]]:
-    """(rows, candidates) of `_group_tables`, with rows in the search's format."""
-    rows, candidates = _group_tables(G)
-    return kernels.search_rows(G.order, rows), candidates
-
-
-@lru_cache(maxsize=16)
 def _automorphism_perms(G: AbelianGroup) -> tuple[kernels.Perm, ...]:
-    """Aut(G) as permutations, in search order (ascending in the reversed key)."""
+    """Aut(G) as permutations, in search order (ascending in the reversed key).
+
+    Not cached: `_conjugacy` keeps the list of each prime-power carrier.
+    """
     _check_budget(G)
-    return tuple(kernels.enumerate_linear_bijections(G.order, G.factors, *_search_tables(G)))
+    return tuple(kernels.enumerate_linear_bijections(G.order, G.factors, *_group_tables(G)))
 
 
 class _SylowPart(NamedTuple):
@@ -375,7 +375,7 @@ def is_conjugate(G: AbelianGroup, f: Automorphism, g: Automorphism) -> Automorph
         raise ValueError("both maps must act on the given group")
     if f.cycle_type() != g.cycle_type():
         return None
-    found = kernels._linear_bijections(G.order, G.factors, *_search_tables(G), f.perm, g.perm)
+    found = kernels._linear_bijections(G.order, G.factors, *_group_tables(G), f.perm, g.perm)
     return Automorphism._from_perm(G, found[0]) if found else None
 
 

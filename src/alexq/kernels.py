@@ -5,8 +5,9 @@ layer:
 
 - elements of a group of order n are the indices 0..n-1 (lexicographic
   coordinate order, zero element at index 0),
-- `rows` is the addition table, one tuple per element: rows[a][b] is the
-  index of a + b,
+- `rows` is the addition table, one row per element: rows[a][b] is the
+  index of a + b; `search_rows` gives each row as a `bytes` translate
+  table when n <= 256 and keeps tuples of ints above,
 - `candidates` lists per generator position i, for each image allowed
   there (its order divides d_i) in ascending order, its multiples c*img,
   c = 1..d_i-1,
@@ -28,7 +29,7 @@ candidate costs at most d-1 bitmap lookups before anything is built; a
 survivor's cosets m + H are read off rows of the addition table in C, by
 `bytes.translate` on a bytes partial map and by one itemgetter on a tuple.
 `rows` and `candidates` depend on the group alone, so a caller builds them
-once per group (`autgroup._group_tables`, `autgroup._search_tables`). The
+once per group (`autgroup._group_tables`, in the `search_rows` format). The
 search assigns images from the last generator to the first, each in
 ascending order, so Aut comes out ascending in the reversed key
 (p[g_k-1], ..., p[g_0]) and is never sorted.

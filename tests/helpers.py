@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from alexq.abelian import AbelianGroup, Element, _invariant_decomposition
-from alexq.autgroup import Automorphism, _automorphism_perms, _conjugacy
+from alexq.autgroup import Automorphism, _automorphism_perms, _conjugacy, _group_tables
 from alexq.lambda_modules import LambdaModule, _image_indices
 from alexq.quandle import CayleyTable
 
@@ -86,6 +86,12 @@ def enumerate_automorphisms(G: AbelianGroup) -> tuple[Automorphism, ...]:
     gens = G.generator_indices
     perms = sorted(_automorphism_perms(G), key=lambda p: [p[g] for g in gens])
     return tuple(Automorphism._from_perm(G, p) for p in perms)
+
+
+def clear_carrier_caches() -> None:
+    """Empty the per-carrier caches of `autgroup`: the tables and the classes."""
+    _group_tables.cache_clear()
+    _conjugacy.cache_clear()
 
 
 def conjugacy_class_sizes(G: AbelianGroup) -> tuple[int, ...]:

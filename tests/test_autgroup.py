@@ -7,7 +7,13 @@ import tracemalloc
 import pytest
 
 from alexq import autgroup, kernels
-from alexq.abelian import AbelianGroup, _prime_factorization, enumerate_groups, sylow_parts
+from alexq.abelian import (
+    AbelianGroup,
+    _addition_rows,
+    _prime_factorization,
+    enumerate_groups,
+    sylow_parts,
+)
 from alexq.autgroup import (
     Automorphism,
     Endomorphism,
@@ -24,7 +30,7 @@ from alexq.autgroup import (
 )
 from alexq.errors import EnumerationBudgetError, SpecError
 
-from helpers import conjugacy_class_sizes, enumerate_automorphisms
+from helpers import clear_carrier_caches, conjugacy_class_sizes, enumerate_automorphisms
 
 
 def brute_force_automorphism_count(factors):
@@ -150,7 +156,8 @@ class TestMapAlgebra:
     @pytest.mark.parametrize("factors", [(), (12,), (2, 4), (3, 9), (2, 2, 6)])
     def test_addition_table_matches_checked_addition(self, factors):
         G = AbelianGroup(factors)
-        rows, candidates = _group_tables(G)
+        rows = _addition_rows(G)
+        candidates = _group_tables(G)[1]
         elements = G.elements
         assert rows == [tuple(G.index(G.add(x, y)) for y in elements) for x in elements]
         assert len(candidates) == G.rank
@@ -295,8 +302,8 @@ class TestStorage:
         # a tuple of 32 ints takes 8 * 32 + 40 bytes; bytes of 32 take 65,
         # plus the slot that holds them
         G = AbelianGroup((2, 2, 2, 4))
+        clear_carrier_caches()
         _group_tables(G)  # built before tracing: only the listing is measured
-        _automorphism_perms.cache_clear()
         tracemalloc.start()
         try:
             perms = _automorphism_perms(G)
@@ -318,15 +325,15 @@ class TestStorage:
         # computed when every perm was a tuple
         G = AbelianGroup(factors)
         try:
-            assert all(type(p) is tuple for p in _automorphism_perms(G))
+            # Aut is listed once, by the classes, and read from them
+            assert all(type(p) is tuple for p in autgroup._conjugacy(G).parts[0].perms)
             specs = [f.spec() for f in conjugacy_representatives(G)]
             assert len(specs) == count
             assert hashlib.sha256(" ".join(specs).encode()).hexdigest() == digest
             assert all(type(f.perm) is tuple for f in conjugacy_representatives(G))
         finally:
             # Aut(17,17) as tuples is about 185 MB
-            _automorphism_perms.cache_clear()
-            autgroup._conjugacy.cache_clear()
+            clear_carrier_caches()
 
 def _aut_route(G):
     """Reference: Aut(G) enumerated and partitioned whole, as before the

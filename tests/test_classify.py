@@ -34,7 +34,7 @@ from alexq.lambda_modules import (
 )
 from alexq.quandle import alexander_table, brute_force_isomorphic, orbits
 
-from helpers import conjugacy_class_sizes, enumerate_automorphisms
+from helpers import clear_carrier_caches, conjugacy_class_sizes, enumerate_automorphisms
 
 
 @pytest.fixture
@@ -713,12 +713,7 @@ def test_forked_run_imports_pickle_and_signal_only_when_it_forks():
 
 def test_warm_run_does_no_aut_work(tmp_path, monkeypatch):
     classify_order(48, cache_dir=str(tmp_path))
-    for cached in (
-        autgroup._group_tables,
-        autgroup._automorphism_perms,
-        autgroup._conjugacy,
-    ):
-        cached.cache_clear()
+    clear_carrier_caches()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a warm run must not search or partition Aut")
@@ -734,8 +729,7 @@ def test_warm_run_does_no_aut_work(tmp_path, monkeypatch):
 def test_each_partition_has_a_distinct_input(tmp_path, monkeypatch):
     # The fallback label reads its carrier's partition from the cache that
     # classify_order filled, so no carrier's Aut is partitioned twice.
-    autgroup._automorphism_perms.cache_clear()
-    autgroup._conjugacy.cache_clear()
+    clear_carrier_caches()
     inputs = []
     partition = kernels.conjugacy_partition
 
@@ -753,8 +747,7 @@ def test_each_partition_has_a_distinct_input(tmp_path, monkeypatch):
 def test_cold_run_searches_and_partitions_only_prime_power_carriers(tmp_path, monkeypatch):
     # Aut of a carrier with two primes is composed from its Sylow parts, so
     # neither a search over all of it nor its partition is ever run.
-    for cached in (autgroup._group_tables, autgroup._automorphism_perms, autgroup._conjugacy):
-        cached.cache_clear()
+    clear_carrier_caches()
     orders = []
     enumerate_all = kernels.enumerate_linear_bijections
     partition = kernels.conjugacy_partition
@@ -778,12 +771,7 @@ def test_cold_run_searches_and_partitions_only_prime_power_carriers(tmp_path, mo
 @pytest.mark.parametrize("order", [16, 27])
 def test_cold_prime_power_run_reads_classes_off_the_partition(order, tmp_path, monkeypatch):
     # a p-group is its own single Sylow part, so no product of classes is scanned
-    for cached in (
-        autgroup._group_tables,
-        autgroup._automorphism_perms,
-        autgroup._conjugacy,
-    ):
-        cached.cache_clear()
+    clear_carrier_caches()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a prime-power carrier must not scan a product of classes")

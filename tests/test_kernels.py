@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from alexq.abelian import AbelianGroup, _prime_factorization, enumerate_groups
+from alexq.abelian import AbelianGroup, _addition_rows, _prime_factorization, enumerate_groups
 from alexq.autgroup import (
     Automorphism,
     _automorphism_perms,
@@ -262,8 +262,9 @@ def test_search_matches_reference_search(order):
     for G in enumerate_groups(order):
         n, gens = G.order, G.generator_indices
         expected = _reference_linear_bijections(n, G.factors, *_reference_tables(G))
-        assert _linear_bijections(n, G.factors, *_group_tables(G)) == expected, G
-        assert enumerate_linear_bijections(n, G.factors, *_group_tables(G)) == expected, G
+        rows, candidates = _addition_rows(G), _group_tables(G)[1]
+        assert _linear_bijections(n, G.factors, rows, candidates) == expected, G
+        assert enumerate_linear_bijections(n, G.factors, rows, candidates) == expected, G
         expected.sort(key=lambda p: tuple(p[g] for g in gens))
         assert [f.perm for f in enumerate_automorphisms(G)] == expected, G
 
@@ -410,7 +411,7 @@ def test_search_matches_prefix_search_on_image_pairs(order):
 def test_search_gives_bytes_from_bytes_rows_and_tuples_from_tuple_rows(order):
     for G in enumerate_groups(order):
         n = G.order
-        rows, candidates = _group_tables(G)
+        rows, candidates = _addition_rows(G), _group_tables(G)[1]
         compact = _linear_bijections(n, G.factors, search_rows(n, rows), candidates)
         assert all(type(p) is bytes and len(p) == n for p in compact), G
         assert _automorphism_perms(G) == tuple(compact), G
@@ -418,12 +419,28 @@ def test_search_gives_bytes_from_bytes_rows_and_tuples_from_tuple_rows(order):
 
 
 def test_search_rows_keep_tuples_above_one_byte_per_element():
-    rows = _group_tables(AbelianGroup((257,)))[0]
+    rows = _addition_rows(AbelianGroup((257,)))
     assert search_rows(257, rows) is rows
-    rows = _group_tables(AbelianGroup((2, 128)))[0]
+    rows = _addition_rows(AbelianGroup((2, 128)))
     table = search_rows(256, rows)
     assert all(type(t) is bytes and len(t) == 256 for t in table)
     assert [tuple(t) for t in table] == rows
+
+
+@pytest.mark.parametrize("factors", [(2, 128), (257,), (17, 17)], ids=str)
+def test_group_tables_hold_one_copy_of_the_rows_in_the_search_format(factors):
+    # bytes translate tables up to 256 elements, tuples above; the search,
+    # the image, the label and the Cayley table all read these rows
+    G = AbelianGroup(factors)
+    n, elements = G.order, G.elements
+    rows = _group_tables(G)[0]
+    if n <= 256:
+        assert all(type(row) is bytes and len(row) == 256 for row in rows)
+    else:
+        assert all(type(row) is tuple and len(row) == n for row in rows)
+    assert len(rows) == n
+    for a, x in enumerate(elements):
+        assert list(rows[a][:n]) == [G.index(G.add(x, y)) for y in elements], a
 
 
 @pytest.mark.parametrize("order", ENUMERABLE_ORDERS)
