@@ -8,8 +8,9 @@ their coordinates, so the zero element always has index 0.
 
 This module owns the index order and all arithmetic on indices:
 `_linear_indices` evaluates a homomorphism given by generator images (t,
-1 - t, the Sylow embed and project maps, an image's basis) and
-`_addition_rows` builds the addition table.
+1 - t, the Sylow embed and project maps, an image's basis),
+`_addition_rows` builds the addition table, and `_invariant_decomposition`
+splits a subgroup of indices into cyclic factors on those rows.
 
 >>> G = AbelianGroup((4, 4))
 >>> G.add((3, 2), (2, 3))
@@ -282,52 +283,53 @@ def enumerate_groups(order: int) -> tuple[AbelianGroup, ...]:
     return tuple(groups)
 
 
-def _invariant_decomposition(elems, add, zero):
-    """Greedy invariant-factor decomposition of an explicit abelian group.
+def _invariant_decomposition(elems, rows):
+    """Greedy invariant-factor decomposition of the index subgroup elems.
 
-    Picks an element of maximal order (lexicographically least on ties),
-    splits it off, recurses on the quotient by the cyclic group it spans,
-    and lifts the quotient basis back to representatives of the right order.
-    Returns (factors ascending, basis), the basis aligned with the factors.
+    rows is the addition table. At each level, with H the span of the b
+    already chosen, b is the least index of maximal order modulo H, and each
+    coset of H is named by its least index, found in one ascending pass that
+    marks the coset through the rows. Last level first, the quotient basis
+    is lifted to representatives of the right order. Returns the factors
+    ascending and the basis aligned with them.
+
+    >>> _invariant_decomposition(range(8), _addition_rows(AbelianGroup((2, 4))))
+    ((2, 4), (4, 1))
     """
-    if len(elems) == 1:
-        return (), ()
+    ascending = sorted(elems)
+    least = list(range(len(rows)))  # least[x]: the least index of x + H
+    H, levels = [0], []
+    while len(H) < len(ascending):
+        m, b = 1, 0
+        for x in ascending:
+            if least[x] == x:
+                order, y = 1, x
+                while least[y]:
+                    y = rows[y][x]
+                    order += 1
+                if order > m:
+                    m, b = order, x
+        multiples = [0]
+        for _ in range(m - 1):
+            multiples.append(rows[multiples[-1]][b])
+        levels.append((m, b, least, multiples))
+        H = [rows[h][y] for y in multiples for h in H]
+        least = [-1] * len(rows)
+        for x in ascending:
+            if least[x] < 0:
+                for h in H:
+                    least[rows[x][h]] = x
 
-    def order_of(x):
-        m, y = 1, x
-        while y != zero:
-            y = add(y, x)
-            m += 1
-        return m
-
-    orders = {x: order_of(x) for x in elems}
-    m = max(orders.values())
-    b = min(x for x in elems if orders[x] == m)
-
-    cyclic = [zero]
-    y = b
-    for _ in range(m - 1):
-        cyclic.append(y)
-        y = add(y, b)
-
-    def rep(x):
-        return min(add(x, c) for c in cyclic)
-
-    quotient = {rep(x) for x in elems}
-    qadd = lambda x, y: rep(add(x, y))
-    qfactors, qbasis = _invariant_decomposition(quotient, qadd, zero)
-
-    basis = []
-    for c, q in zip(qbasis, qfactors):
-        # q*c lands in <b>; adjust c by a multiple of b so its order drops to q
-        qc = zero
-        for _ in range(q):
-            qc = add(qc, c)
-        u = cyclic.index(qc)
-        s = (-(u // q)) % (m // q)
-        adjusted = c
-        for _ in range(s):
-            adjusted = add(adjusted, b)
-        basis.append(adjusted)
-
-    return qfactors + (m,), tuple(basis) + (b,)
+    factors, basis = (), ()
+    for m, b, least, multiples in reversed(levels):
+        # q*c lands in <b> modulo H; adjust c by a multiple of b so its order drops to q
+        steps = {least[y]: u for u, y in enumerate(multiples)}
+        lifted = []
+        for c, q in zip(basis, factors):
+            qc = 0
+            for _ in range(q):
+                qc = rows[qc][c]
+            s = -(steps[least[qc]] // q) % (m // q)
+            lifted.append(least[rows[c][multiples[s]]])
+        factors, basis = factors + (m,), tuple(lifted) + (b,)
+    return factors, basis

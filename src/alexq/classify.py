@@ -6,8 +6,9 @@ Structures of one order are isomorphic exactly when their images are
 isomorphic modules, and `canonical_label` is equal exactly for isomorphic
 modules. So structures are merged by the label of their image, and each
 label names one isomorphism class of quandles. Each carrier labels its
-distinct images right after its conjugacy partition is built, while that
-partition is still cached for the fallback label's least conjugate.
+distinct images right after its conjugacy partition is built. A connected
+image's fallback label reads that cached partition; a smaller image's
+carrier (e.g. `2,4` for order-16 images on `4,4`) is partitioned anew.
 
 Per-carrier results (conjugacy representatives, their images and the
 images' labels) are cached on disk as JSON keyed by carrier, code version

@@ -95,9 +95,9 @@ def image_one_minus_t(M: LambdaModule) -> LambdaModule:
     the action is the restriction of t rewritten in the subgroup basis.
     The decomposition runs on element indices with the carrier's addition
     table; index order is lexicographic coordinate order, so the basis is
-    the one the same decomposition picks on coordinate tuples. The span is
-    the map from the image carrier to G that sends its generators to the
-    basis.
+    the one the test reference (`tests/helpers.reference_decomposition`)
+    picks on coordinate tuples. The span is the map from the image carrier
+    to G that sends its generators to the basis.
     """
     G = M.group
     rows, _ = _group_tables(G)
@@ -105,7 +105,7 @@ def image_one_minus_t(M: LambdaModule) -> LambdaModule:
     img = _image_indices(M)
     if any(perm[x] not in img for x in img):
         raise ConsistencyError(f"t does not preserve Im(1-t) on {M.spec()}")
-    factors, basis = _invariant_decomposition(img, lambda x, y: rows[x][y], 0)
+    factors, basis = _invariant_decomposition(img, rows)
     carrier = AbelianGroup(factors)
     span = _linear_indices(carrier, G, [G.element(b) for b in basis])
     position = {x: i for i, x in enumerate(span)}

@@ -90,15 +90,11 @@ def classify_linear(n: int) -> tuple[tuple[int, ...], ...]:
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    classes: list[list[int]] = []
+    # the key (N, a mod N) is exactly the `linear_isomorphic` relation
+    classes: dict[tuple[int, int], list[int]] = {}
     for a in units(n):
-        for cls in classes:
-            if linear_isomorphic(n, cls[0], a):
-                cls.append(a)
-                break
-        else:
-            classes.append([a])
-    return tuple(tuple(cls) for cls in classes)
+        classes.setdefault((N := capital_n(n, a), a % N), []).append(a)
+    return tuple(tuple(cls) for cls in classes.values())
 
 
 def build_linear(spec: LinearQuandleSpec) -> LambdaModule:

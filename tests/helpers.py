@@ -4,7 +4,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from alexq.abelian import AbelianGroup, Element, _invariant_decomposition
+from alexq.abelian import AbelianGroup, Element
 from alexq.autgroup import Automorphism, _automorphism_perms, _conjugacy, _group_tables
 from alexq.lambda_modules import LambdaModule, _image_indices
 from alexq.quandle import CayleyTable
@@ -66,6 +66,59 @@ def _closure(G: AbelianGroup, generators) -> frozenset[Element]:
     return frozenset(elems)
 
 
+def reference_decomposition(elems, add, zero):
+    """Greedy invariant-factor decomposition of an explicit abelian group.
+
+    The recursive route over an `add` callable that
+    `abelian._invariant_decomposition` must agree with. Picks an element of
+    maximal order (lexicographically least on ties), splits it off, recurses
+    on the quotient by the cyclic group it spans, and lifts the quotient
+    basis back to representatives of the right order. Returns (factors
+    ascending, basis), the basis aligned with the factors.
+    """
+    if len(elems) == 1:
+        return (), ()
+
+    def order_of(x):
+        m, y = 1, x
+        while y != zero:
+            y = add(y, x)
+            m += 1
+        return m
+
+    orders = {x: order_of(x) for x in elems}
+    m = max(orders.values())
+    b = min(x for x in elems if orders[x] == m)
+
+    cyclic = [zero]
+    y = b
+    for _ in range(m - 1):
+        cyclic.append(y)
+        y = add(y, b)
+
+    def rep(x):
+        return min(add(x, c) for c in cyclic)
+
+    quotient = {rep(x) for x in elems}
+    qadd = lambda x, y: rep(add(x, y))
+    qfactors, qbasis = reference_decomposition(quotient, qadd, zero)
+
+    basis = []
+    for c, q in zip(qbasis, qfactors):
+        # q*c lands in <b>; adjust c by a multiple of b so its order drops to q
+        qc = zero
+        for _ in range(q):
+            qc = add(qc, c)
+        u = cyclic.index(qc)
+        s = (-(u // q)) % (m // q)
+        adjusted = c
+        for _ in range(s):
+            adjusted = add(adjusted, b)
+        basis.append(adjusted)
+
+    return qfactors + (m,), tuple(basis) + (b,)
+
+
 def subgroup_structure(G: AbelianGroup, generators) -> SubgroupStructure:
     """Close `generators` under the group operations and recover structure.
 
@@ -73,7 +126,7 @@ def subgroup_structure(G: AbelianGroup, generators) -> SubgroupStructure:
     with.
     """
     elems = _closure(G, generators)
-    factors, basis = _invariant_decomposition(elems, G.add, G.zero)
+    factors, basis = reference_decomposition(elems, G.add, G.zero)
     return SubgroupStructure(group=G, elements=elems, factors=factors, basis=basis)
 
 

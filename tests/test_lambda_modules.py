@@ -1,11 +1,13 @@
 import itertools
 import math
+import random
 
 import pytest
 
-from alexq.abelian import AbelianGroup, enumerate_groups
+from alexq.abelian import AbelianGroup, _invariant_decomposition, enumerate_groups
 from alexq.autgroup import (
     Automorphism,
+    _group_tables,
     conjugacy_representatives,
     identity_automorphism,
     is_conjugate,
@@ -15,6 +17,7 @@ from alexq.errors import SpecError
 from alexq.lambda_modules import (
     LambdaModule,
     _grouped,
+    _image_indices,
     _primary_parts,
     canonical_label,
     cyclic_name,
@@ -28,7 +31,12 @@ from alexq.lambda_modules import (
 from alexq.linearq import LinearQuandleSpec, build_linear
 from alexq.polymod import build, enumerate_specs
 
-from helpers import enumerate_automorphisms, image_set, subgroup_structure
+from helpers import (
+    enumerate_automorphisms,
+    image_set,
+    reference_decomposition,
+    subgroup_structure,
+)
 
 
 def module(spec: str) -> LambdaModule:
@@ -261,6 +269,57 @@ def representative_modules():
         for G in enumerate_groups(order)
         for rep in conjugacy_representatives(G)
     ]
+
+
+@pytest.fixture(scope="module")
+def chain_modules():
+    """The divisor-chain module of every spec of total degree (2, 5), (3, 4), (5, 3)."""
+    return [build(spec) for p, k in ((2, 5), (3, 4), (5, 3)) for spec in enumerate_specs(p, k)]
+
+
+def _random_modules(spec: str, count: int, seed: int) -> list[LambdaModule]:
+    """Seeded random modules on the carrier spec, drawn without listing Aut.
+
+    Each generator image is drawn from the elements whose order divides
+    that generator's order; a draw that is not bijective is rejected.
+    """
+    G = AbelianGroup.from_spec(spec)
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        images = [
+            tuple(rng.randrange(math.gcd(d, e)) * (d // math.gcd(d, e)) for d in G.factors)
+            for e in G.factors
+        ]
+        try:
+            found.append(LambdaModule(G, Automorphism(G, images)))
+        except ValueError:
+            pass
+    return found
+
+
+class TestDecomposition:
+    def test_matches_reference(self, representative_modules, chain_modules):
+        randoms = [
+            M
+            for spec in ("2,2,4,8", "3,9,9", "17,17", "257")
+            for M in _random_modules(spec, 15, seed=23)
+        ]
+        mismatches = []
+        for M in representative_modules + chain_modules + randoms:
+            rows, _ = _group_tables(M.group)
+            img = _image_indices(M)
+            reference = reference_decomposition(img, lambda x, y: rows[x][y], 0)
+            if _invariant_decomposition(img, rows) != reference:
+                mismatches.append(M.spec())
+        assert mismatches == []
+
+    def test_connected_image_is_the_module(self, representative_modules, chain_modules):
+        # the greedy picks the standard generators and lifts nothing, so the
+        # report prints a connected class's image as the module itself
+        connected = [M for M in representative_modules + chain_modules if is_connected(M)]
+        assert len(connected) == 638
+        assert [M.spec() for M in connected if image_one_minus_t(M) != M] == []
 
 
 class TestComputedRoutes:

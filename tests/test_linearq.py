@@ -56,6 +56,10 @@ class TestClassifyLinear:
     def test_mod_2(self):
         assert classify_linear(2) == ((1,),)
 
+    def test_matches_pairwise_reference_up_to_300(self):
+        for n in range(1, 301):
+            assert classify_linear(n) == _pairwise_classes(n), n
+
     def test_mod_15_against_oracle(self):
         classes = classify_linear(15)
         assert sorted(a for cls in classes for a in cls) == list(units(15))
@@ -63,6 +67,19 @@ class TestClassifyLinear:
         for a, b in itertools.combinations(units(15), 2):
             oracle = brute_force_isomorphic(tables[a], tables[b]) is not None
             assert oracle == linear_isomorphic(15, a, b), (a, b)
+
+
+def _pairwise_classes(n: int) -> tuple[tuple[int, ...], ...]:
+    """classify_linear by testing each unit against every class found so far."""
+    classes: list[list[int]] = []
+    for a in units(n):
+        for cls in classes:
+            if linear_isomorphic(n, cls[0], a):
+                cls.append(a)
+                break
+        else:
+            classes.append([a])
+    return tuple(tuple(cls) for cls in classes)
 
 
 class TestBuildLinear:
