@@ -14,9 +14,10 @@ cycle type of its right multiplication x -> x |> a. Every R_b is an
 automorphism, as R_{a |> b} = R_b . R_a . R_b^-1 (Joyce, J. Pure Appl.
 Algebra 23, 1982), so these fields are constant on each orbit and are
 computed once per orbit. A table computes its fingerprints once and keeps
-them, so they are freed with it. Computing them runs the axiom check,
-which tests self-distributivity only on a generating set S, and only once
-per distinct column (see `check_axioms`).
+them, so they are freed with it. Computing them reads the axiom check,
+which also runs once per table and is kept on it. It tests
+self-distributivity only on a generating set S, and only once per
+distinct column (see `check_axioms`).
 
 The same identity lets every closure run over generators instead of over
 all pairs. Once the R_s with s in S are known to be automorphisms, the
@@ -25,6 +26,17 @@ generate the group of all R_b. So the axiom check grows its subquandle by
 the generators' columns, `orbits` moves elements only by them, and the
 search checks f(x |> s) = f(x) |> f(s) only for the elements s it has
 chosen: about n |S| steps instead of n^2.
+
+A step over the whole table runs in C. Up to `kernels.BYTES_LIMIT` (256)
+elements the oracle reads a table as bytes (`CayleyTable._compact`): the
+n^2 entries row after row, each column, and each row padded to a
+`bytes.translate` table. Whether a map f is a homomorphism, which is both
+the self-distributivity check of one R_c and the final check of a
+witness, is then two translates: the whole table moved by f against the
+rows f(a) read at f, joined. Idempotence is one slice of the diagonal.
+Above 256 elements the same steps compose tuples with itemgetter. The
+compact form is built the first time the oracle needs it, not with the
+table, and is kept on it like the axiom verdict and the fingerprints.
 
 Table file format: line 1 holds n, lines 2..n+1 hold n space-separated
 zero-based entries; row a, column b is a |> b. Only blank lines may follow.
@@ -35,12 +47,13 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from operator import itemgetter
 
 from .autgroup import _group_tables
 from .errors import TableParseError
-from .kernels import cycle_type
+from .kernels import BYTES_LIMIT, cycle_type
 from .lambda_modules import LambdaModule, _one_minus_t_indices
 
 
@@ -73,6 +86,31 @@ class CayleyTable:
         return len(self.table)
 
     @cached_property
+    def _compact(self) -> tuple:
+        """The table as the oracle composes it: (flat, columns, rows).
+
+        flat holds the n^2 entries row after row, columns[c] is R_c as a
+        map (a -> a |> c), and rows[a] is row a as a lookup table. Up to
+        BYTES_LIMIT elements all three are bytes, each row padded to a
+        `bytes.translate` table as `search_rows` pads addition rows; above
+        that they are tuples, composed with itemgetter. Built the first time
+        the oracle needs it and kept on the table, so it is freed with it.
+        """
+        t, n = self.table, self.n
+        if n > BYTES_LIMIT:
+            flat = tuple(chain.from_iterable(t))
+            return flat, [flat[c::n] for c in range(n)], t
+        rows = list(map(bytes, t))
+        flat = b"".join(rows)
+        pad = bytes(BYTES_LIMIT - n)
+        return flat, [flat[c::n] for c in range(n)], [row + pad for row in rows]
+
+    @cached_property
+    def _axiom_check(self) -> tuple[AxiomVerdict, list[int]]:
+        """`_axioms(self)`, run once per table and kept on it."""
+        return _axioms(self)
+
+    @cached_property
     def _fingerprints(self) -> tuple[tuple, ...]:
         """Per-element invariants preserved by any quandle isomorphism.
 
@@ -88,6 +126,7 @@ class CayleyTable:
         it, so they are freed with it.
         """
         t = self.table
+        columns = self._compact[1]
         fingerprints: list[tuple] = [()] * self.n
         for block in orbits(self):
             a = block[0]
@@ -96,7 +135,7 @@ class CayleyTable:
                 len(block),
                 tuple(sorted(Counter(row).values())),
                 row.count(a),
-                cycle_type(tuple(map(itemgetter(a), t))),
+                cycle_type(columns[a]),
             )
             for x in block:
                 fingerprints[x] = fp
@@ -185,12 +224,13 @@ def check_axioms(Q: CayleyTable) -> AxiomVerdict:
     R_{c |> d} = R_d . R_c . R_d^-1 (Joyce, J. Pure Appl. Algebra 23,
     1982), so the subquandle that S generates is the orbit of S under the
     R_s, and once that orbit is everything, every R_c lies in the group
-    the R_s generate. Each R_c is compared one whole row at a time, and a
-    column equal to one already checked is not checked again. When a check
-    fails, the full a, b, c loop runs instead, so the witness is the
-    lexicographically first failing triple.
+    the R_s generate. Each R_c is compared over the whole table at once,
+    and a column equal to one already checked is not checked again. When
+    a check fails, the full a, b, c loop runs instead, so the witness is
+    the lexicographically first failing triple. The check runs once per
+    table, which keeps the verdict for `orbits` and the oracle.
     """
-    return _axioms(Q)[0]
+    return Q._axiom_check[0]
 
 
 def _axioms(Q: CayleyTable) -> tuple[AxiomVerdict, list[int]]:
@@ -201,14 +241,21 @@ def _axioms(Q: CayleyTable) -> tuple[AxiomVerdict, list[int]]:
     """
     t = Q.table
     n = Q.n
-    for a in range(n):
-        if t[a][a] != a:
-            return AxiomVerdict(False, "idempotence", (a,)), []
-    columns = list(zip(*t))
+    flat, columns, rows = Q._compact
+    identity = type(flat)(range(n))
+    diagonal = flat[:: n + 1]
+    if diagonal != identity:
+        a = next(a for a, aa in enumerate(diagonal) if aa != a)
+        return AxiomVerdict(False, "idempotence", (a,)), []
+    # missing(column): the elements a column does not reach
+    if isinstance(flat, bytes):
+        missing = partial(identity.translate, None)
+    else:
+        missing = set(identity).difference
     for b, column in enumerate(columns):
-        if len(set(column)) != n:
+        if missing(column):
             return AxiomVerdict(False, "right-invertibility", (b,)), []
-    generators = _distributes_on_generators(t, columns)
+    generators = _distributes_on_generators(flat, columns, rows)
     if generators is not None:
         return AxiomVerdict(True), generators
     rng = range(n)
@@ -222,41 +269,58 @@ def _axioms(Q: CayleyTable) -> tuple[AxiomVerdict, list[int]]:
     raise RuntimeError("a generator failed self-distributivity but no triple did; bug")
 
 
-def _distributes_on_generators(
-    t: tuple[tuple[int, ...], ...], columns: list[tuple[int, ...]]
-) -> list[int] | None:
-    """A generating set of t whose every R_c is an endomorphism, or None.
+def _distributes_on_generators(flat, columns, rows) -> list[int] | None:
+    """A generating set of the table whose every R_c is an endomorphism, or None.
 
-    Needs permutation columns. Checked elements are added in increasing
-    order, skipping those already in the subquandle the earlier ones
-    generate. Each checked R_c is then an automorphism, so that subquandle
-    is the orbit of the checked elements under their own columns, and it is
-    grown that way after each one. Whether R_c is an endomorphism depends
-    only on column c as a map, so a column equal to one already checked is
-    not checked again (on a trivial quandle every column is the identity).
+    Takes the table's `_compact` form and needs permutation columns.
+    Checked elements are added in increasing order, skipping those already
+    in the subquandle the earlier ones generate. Each checked R_c is then an
+    automorphism, so that subquandle is the orbit of the checked elements
+    under their own columns, and it is grown that way after each one.
+    Whether R_c is an endomorphism depends only on column c as a map, so a
+    column equal to one already checked is not checked again (on a trivial
+    quandle every column is the identity), and the subquandle, closed under
+    that column already, grows from c alone.
     """
-    n = len(t)
-    # row_at[a](seq) = (seq[a |> b] for b): the images of row a under seq
-    row_at = [itemgetter(*row) for row in t]
-    checked: set[tuple[int, ...]] = set()  # the generators' distinct columns
+    n = len(columns)
+    checked: set = set()  # the generators' distinct columns
     inside: set[int] = set()
     generators: list[int] = []
     for c in range(n):
         if c in inside:
             continue
         column = columns[c]
-        if column not in checked:
-            # (a |> b) |> c == (a |> c) |> (b |> c) for every b, one row a at a time
-            moved_rows = [at(column) for at in row_at]
-            if moved_rows != list(map(itemgetter(*column), map(t.__getitem__, column))):
+        if column in checked:
+            start = [c]
+        else:
+            # (a |> b) |> c == (a |> c) |> (b |> c) for every a and b
+            if not _is_homomorphism(column, flat, rows):
                 return None
             checked.add(column)
+            # c and every member moved by R_c
+            start = [c, *map(column.__getitem__, inside)]
         generators.append(c)
-        # c and every member moved by R_c, then whatever the columns reach
-        _grow(inside, [c, *map(column.__getitem__, inside)], checked)
+        _grow(inside, start, checked)
         if len(inside) == n:
             break
     return generators
+
+
+def _is_homomorphism(f, flat, rows) -> bool:
+    """Whether f(a |> b) == f(a) |> f(b) for every a and b.
+
+    flat and rows come from the `_compact` forms of the source and the
+    target table, and f is a map in their format. The left side is the
+    whole source table moved by f; the right side is, for each a in turn,
+    row f(a) of the target read at f. On bytes each side is composed by
+    `bytes.translate`, on tuples by itemgetter.
+    """
+    if isinstance(f, bytes):
+        moved = flat.translate(f + bytes(BYTES_LIMIT - len(f)))
+        return moved == b"".join(map(f.translate, map(rows.__getitem__, f)))
+    # tuple tables have more than BYTES_LIMIT elements, so the getters take many indices
+    at_f = itemgetter(*f)
+    return itemgetter(*flat)(f) == tuple(chain.from_iterable(map(at_f, map(rows.__getitem__, f))))
 
 
 def orbits(Q: CayleyTable) -> tuple[tuple[int, ...], ...]:
@@ -266,31 +330,40 @@ def orbits(Q: CayleyTable) -> tuple[tuple[int, ...], ...]:
     connected iff there is a single block. Each block is an orbit of
     Inn(Q), the group the R_b generate. The R_s of the generating set that
     the axiom check returns generate it too, so an element is moved only
-    by their distinct columns.
+    by their distinct columns. A block grows from the row of its least
+    member, as a |> b = R_b(a) lies in the orbit of a; on an Alexander
+    quandle that row is already the whole orbit, a coset of Im(1 - t).
+
+    >>> R3 = CayleyTable(((0, 2, 1), (2, 1, 0), (1, 0, 2)))  # 2b - a mod 3
+    >>> check_axioms(R3).describe(), orbits(R3)
+    ('pass', ((0, 1, 2),))
+    >>> orbits(CayleyTable(((0, 0, 0), (1, 1, 1), (2, 2, 2))))  # trivial
+    ((0,), (1,), (2,))
     """
-    verdict, generators = _axioms(Q)
+    verdict, generators = Q._axiom_check
     if not verdict.ok:
         raise QuandleAxiomError(verdict.describe())
     t = Q.table
-    moves = {tuple(map(itemgetter(s), t)) for s in generators}
+    columns = Q._compact[1]
+    moves = {columns[s] for s in generators}
     blocks = []
     seen: set[int] = set()
     for a in range(Q.n):
         if a in seen:
             continue
         block: set[int] = set()
-        _grow(block, [a], moves)
+        _grow(block, t[a], moves)
         seen |= block
         blocks.append(tuple(sorted(block)))
     return tuple(blocks)
 
 
-def _grow(inside: set[int], start: list[int], moves: Iterable[tuple[int, ...]]) -> None:
+def _grow(inside: set[int], start: Iterable[int], moves: Iterable) -> None:
     """Add to `inside` the start elements and all they reach along `moves`.
 
-    Each move is a permutation given as a tuple. Members of `inside` are
-    not moved again, so their images must already be in `inside` or in
-    `start`.
+    Each move is a permutation given as a column of `_compact`. Members of
+    `inside` are not moved again, so their images must already be in
+    `inside` or in `start`.
     """
     frontier = set(start) - inside
     while frontier:
@@ -343,7 +416,8 @@ def brute_force_isomorphic(Q1: CayleyTable, Q2: CayleyTable) -> tuple[int, ...] 
     classes1 = list(by_fp1.values())
 
     t1, t2 = Q1.table, Q2.table
-    columns1, columns2 = list(zip(*t1)), list(zip(*t2))
+    flat1, columns1, _ = Q1._compact
+    columns2 = Q2._compact[1]
 
     def propagate(
         fwd: dict[int, int], rev: dict[int, int], generators: list[tuple[int, int]]
@@ -401,9 +475,7 @@ def brute_force_isomorphic(Q1: CayleyTable, Q2: CayleyTable) -> tuple[int, ...] 
     if solution is None:
         return None
     f = tuple(solution[a] for a in range(n))
-    if f:  # itemgetter needs at least one index
-        at_f = itemgetter(*f)  # at_f(row) = (row[f(b)] for b)
-        # f(a |> b) == f(a) |> f(b) for every b, one row a at a time
-        if any(itemgetter(*t1[a])(f) != at_f(t2[fa]) for a, fa in enumerate(f)):
-            raise RuntimeError("search returned a non-homomorphism; bug")
+    # f in the tables' format: bytes or a tuple
+    if not _is_homomorphism(type(flat1)(f), flat1, Q2._compact[2]):
+        raise RuntimeError("search returned a non-homomorphism; bug")
     return f

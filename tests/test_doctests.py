@@ -6,11 +6,12 @@ import alexq.abelian
 import alexq.autgroup
 import alexq.linearq
 import alexq.polymod
+import alexq.quandle
 
 
 @pytest.mark.parametrize(
     "mod",
-    [alexq.abelian, alexq.autgroup, alexq.linearq, alexq.polymod],
+    [alexq.abelian, alexq.autgroup, alexq.linearq, alexq.polymod, alexq.quandle],
     ids=lambda mod: mod.__name__,
 )
 def test_module_doctests(mod):

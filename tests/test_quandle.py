@@ -341,6 +341,42 @@ class TestAxioms:
             assert not verdict.ok and generators == []
 
 
+class TestFormatLimit:
+    """Tables on both sides of kernels.BYTES_LIMIT: bytes up to 256 elements, tuples above."""
+
+    @pytest.mark.parametrize(
+        "spec, compact",
+        [("2,128|1,0;0,3", bytes), ("L257/3", tuple), ("17,17|0,1;16,3", tuple)],
+    )
+    def test_oracle_matches_the_references(self, spec, compact):
+        Q = table(spec)
+        assert type(Q._compact[0]) is compact
+        assert check_axioms(Q) == reference_axioms(Q) == AxiomVerdict(True)
+        assert orbits(Q) == reference_orbits(Q)
+        assert Q._fingerprints == reference_fingerprints(Q)
+        R = relabel(Q, random.Random(Q.n).sample(range(Q.n), Q.n))
+        witness = brute_force_isomorphic(Q, R)
+        assert witness is not None
+        assert witness == reference_isomorphic(Q, R)
+
+    @pytest.mark.parametrize("spec", ["2,128|1,0;0,3", "L257/3"])
+    def test_faults_match_the_reference(self, spec):
+        # one changed entry: on the diagonal it breaks idempotence, off it
+        # a column repeats a value. Neither reaches the n^3 fallback loop.
+        Q = table(spec)
+        n = Q.n
+        rng = random.Random(n)
+        a, c = rng.sample(range(n), 2)
+        for x, y in ((a, a), (a, c)):
+            rows = [list(row) for row in Q.table]
+            rows[x][y] = (rows[x][y] + 1) % n
+            bad = CayleyTable(tuple(map(tuple, rows)))
+            verdict = check_axioms(bad)
+            assert verdict == reference_axioms(bad)
+            expected = ("idempotence", (a,)) if x == y else ("right-invertibility", (c,))
+            assert (verdict.axiom, verdict.witness) == expected
+
+
 class TestOrbits:
     def test_trivial_quandle_is_discrete(self):
         assert orbits(table("4|1")) == ((0,), (1,), (2,), (3,))
@@ -476,6 +512,24 @@ class TestOracle:
         Q = table("16|3")
         cycle_types = {fp[3] for fp in Q._fingerprints}
         assert cycle_types == {(1, 1, 2, 2, 2, 4, 4)}
+
+    def test_axiom_check_runs_once_per_table(self, monkeypatch):
+        # `alexq iso` checks both tables before the oracle, and
+        # `oracle_class_counts` takes the orbits of a table the oracle has read
+        calls = []
+        distributes = quandle._distributes_on_generators
+
+        def counting(*form):
+            calls.append(form)
+            return distributes(*form)
+
+        monkeypatch.setattr(quandle, "_distributes_on_generators", counting)
+        Qa, Qb = table("L16/3"), table("L16/11")
+        assert check_axioms(Qa).ok and check_axioms(Qb).ok
+        assert brute_force_isomorphic(Qa, Qb) is not None
+        assert len(orbits(Qa)) == len(orbits(Qb)) == 2
+        assert check_axioms(Qa).ok
+        assert len(calls) == 2
 
     def test_table_is_freed_after_the_oracle_returns(self):
         Qa, Qb = table("L16/3"), table("L16/11")
