@@ -68,7 +68,9 @@ def search_rows(n: int, rows: list[tuple[int, ...]]) -> list[bytes] | list[tuple
 
     Up to BYTES_LIMIT elements, row m becomes a bytes object padded to 256,
     the `bytes.translate` table of y -> m + y, so a perm is one byte per
-    element; above that the tuple rows are returned as they are.
+    element; above that the tuple rows are returned as they are. The
+    quandle oracle reads Cayley-table rows, and the maps it applies to a
+    whole table, in the same format.
     """
     if n > BYTES_LIMIT:
         return rows

@@ -16,8 +16,8 @@ Algebra 23, 1982), so these fields are constant on each orbit and are
 computed once per orbit. A table computes its fingerprints once and keeps
 them, so they are freed with it. Computing them reads the axiom check,
 which also runs once per table and is kept on it. It tests
-self-distributivity only on a generating set S, and only once per
-distinct column (see `check_axioms`).
+right-invertibility and self-distributivity only on a generating set S,
+and only once per distinct column (see `check_axioms`).
 
 The same identity lets every closure run over generators instead of over
 all pairs. Once the R_s with s in S are known to be automorphisms, the
@@ -30,13 +30,14 @@ chosen: about n |S| steps instead of n^2.
 A step over the whole table runs in C. Up to `kernels.BYTES_LIMIT` (256)
 elements the oracle reads a table as bytes (`CayleyTable._compact`): the
 n^2 entries row after row, each column, and each row padded to a
-`bytes.translate` table. Whether a map f is a homomorphism, which is both
-the self-distributivity check of one R_c and the final check of a
-witness, is then two translates: the whole table moved by f against the
-rows f(a) read at f, joined. Idempotence is one slice of the diagonal.
-Above 256 elements the same steps compose tuples with itemgetter. The
-compact form is built the first time the oracle needs it, not with the
-table, and is kept on it like the axiom verdict and the fingerprints.
+`bytes.translate` table (`kernels.search_rows`). Whether a map f is a
+homomorphism, which is both the self-distributivity check of one R_c and
+the final check of a witness, is then two translates: the whole table
+moved by f against the rows f(a) read at f, joined. Above 256 elements
+the columns are tuples, and the same check composes each row with
+itemgetter. The compact form is built the first time the oracle needs
+it, not with the table, and is kept on it like the axiom verdict and the
+fingerprints.
 
 Table file format: line 1 holds n, lines 2..n+1 hold n space-separated
 zero-based entries; row a, column b is a |> b. Only blank lines may follow.
@@ -47,13 +48,13 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from .autgroup import _group_tables
 from .errors import TableParseError
-from .kernels import BYTES_LIMIT, cycle_type
+from .kernels import BYTES_LIMIT, cycle_type, search_rows
 from .lambda_modules import LambdaModule, _one_minus_t_indices
 
 
@@ -87,23 +88,22 @@ class CayleyTable:
 
     @cached_property
     def _compact(self) -> tuple:
-        """The table as the oracle composes it: (flat, columns, rows).
+        """The table as the oracle composes it: (entries, columns, rows).
 
-        flat holds the n^2 entries row after row, columns[c] is R_c as a
-        map (a -> a |> c), and rows[a] is row a as a lookup table. Up to
-        BYTES_LIMIT elements all three are bytes, each row padded to a
-        `bytes.translate` table as `search_rows` pads addition rows; above
-        that they are tuples, composed with itemgetter. Built the first time
-        the oracle needs it and kept on the table, so it is freed with it.
+        columns[c] is R_c as a map (a -> a |> c), and rows[a] is row a as a
+        lookup table in the format of `search_rows`. Up to BYTES_LIMIT
+        elements entries is the n^2 entries row after row, and all three
+        are bytes, each row a `bytes.translate` table. Above that they are
+        tuples, composed with itemgetter, and entries is the table's own
+        rows, so no flat copy of the n^2 entries is kept. Built the first
+        time the oracle needs it and kept on the table, so it is freed
+        with it.
         """
         t, n = self.table, self.n
         if n > BYTES_LIMIT:
-            flat = tuple(chain.from_iterable(t))
-            return flat, [flat[c::n] for c in range(n)], t
-        rows = list(map(bytes, t))
-        flat = b"".join(rows)
-        pad = bytes(BYTES_LIMIT - n)
-        return flat, [flat[c::n] for c in range(n)], [row + pad for row in rows]
+            return t, list(zip(*t)), t
+        flat = bytes(chain.from_iterable(t))
+        return flat, [flat[c::n] for c in range(n)], search_rows(n, t)
 
     @cached_property
     def _axiom_check(self) -> tuple[AxiomVerdict, list[int]]:
@@ -217,18 +217,19 @@ def check_axioms(Q: CayleyTable) -> AxiomVerdict:
     Returns the first failing axiom with a witness tuple rather than
     raising; malformed tables raise before any axiom is looked at.
 
-    Self-distributivity says that every right multiplication
-    R_c: x -> x |> c is an endomorphism. Once the columns are known to be
-    permutations, it is checked only for c in a generating set S, grown
-    greedily: if R_c and R_d are automorphisms, so is
-    R_{c |> d} = R_d . R_c . R_d^-1 (Joyce, J. Pure Appl. Algebra 23,
-    1982), so the subquandle that S generates is the orbit of S under the
-    R_s, and once that orbit is everything, every R_c lies in the group
-    the R_s generate. Each R_c is compared over the whole table at once,
-    and a column equal to one already checked is not checked again. When
-    a check fails, the full a, b, c loop runs instead, so the witness is
-    the lexicographically first failing triple. The check runs once per
-    table, which keeps the verdict for `orbits` and the oracle.
+    Right-invertibility and self-distributivity say together that every
+    right multiplication R_c: x -> x |> c is an automorphism. Both are
+    checked only for c in a generating set S, grown greedily: if R_c and
+    R_d are automorphisms, so is R_{c |> d} = R_d . R_c . R_d^-1 (Joyce,
+    J. Pure Appl. Algebra 23, 1982), so the subquandle that S generates is
+    the orbit of S under the R_s, and once that orbit is everything, every
+    R_c lies in the group the R_s generate. Each R_c is compared over the
+    whole table at once, and a column equal to one already checked is not
+    checked again. When a check fails, every column is scanned and then
+    the full a, b, c loop runs, so the witness is the first column that is
+    not a permutation, or else the lexicographically first failing triple.
+    The check runs once per table, which keeps the verdict for `orbits`
+    and the oracle.
     """
     return Q._axiom_check[0]
 
@@ -241,23 +242,16 @@ def _axioms(Q: CayleyTable) -> tuple[AxiomVerdict, list[int]]:
     """
     t = Q.table
     n = Q.n
-    flat, columns, rows = Q._compact
-    identity = type(flat)(range(n))
-    diagonal = flat[:: n + 1]
-    if diagonal != identity:
-        a = next(a for a, aa in enumerate(diagonal) if aa != a)
+    entries, columns, rows = Q._compact
+    if tuple(map(getitem, t, range(n))) != tuple(range(n)):
+        a = next(a for a, row in enumerate(t) if row[a] != a)
         return AxiomVerdict(False, "idempotence", (a,)), []
-    # missing(column): the elements a column does not reach
-    if isinstance(flat, bytes):
-        missing = partial(identity.translate, None)
-    else:
-        missing = set(identity).difference
-    for b, column in enumerate(columns):
-        if missing(column):
-            return AxiomVerdict(False, "right-invertibility", (b,)), []
-    generators = _distributes_on_generators(flat, columns, rows)
+    generators = _distributes_on_generators(entries, columns, rows)
     if generators is not None:
         return AxiomVerdict(True), generators
+    for b, column in enumerate(columns):
+        if len(set(column)) != n:
+            return AxiomVerdict(False, "right-invertibility", (b,)), []
     rng = range(n)
     for a in rng:
         ta = t[a]
@@ -269,15 +263,15 @@ def _axioms(Q: CayleyTable) -> tuple[AxiomVerdict, list[int]]:
     raise RuntimeError("a generator failed self-distributivity but no triple did; bug")
 
 
-def _distributes_on_generators(flat, columns, rows) -> list[int] | None:
-    """A generating set of the table whose every R_c is an endomorphism, or None.
+def _distributes_on_generators(entries, columns, rows) -> list[int] | None:
+    """A generating set of the table whose every R_c is an automorphism, or None.
 
-    Takes the table's `_compact` form and needs permutation columns.
-    Checked elements are added in increasing order, skipping those already
-    in the subquandle the earlier ones generate. Each checked R_c is then an
-    automorphism, so that subquandle is the orbit of the checked elements
-    under their own columns, and it is grown that way after each one.
-    Whether R_c is an endomorphism depends only on column c as a map, so a
+    Takes the table's `_compact` form. Checked elements are added in
+    increasing order, skipping those already in the subquandle the earlier
+    ones generate. Each checked R_c is then an automorphism, so that
+    subquandle is the orbit of the checked elements under their own
+    columns, and it is grown that way after each one.
+    Whether R_c is an automorphism depends only on column c as a map, so a
     column equal to one already checked is not checked again (on a trivial
     quandle every column is the identity), and the subquandle, closed under
     that column already, grows from c alone.
@@ -293,8 +287,8 @@ def _distributes_on_generators(flat, columns, rows) -> list[int] | None:
         if column in checked:
             start = [c]
         else:
-            # (a |> b) |> c == (a |> c) |> (b |> c) for every a and b
-            if not _is_homomorphism(column, flat, rows):
+            # R_c is a permutation, and (a |> b) |> c == (a |> c) |> (b |> c)
+            if len(set(column)) != n or not _is_homomorphism(column, entries, rows):
                 return None
             checked.add(column)
             # c and every member moved by R_c
@@ -306,21 +300,23 @@ def _distributes_on_generators(flat, columns, rows) -> list[int] | None:
     return generators
 
 
-def _is_homomorphism(f, flat, rows) -> bool:
+def _is_homomorphism(f, entries, rows) -> bool:
     """Whether f(a |> b) == f(a) |> f(b) for every a and b.
 
-    flat and rows come from the `_compact` forms of the source and the
+    entries and rows come from the `_compact` forms of the source and the
     target table, and f is a map in their format. The left side is the
-    whole source table moved by f; the right side is, for each a in turn,
-    row f(a) of the target read at f. On bytes each side is composed by
-    `bytes.translate`, on tuples by itemgetter.
+    source table moved by f; the right side is, for each a, row f(a) of
+    the target read at f. On bytes each side is composed over the whole
+    table by `bytes.translate`; on tuples each row is, by itemgetter.
     """
-    if isinstance(f, bytes):
-        moved = flat.translate(f + bytes(BYTES_LIMIT - len(f)))
-        return moved == b"".join(map(f.translate, map(rows.__getitem__, f)))
-    # tuple tables have more than BYTES_LIMIT elements, so the getters take many indices
-    at_f = itemgetter(*f)
-    return itemgetter(*flat)(f) == tuple(chain.from_iterable(map(at_f, map(rows.__getitem__, f))))
+    n = len(f)
+    if n > BYTES_LIMIT:  # so the getters take many indices
+        at_f = itemgetter(*f)
+        return all(
+            itemgetter(*row)(f) == at_f(rows[fa]) for row, fa in zip(entries, f)
+        )
+    moved = entries.translate(search_rows(n, [f])[0])
+    return moved == b"".join(map(f.translate, map(rows.__getitem__, f)))
 
 
 def orbits(Q: CayleyTable) -> tuple[tuple[int, ...], ...]:
@@ -416,7 +412,7 @@ def brute_force_isomorphic(Q1: CayleyTable, Q2: CayleyTable) -> tuple[int, ...] 
     classes1 = list(by_fp1.values())
 
     t1, t2 = Q1.table, Q2.table
-    flat1, columns1, _ = Q1._compact
+    columns1 = Q1._compact[1]
     columns2 = Q2._compact[1]
 
     def propagate(
@@ -476,6 +472,6 @@ def brute_force_isomorphic(Q1: CayleyTable, Q2: CayleyTable) -> tuple[int, ...] 
         return None
     f = tuple(solution[a] for a in range(n))
     # f in the tables' format: bytes or a tuple
-    if not _is_homomorphism(type(flat1)(f), flat1, Q2._compact[2]):
+    if not _is_homomorphism(type(columns1[0])(f), Q1._compact[0], Q2._compact[2]):
         raise RuntimeError("search returned a non-homomorphism; bug")
     return f

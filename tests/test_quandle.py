@@ -221,6 +221,21 @@ class TestAxioms:
                     assert check_axioms(Q) == reference_axioms(Q) == AxiomVerdict(True)
                     assert orbits(Q) == reference_orbits(Q)
 
+    def test_matches_reference_on_every_idempotent_table_of_order_3(self):
+        # columns need not be permutations; the generators' columns are
+        # checked first, so one that is not may be found only by the scan
+        off_diagonal = [(a, b) for a in range(3) for b in range(3) if a != b]
+        axioms = set()
+        for values in itertools.product(range(3), repeat=len(off_diagonal)):
+            rows = [[a] * 3 for a in range(3)]
+            for (a, b), v in zip(off_diagonal, values):
+                rows[a][b] = v
+            Q = CayleyTable(tuple(map(tuple, rows)))
+            verdict = check_axioms(Q)
+            assert verdict == reference_axioms(Q)
+            axioms.add(verdict.axiom)
+        assert axioms == {None, "right-invertibility", "self-distributivity"}
+
     def test_matches_reference_on_every_order_4_candidate(self):
         # every idempotent table of order 4 with permutation columns, so
         # each one reaches the self-distributivity check
@@ -350,7 +365,7 @@ class TestFormatLimit:
     )
     def test_oracle_matches_the_references(self, spec, compact):
         Q = table(spec)
-        assert type(Q._compact[0]) is compact
+        assert type(Q._compact[1][0]) is compact
         assert check_axioms(Q) == reference_axioms(Q) == AxiomVerdict(True)
         assert orbits(Q) == reference_orbits(Q)
         assert Q._fingerprints == reference_fingerprints(Q)
@@ -358,6 +373,19 @@ class TestFormatLimit:
         witness = brute_force_isomorphic(Q, R)
         assert witness is not None
         assert witness == reference_isomorphic(Q, R)
+
+    @pytest.mark.parametrize("spec", ["2,128|1,0;0,3", "L257/3"])
+    def test_is_homomorphism_matches_the_pairwise_check(self, spec):
+        Q = table(spec)
+        t, n = Q.table, Q.n
+        entries, columns, rows = Q._compact
+        swap = list(range(n))
+        swap[1], swap[2] = 2, 1
+        for f in (range(n), columns[n - 1], swap):
+            f = type(columns[0])(f)
+            pairwise = all(f[t[a][b]] == t[f[a]][f[b]] for a in range(n) for b in range(n))
+            assert quandle._is_homomorphism(f, entries, rows) == pairwise
+        assert not pairwise  # the swap
 
     @pytest.mark.parametrize("spec", ["2,128|1,0;0,3", "L257/3"])
     def test_faults_match_the_reference(self, spec):
