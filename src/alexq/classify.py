@@ -19,8 +19,10 @@ are safe to delete.
 
 With `jobs` > 1 the carriers are dealt, heaviest first, into one share per
 process; the calling process runs the share with the heaviest carrier and
-forked children run the others. Where `os.fork` does not exist the run is
-serial.
+forked children run the others. A child hands its carriers back through the
+cache alone: the caller reads each of them from there, and classifies one
+the child left no entry for. Where `os.fork` does not exist or the cache
+directory cannot be written, the run is serial.
 """
 
 from __future__ import annotations
@@ -166,9 +168,9 @@ def _carrier_triples(
 
     Each distinct image is labelled once, right after the carrier's
     partition is built, so a fallback label's least conjugate reads that
-    partition from `_conjugacy`'s cache in the same process. The triples
-    are plain frozen values, so they cross process boundaries unchanged;
-    the JSON cache stores them as strings.
+    partition from `_conjugacy`'s cache in the same process. The JSON cache
+    stores the triples as strings, and is how a forked child's triples
+    reach the caller.
 
     `earlier` holds the triples of carriers already classified in this
     run, computed or read from the cache. An image labelled there keeps
@@ -251,7 +253,9 @@ def _run_share(
 
     Earlier carriers lend their labels to later ones, so each image is
     labelled once. A carrier after a failure is not run: the failure comes
-    first in carrier order, and it is what classify_order raises.
+    first in carrier order. In the caller it is what classify_order raises;
+    in a forked child it leaves no cache entry, so the caller classifies
+    the carrier again.
     """
     done: dict[tuple[int, ...], Outcome] = {}
     for G in carriers:
@@ -263,80 +267,53 @@ def _run_share(
     return done
 
 
-def _run_child(
-    carriers: list[AbelianGroup], cache_dir: str | None, read_end: int, write_end: int
-) -> None:
-    """In a forked child: run a share, pickle its outcomes to the pipe, exit.
-
-    The child leaves only through os._exit, so it runs no handler or buffer
-    flush inherited from the caller; the status is 0 only after a complete
-    write.
-    """
-    status = 1
-    try:
-        import pickle
-
-        os.close(read_end)
-        outcomes = _run_share(carriers, cache_dir)
-        with os.fdopen(write_end, "wb") as pipe:
-            pickle.dump(outcomes, pipe)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _fork_join(
     shares: list[list[AbelianGroup]], cache_dir: str | None
 ) -> dict[tuple[int, ...], Outcome]:
-    """Run shares[0] here and every other share in a forked child.
+    """Run shares[0] here and every other share in a forked child; reap them.
 
-    Every child is reaped before this returns or raises. A child that ends
-    without a complete result raises RuntimeError; if anything escapes this
-    process's own share (say, KeyboardInterrupt), the children are killed.
+    Returns the outcomes of shares[0]. A child hands nothing back: each
+    carrier it classifies is stored in the cache, where the caller reads it.
+    The child leaves only through os._exit, so it runs no handler or buffer
+    flush inherited from the caller. Every child is reaped before this
+    returns; if anything escapes this process's own share (say,
+    KeyboardInterrupt), the children are killed first.
     """
     if len(shares) == 1:
         return _run_share(shares[0], cache_dir)
-    # imported here, not at import: both are slow to load and a serial run needs neither
-    import pickle
-    import signal
+    import signal  # imported here, not at import: a serial run does not need it
 
     _source_digest()  # hashed once here, so the children inherit it
-    pending: dict[int, tuple[int, list[AbelianGroup]]] = {}  # pid -> (read end, share)
+    pids: list[int] = []
     try:
         for share in shares[1:]:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
+            pid = os.fork()
             if pid == 0:
-                _run_child(share, cache_dir, read_end, write_end)
-            os.close(write_end)
-            pending[pid] = read_end, share
+                try:
+                    _run_share(share, cache_dir)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
         outcomes = _run_share(shares[0], cache_dir)
-        for pid, (read_end, share) in list(pending.items()):
-            with os.fdopen(read_end, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del pending[pid]
-            os.close(read_end)
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:
-                how = f"exit code {code}" if code > 0 else f"signal {-code}"
-                raise RuntimeError(
-                    f"the process for carriers {' '.join(G.spec() for G in share)} "
-                    f"ended without a result ({how})"
-                )
-            outcomes.update(pickle.loads(data))  # written by _run_child above
+        while pids:
+            os.waitpid(pids[-1], 0)
+            pids.pop()
         return outcomes
     finally:
-        for pid, (read_end, _) in pending.items():
-            os.close(read_end)
+        for pid in pids:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _cache_writable(cache_dir: Path) -> bool:
+    """Whether a file can be made in cache_dir, which is created if missing."""
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryFile(dir=cache_dir):
+            return True
+    except OSError:
+        return False
 
 
 def classify_order(
@@ -347,13 +324,16 @@ def classify_order(
     `jobs` counts the processes that work at once, this one included, and
     at most one per carrier. With `jobs` > 1 the carriers are dealt,
     heaviest first, into shares of about equal cost; this process runs the
-    share with the heaviest carrier and forked children run the others.
-    Where `os.fork` does not exist, the run is serial. The budget guards
-    of every carrier run first, so a carrier over budget raises before any
-    carrier is classified or cached. An error raised for a carrier is
-    raised here for the first such carrier in carrier order, as in a
-    serial run, and the merge is a deterministic reduction, so
-    reports are identical for any job count.
+    share with the heaviest carrier and forked children run the others. A
+    child's carriers come back through the cache: this process reads each
+    one there, or classifies it itself if the child left no entry (it died,
+    failed or could not write). Where `os.fork` does not exist or the cache
+    directory cannot be written, the run is serial, so no carrier is
+    classified twice. The budget guards of every carrier run first, so a
+    carrier over budget raises before any carrier is classified or cached.
+    An error raised for a carrier in this process is raised for the first
+    such carrier in carrier order, as in a serial run, and the merge is a
+    deterministic reduction, so reports are identical for any job count.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
@@ -365,15 +345,28 @@ def classify_order(
     for G in carriers:
         _check_budget(G)
         _check_table_budget(G)
-    workers = min(jobs, len(carriers)) if hasattr(os, "fork") else 1
-    outcomes = _fork_join(_shares(carriers, workers), cache_dir)
+    # a child hands its carriers back through the cache alone, so without a
+    # writable cache the caller would redo the children's work
+    workers = min(jobs, len(carriers))
+    if workers > 1 and not (
+        hasattr(os, "fork") and _cache_writable(resolve_cache_dir(cache_dir))
+    ):
+        workers = 1
+    own = _fork_join(_shares(carriers, workers), cache_dir)
 
-    # label -> (first image seen, members); equal labels are isomorphic images
+    # a child's carrier is a cache hit, or is classified here if the child
+    # left no entry; label -> (first image seen, members), and equal labels
+    # are isomorphic images
+    merged: list[list[Triple]] = []
     classes: dict[str, tuple[LambdaModule, list[Member]]] = {}
     for G in carriers:
-        outcome = outcomes[G.factors]
+        if G.factors in own:
+            outcome = own[G.factors]
+        else:
+            outcome = _carrier_triples(G.factors, cache_dir, merged)
         if isinstance(outcome, Exception):
             raise outcome
+        merged.append(outcome)
         for rep, image, label in outcome:
             classes.setdefault(label, (image, []))[1].append((G, rep))
 

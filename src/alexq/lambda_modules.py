@@ -167,6 +167,27 @@ def scalar_cyclic_module(pairs: tuple[tuple[int, int], ...]) -> LambdaModule:
     return LambdaModule(G, Automorphism(G, tuple(images)))
 
 
+def _eigen_counts(M: LambdaModule) -> Counter[tuple[int, int, int]]:
+    """(p, g, rho) -> #{x of order p^g with t(x) = rho*x}, 0 < rho < p^g.
+
+    Read off the last candidate level of `_group_tables`, which lists the
+    multiples c*x, c = 1..d-1, of every x, where d is the exponent. Of those,
+    c*x = 0 exactly when ord(x) divides c, which it does d/ord(x) - 1 times;
+    t(x), never 0 for x != 0, lies in <x> exactly when it is in the list,
+    first at c = rho.
+    """
+    d = M.group.factors[-1]
+    perm = M.t.perm
+    eigen: Counter[tuple[int, int, int]] = Counter()
+    for x, multiples in enumerate(_group_tables(M.group)[1][-1]):
+        if x and perm[x] in multiples:
+            factorization = _prime_factorization(d // (multiples.count(0) + 1))
+            if len(factorization) == 1:
+                ((p, g),) = factorization.items()
+                eigen[p, g, multiples.index(perm[x]) + 1] += 1
+    return eigen
+
+
 def _scalar_candidate(M: LambdaModule) -> tuple[tuple[int, int], ...] | None:
     """The summands M has if it is a sum of cyclic scalar modules, or None.
 
@@ -179,22 +200,7 @@ def _scalar_candidate(M: LambdaModule) -> tuple[tuple[int, int], ...] | None:
     confirm.
     """
     G = M.group
-    rows, _ = _group_tables(G)
-    perm = M.t.perm
-    # (p, g, rho) for each x of order p^g whose image t(x) = rho*x lies in <x>
-    eigen: Counter[tuple[int, int, int]] = Counter()
-    for x in range(1, G.order):
-        multiples = [0, x]
-        y = rows[x][x]
-        while y:
-            multiples.append(y)
-            y = rows[y][x]
-        factorization = _prime_factorization(len(multiples))
-        tx = perm[x]
-        if len(factorization) == 1 and tx in multiples:
-            ((p, g),) = factorization.items()
-            eigen[p, g, multiples.index(tx)] += 1
-
+    eigen = _eigen_counts(M)
     pairs = []
     for p, top in sorted(_prime_factorization(G.factors[-1]).items()):
         # log_n[f][r] = log_p N(p^f, r); N is the order of a subgroup

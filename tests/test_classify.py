@@ -550,7 +550,9 @@ def test_parallel_order_48_matches_golden_digest(tmp_path):
 
 
 # order 48 at jobs=2 is the test above
-@pytest.mark.parametrize("order, jobs", [(16, 2), (27, 2), (16, 3), (27, 3), (48, 3)])
+@pytest.mark.parametrize(
+    "order, jobs", [(12, 2), (16, 2), (24, 2), (27, 2), (16, 3), (27, 3), (48, 3)]
+)
 def test_forked_report_matches_golden_digest(order, jobs, tmp_path):
     report = classify_order(order, jobs=jobs, cache_dir=str(tmp_path))
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[order]
@@ -626,21 +628,10 @@ def test_normal_forked_run_leaves_no_child(tmp_path):
     _assert_no_child_left()
 
 
-def test_child_error_is_raised_with_its_type_and_message(monkeypatch, tmp_path):
-    assert AbelianGroup((4, 4)) not in alexq.classify._shares(enumerate_groups(16), 2)[0]
-
-    def fail():
-        raise ConsistencyError("carrier 4,4 refused")
-
-    _in_children(monkeypatch, fail)
-    with pytest.raises(ConsistencyError, match="^carrier 4,4 refused$"):
-        classify_order(16, jobs=2, cache_dir=str(tmp_path))
-    _assert_no_child_left()
-
-
 def test_first_error_in_carrier_order_is_raised(monkeypatch, tmp_path):
-    # 4,4 fails in a child and 2,2,2,2 in the caller; 4,4 comes first in
-    # carrier order, so its error is raised, as in a serial run
+    # 4,4 and 2,2,2,2 fail in every process; with jobs > 1, 4,4 fails first
+    # in a child, which leaves no entry, and then again in the caller. 4,4
+    # comes first in carrier order, so its error is raised, as in a serial run
     triples = alexq.classify._carrier_triples
 
     def patched(factors, *args):
@@ -649,28 +640,63 @@ def test_first_error_in_carrier_order_is_raised(monkeypatch, tmp_path):
         return triples(factors, *args)
 
     monkeypatch.setattr(alexq.classify, "_carrier_triples", patched)
-    for jobs in (1, 2):
+    for jobs in (1, 2, 3):
         with pytest.raises(ConsistencyError, match=r"^carrier \(4, 4\) refused$"):
             classify_order(16, jobs=jobs, cache_dir=str(tmp_path / str(jobs)))
     _assert_no_child_left()
 
 
+def _refuse():
+    raise ConsistencyError("carrier 4,4 refused")
+
+
 @pytest.mark.parametrize(
-    "die, how",
-    [
-        (lambda: os._exit(7), "exit code 7"),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
-    ],
-    ids=["exit", "killed"],
+    "die",
+    [lambda: os._exit(7), lambda: os.kill(os.getpid(), signal.SIGKILL), _refuse],
+    ids=["exit", "killed", "failed"],
 )
-def test_child_without_a_result_raises_a_clear_error(die, how, monkeypatch, tmp_path):
+def test_caller_classifies_what_a_child_left_undone(die, monkeypatch, tmp_path):
+    # the child stops at 4,4 and leaves no entry for it or the carriers
+    # after it in its share; the caller finds them missing from the cache
+    # and classifies them itself
+    assert AbelianGroup((4, 4)) not in alexq.classify._shares(enumerate_groups(16), 2)[0]
     _in_children(monkeypatch, die)
-    with pytest.raises(RuntimeError) as info:
-        classify_order(16, jobs=2, cache_dir=str(tmp_path))
-    assert str(info.value) == (
-        f"the process for carriers 16 2,8 4,4 2,2,4 ended without a result ({how})"
-    )
+    report = classify_order(16, jobs=2, cache_dir=str(tmp_path))
+    assert _report_digest(report) == GOLDEN_REPORT_SHA256[16]
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("order, jobs", [(16, 2), (48, 3)])
+def test_caller_does_no_aut_work_for_a_childs_carrier(order, jobs, monkeypatch, tmp_path):
+    # a child's carriers are cache hits in the caller, so it partitions
+    # only its own share
+    caller = os.getpid()
+    partitioned = []
+    representatives = alexq.classify.conjugacy_representatives
+
+    def recording(G):
+        if os.getpid() == caller:
+            partitioned.append(G)
+        return representatives(G)
+
+    monkeypatch.setattr(alexq.classify, "conjugacy_representatives", recording)
+    report = classify_order(order, jobs=jobs, cache_dir=str(tmp_path))
+    assert _report_digest(report) == GOLDEN_REPORT_SHA256[order]
+    assert partitioned == alexq.classify._shares(enumerate_groups(order), jobs)[0]
+
+
+def test_unwritable_cache_runs_serially(monkeypatch, tmp_path):
+    # a child hands its carriers back only through the cache, so without
+    # one the caller would classify them again
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("", encoding="utf-8")
+
+    def no_fork():
+        raise AssertionError("a run that cannot write its cache must not fork")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    report = classify_order(48, jobs=2, cache_dir=str(blocker))
+    assert _report_digest(report) == GOLDEN_REPORT_SHA256[48]
 
 
 def test_interrupt_in_the_caller_kills_and_reaps_the_children(monkeypatch, tmp_path):
@@ -691,14 +717,15 @@ def test_interrupt_in_the_caller_kills_and_reaps_the_children(monkeypatch, tmp_p
     _assert_no_child_left()
 
 
-def test_forked_run_imports_pickle_and_signal_only_when_it_forks():
-    # a serial run needs neither; no run imports concurrent.futures. The
-    # cache is the test's own, through ALEXQ_CACHE.
+def test_no_run_imports_pickle_and_only_a_forked_run_imports_signal():
+    # no run imports concurrent.futures either. The cache is the test's
+    # own, through ALEXQ_CACHE.
     probe = (
         "import sys; from alexq.classify import classify_order; "
         "classify_order(8, jobs=1); "
         "print(sorted({'pickle', 'signal'} & set(sys.modules))); "
         "classify_order(8, jobs=2); "
+        "print(sorted({'pickle', 'signal'} & set(sys.modules))); "
         "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
     )
     out = subprocess.run(
@@ -708,7 +735,7 @@ def test_forked_run_imports_pickle_and_signal_only_when_it_forks():
         env={**os.environ, "PYTHONPATH": str(Path(alexq.__file__).parents[1])},
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n[]\n"
+    assert out.stdout == "[]\n['signal']\n[]\n"
 
 
 def test_warm_run_does_no_aut_work(tmp_path, monkeypatch):

@@ -234,6 +234,16 @@ class TestErrors:
         code, out, err = run(capsys, "classify", "--order", "4")
         assert (code, out, err) == (0, expected, "")
 
+    def test_jobs_with_a_cache_path_naming_a_file_match_serial(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("", encoding="utf-8")
+        monkeypatch.setenv("ALEXQ_CACHE", str(blocker))
+        serial = run(capsys, "classify", "--order", "16", "--jobs", "1")
+        assert serial[0] == 0
+        assert run(capsys, "classify", "--order", "16", "--jobs", "2") == serial
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run(capsys, "classify", "--order", str(2**25))
         assert code == 3

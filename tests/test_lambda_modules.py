@@ -1,10 +1,16 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from alexq.abelian import AbelianGroup, _invariant_decomposition, enumerate_groups
+from alexq.abelian import (
+    AbelianGroup,
+    _invariant_decomposition,
+    _prime_factorization,
+    enumerate_groups,
+)
 from alexq.autgroup import (
     Automorphism,
     _group_tables,
@@ -16,6 +22,7 @@ from alexq.autgroup import (
 from alexq.errors import SpecError
 from alexq.lambda_modules import (
     LambdaModule,
+    _eigen_counts,
     _grouped,
     _image_indices,
     _primary_parts,
@@ -340,6 +347,16 @@ class TestComputedRoutes:
         ]
         assert mismatches == []
 
+    def test_eigen_counts_match_the_walk(self, representative_modules):
+        modules = {*representative_modules, *map(image_one_minus_t, representative_modules)}
+        modules.update(map(parse_module_spec, _LARGE_MODULE_SPECS))
+        mismatches = [
+            M.spec()
+            for M in sorted(modules, key=LambdaModule.spec)
+            if M.order > 1 and _eigen_counts(M) != _reference_eigen_counts(M)
+        ]
+        assert mismatches == []
+
     @pytest.mark.parametrize("factors", [(2, 4), (4, 4), (3, 9), (2, 2, 2), (3, 3)])
     def test_routes_agree_on_every_automorphism(self, factors):
         G = AbelianGroup(factors)
@@ -368,6 +385,36 @@ class TestComputedRoutes:
             assert label == _grouped(names), str(spec)
             labels.append(label)
         assert len(set(labels)) == len(labels)
+
+
+# carriers of 243 to 289 elements, with exponents up to 257
+_LARGE_MODULE_SPECS = (
+    "17,17|0,1;16,3",
+    "17,17|3,0;0,5",
+    "L257/3",
+    "2,128|1,0;0,3",
+    "3,9,9|2,0,0;0,1,1;0,0,1",
+    "4,64|1,16;0,3",
+)
+
+
+def _reference_eigen_counts(M: LambdaModule) -> Counter:
+    """The walk `_eigen_counts` replaced: each x's cyclic subgroup, built by
+    repeated addition, gives its order and the rho of t(x) = rho*x."""
+    rows, _ = _group_tables(M.group)
+    eigen: Counter = Counter()
+    for x in range(1, M.order):
+        multiples = [0, x]
+        y = rows[x][x]
+        while y:
+            multiples.append(y)
+            y = rows[y][x]
+        factorization = _prime_factorization(len(multiples))
+        tx = M.t.perm[x]
+        if len(factorization) == 1 and tx in multiples:
+            ((p, g),) = factorization.items()
+            eigen[p, g, multiples.index(tx)] += 1
+    return eigen
 
 
 def _evaluate(coeffs: tuple[int, ...], x: int, p: int) -> int:
