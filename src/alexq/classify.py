@@ -253,9 +253,8 @@ def _run_share(
 
     Earlier carriers lend their labels to later ones, so each image is
     labelled once. A carrier after a failure is not run: the failure comes
-    first in carrier order. In the caller it is what classify_order raises;
-    in a forked child it leaves no cache entry, so the caller classifies
-    the carrier again.
+    first in carrier order, and it is what classify_order raises (for a
+    child's share, once the caller has classified the carrier again).
     """
     done: dict[tuple[int, ...], Outcome] = {}
     for G in carriers:
