@@ -148,8 +148,8 @@ def _store_cached(path: Path, payload: dict) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        os.close(fd)
+        Path(tmp).write_text(json.dumps(payload), encoding="utf-8")
         os.replace(tmp, path)
     except OSError:
         # caching is best effort: an unusable cache directory (say, a path
@@ -271,12 +271,11 @@ def _fork_join(
 ) -> dict[tuple[int, ...], Outcome]:
     """Run shares[0] here and every other share in a forked child; reap them.
 
-    Returns the outcomes of shares[0]. A child hands nothing back: each
-    carrier it classifies is stored in the cache, where the caller reads it.
-    The child leaves only through os._exit, so it runs no handler or buffer
-    flush inherited from the caller. Every child is reaped before this
-    returns; if anything escapes this process's own share (say,
-    KeyboardInterrupt), the children are killed first.
+    Returns the outcomes of shares[0]. A child stores each carrier it
+    classifies in the cache and leaves through os._exit, so it runs no
+    handler or buffer flush inherited from the caller. If anything escapes
+    this process's own share (say, KeyboardInterrupt), the children are
+    killed before they are reaped.
     """
     if len(shares) == 1:
         return _run_share(shares[0], cache_dir)
