@@ -17,12 +17,16 @@ code is recomputed; a warm run parses the entries and does no work on
 Aut. ALEXQ_CACHE overrides the default ./.alexq-cache directory and entries
 are safe to delete.
 
-With `jobs` > 1 the carriers are dealt, heaviest first, into one share per
-process; the calling process runs the share with the heaviest carrier and
-forked children run the others. A child hands its carriers back through the
-cache alone: the caller reads each of them from there, and classifies one
-the child left no entry for. Where `os.fork` does not exist or the cache
-directory cannot be written, the run is serial.
+Every carrier reaches the merge through `_carrier_triples`, which reads and
+extends one image -> label table per process and run, so a process labels
+each distinct image once, whether it met the image in a carrier it
+classified or in a cache entry. With `jobs` > 1 the carriers are dealt,
+heaviest first, into one share per process; the calling process runs the
+share with the heaviest carrier and forked children run the others. A
+child hands its carriers back through the cache alone: the caller reads
+each of them from there, and classifies one the child left no entry for.
+Where `os.fork` does not exist or the cache directory cannot be written,
+the run is serial.
 """
 
 from __future__ import annotations
@@ -63,8 +67,6 @@ from .quandle import alexander_table, brute_force_isomorphic, orbits
 Member = tuple[AbelianGroup, Automorphism]
 # (representative, image of 1 - t, canonical label of the image)
 Triple = tuple[Automorphism, LambdaModule, str]
-# a carrier's triples, or the exception its classification raised
-Outcome = list[Triple] | Exception
 
 
 @dataclass(frozen=True)
@@ -160,46 +162,40 @@ def _store_cached(path: Path, payload: dict) -> None:
 
 
 def _carrier_triples(
-    factors: tuple[int, ...],
-    cache_dir: str | None,
-    earlier: Iterable[list[Triple]] = (),
+    factors: tuple[int, ...], cache_dir: str | None, labels: dict[LambdaModule, str]
 ) -> list[Triple]:
     """Conjugacy representatives, their images and the images' labels.
 
-    Each distinct image is labelled once, right after the carrier's
-    partition is built, so a fallback label's least conjugate reads that
-    partition from `_conjugacy`'s cache in the same process. The JSON cache
-    stores the triples as strings, and is how a forked child's triples
-    reach the caller.
-
-    `earlier` holds the triples of carriers already classified in this
-    run, computed or read from the cache. An image labelled there keeps
-    its label, so a caller that passes every earlier carrier's triples
-    labels an image shared by several carriers once. A cache hit reads
-    none of them.
+    `labels` maps every image this process has met in this run to its
+    label. An image found there is not labelled again, and every triple
+    returned, computed or read from the cache, is added to it, so a process
+    labels each distinct image once. A new image is labelled right after
+    the carrier's partition is built, so a fallback label's least conjugate
+    reads that partition from `_conjugacy`'s cache. The JSON cache stores
+    the triples as strings, and is how a forked child's triples reach the
+    caller.
     """
     carrier = AbelianGroup(factors)
     path = _cache_path(resolve_cache_dir(cache_dir), carrier)
     cached = _load_cached(path, carrier)
     if cached is not None:
+        labels.update((image, label) for _, image, label in cached)
         return cached
     reps = conjugacy_representatives(carrier)
     images = [image_one_minus_t(LambdaModule(carrier, rep)) for rep in reps]
-    label_of = {image: label for pairs in earlier for _, image, label in pairs}
     for image in images:
-        if image not in label_of:
-            label_of[image] = canonical_label(image)
-    labels = [label_of[image] for image in images]
+        if image not in labels:
+            labels[image] = canonical_label(image)
     payload = {
         "carrier": carrier.spec(),
         "version": __version__,
         "source": _source_digest(),
         "reps": [rep.spec() for rep in reps],
         "images": [image.spec() for image in images],
-        "labels": labels,
+        "labels": [labels[image] for image in images],
     }
     _store_cached(path, payload)
-    return list(zip(reps, images, labels))
+    return list(zip(reps, images, payload["labels"]))
 
 
 def resolve_cache_dir(cache_dir: str | None) -> Path:
@@ -246,57 +242,37 @@ def _shares(carriers: tuple[AbelianGroup, ...], workers: int) -> list[list[Abeli
     return [sorted(share, key=position.__getitem__) for share in shares]
 
 
-def _run_share(
-    carriers: list[AbelianGroup], cache_dir: str | None
-) -> dict[tuple[int, ...], Outcome]:
-    """Each carrier's triples, in order, up to and including the first that raises.
+@contextlib.contextmanager
+def _forked(shares: list[list[AbelianGroup]], cache_dir: str | None):
+    """Fork one child per share, which classifies it into the cache; reap them on exit.
 
-    Earlier carriers lend their labels to later ones, so each image is
-    labelled once. A carrier after a failure is not run: the failure comes
-    first in carrier order, and it is what classify_order raises (for a
-    child's share, once the caller has classified the carrier again).
-    """
-    done: dict[tuple[int, ...], Outcome] = {}
-    for G in carriers:
-        try:
-            done[G.factors] = _carrier_triples(G.factors, cache_dir, done.values())
-        except Exception as exc:  # noqa: BLE001 - handed to the caller, which raises it
-            done[G.factors] = exc
-            break
-    return done
-
-
-def _fork_join(
-    shares: list[list[AbelianGroup]], cache_dir: str | None
-) -> dict[tuple[int, ...], Outcome]:
-    """Run shares[0] here and every other share in a forked child; reap them.
-
-    Returns the outcomes of shares[0]. A child stores each carrier it
-    classifies in the cache and leaves through os._exit, so it runs no
-    handler or buffer flush inherited from the caller. If anything escapes
-    this process's own share (say, KeyboardInterrupt), the children are
+    A child stops at its share's first failure and leaves through os._exit,
+    so it runs no handler or buffer flush inherited from the caller. If
+    anything escapes the body (say, KeyboardInterrupt), the children are
     killed before they are reaped.
     """
-    if len(shares) == 1:
-        return _run_share(shares[0], cache_dir)
+    if not shares:
+        yield
+        return
     import signal  # imported here, not at import: a serial run does not need it
 
     _source_digest()  # hashed once here, so the children inherit it
     pids: list[int] = []
     try:
-        for share in shares[1:]:
+        for share in shares:
             pid = os.fork()
             if pid == 0:
                 try:
-                    _run_share(share, cache_dir)
+                    labels: dict[LambdaModule, str] = {}  # the child's own, for its run
+                    for G in share:
+                        _carrier_triples(G.factors, cache_dir, labels)
                 finally:
                     os._exit(0)
             pids.append(pid)
-        outcomes = _run_share(shares[0], cache_dir)
+        yield
         while pids:
             os.waitpid(pids[-1], 0)
             pids.pop()
-        return outcomes
     finally:
         for pid in pids:
             with contextlib.suppress(ProcessLookupError):
@@ -323,15 +299,17 @@ def classify_order(
     at most one per carrier. With `jobs` > 1 the carriers are dealt,
     heaviest first, into shares of about equal cost; this process runs the
     share with the heaviest carrier and forked children run the others. A
-    child's carriers come back through the cache: this process reads each
-    one there, or classifies it itself if the child left no entry (it died,
+    child's carriers come back through the cache: the merge reads each one
+    there, or classifies it here if the child left no entry (it died,
     failed or could not write). Where `os.fork` does not exist or the cache
     directory cannot be written, the run is serial, so no carrier is
     classified twice. The budget guards of every carrier run first, so a
     carrier over budget raises before any carrier is classified or cached.
-    An error raised for a carrier in this process is raised for the first
-    such carrier in carrier order, as in a serial run, and the merge is a
-    deterministic reduction, so reports are identical for any job count.
+    This process stops its own share at its first failure and the merge,
+    which runs in carrier order, classifies that carrier again, so the
+    error raised is the first in carrier order, as in a serial run. The
+    merge is a deterministic reduction, so reports are identical for any
+    job count.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
@@ -350,22 +328,26 @@ def classify_order(
         hasattr(os, "fork") and _cache_writable(resolve_cache_dir(cache_dir))
     ):
         workers = 1
-    own = _fork_join(_shares(carriers, workers), cache_dir)
+    shares = _shares(carriers, workers)
+    labels: dict[LambdaModule, str] = {}
+    done: dict[tuple[int, ...], list[Triple]] = {}
+    with _forked(shares[1:], cache_dir):
+        for G in shares[0]:
+            try:
+                done[G.factors] = _carrier_triples(G.factors, cache_dir, labels)
+            except Exception:  # noqa: BLE001 - classified again, and raised, in carrier order
+                break
 
-    # a child's carrier is a cache hit, or is classified here if the child
-    # left no entry; label -> (first image seen, members), and equal labels
-    # are isomorphic images
-    merged: list[list[Triple]] = []
+    # a carrier not done here is a cache hit, or is classified here if its
+    # child left no entry; label -> (first image seen, members), and equal
+    # labels are isomorphic images
     classes: dict[str, tuple[LambdaModule, list[Member]]] = {}
     for G in carriers:
-        if G.factors in own:
-            outcome = own[G.factors]
+        if G.factors in done:
+            triples = done[G.factors]
         else:
-            outcome = _carrier_triples(G.factors, cache_dir, merged)
-        if isinstance(outcome, Exception):
-            raise outcome
-        merged.append(outcome)
-        for rep, image, label in outcome:
+            triples = _carrier_triples(G.factors, cache_dir, labels)
+        for rep, image, label in triples:
             classes.setdefault(label, (image, []))[1].append((G, rep))
 
     ordered = sorted(classes.items(), key=lambda item: (item[1][0].order, item[0]))

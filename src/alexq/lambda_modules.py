@@ -97,12 +97,15 @@ def image_one_minus_t(M: LambdaModule) -> LambdaModule:
     table; index order is lexicographic coordinate order, so the basis is
     the one the test reference (`tests/helpers.reference_decomposition`)
     picks on coordinate tuples. The span is the map from the image carrier
-    to G that sends its generators to the basis.
+    to G that sends its generators to the basis. A connected image is M
+    itself, on the standard generators, and is returned as it is.
     """
+    img = _image_indices(M)
+    if len(img) == M.order:
+        return M
     G = M.group
     rows, _ = _group_tables(G)
     perm = M.t.perm
-    img = _image_indices(M)
     if any(perm[x] not in img for x in img):
         raise ConsistencyError(f"t does not preserve Im(1-t) on {M.spec()}")
     factors, basis = _invariant_decomposition(img, rows)
@@ -217,11 +220,14 @@ def _scalar_candidate(M: LambdaModule) -> tuple[tuple[int, int], ...] | None:
         above: dict[int, int] = {}  # the counts of level f + 1, by residue
         for f in range(top, 0, -1):
             q = p**f
+            carried: Counter[int] = Counter()  # the same counts, by residue mod q
+            for r, c in above.items():
+                carried[r % q] += c
             level = {
                 r: log - log_n[f - 1].get(r % (q // p), 0) for r, log in log_n[f].items()
             }
             for r, c in level.items():
-                exact = c - sum(above.get(r + j * q, 0) for j in range(p))
+                exact = c - carried[r]
                 if exact < 0:
                     return None
                 pairs.extend([(q, r)] * exact)
@@ -281,7 +287,14 @@ def canonical_label(M: LambdaModule) -> str:
     The scalar-cyclic name comes first, then the divisor-chain name on an
     elementary abelian carrier, then the fallback. The first two are derived
     (`_scalar_candidate`, `polymod.divisor_chain`) and each is confirmed by
-    one isomorphism witness against the module it names.
+    one isomorphism witness against the module it names. One of each kind:
+
+    >>> canonical_label(parse_module_spec("L16/3"))
+    'Λ16/t-3'
+    >>> canonical_label(parse_module_spec("2,2|0,1;1,1"))
+    'Λ2/t^2+t+1'
+    >>> canonical_label(parse_module_spec("4,4|0,1;3,2"))
+    '(4,4; t=0,1;3,2)'
     """
     if M.order == 1:
         return "0"

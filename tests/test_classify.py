@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import signal
 import subprocess
@@ -666,6 +667,25 @@ def test_caller_classifies_what_a_child_left_undone(die, monkeypatch, tmp_path):
     _assert_no_child_left()
 
 
+def test_caller_labels_each_image_once_when_a_child_dies(monkeypatch, tmp_path):
+    # the child exits at 4,4, so the caller classifies 4,4 and 2,2,4 after
+    # its own 2,2,2,2 and the child's cached 16 and 2,8: every image it has
+    # met in the run, in whatever carrier, keeps its label
+    _in_children(monkeypatch, lambda: os._exit(7))
+    labelled = []
+    label = alexq.classify.canonical_label
+
+    def recording(image):
+        labelled.append(image)  # a child appends to its own copy
+        return label(image)
+
+    monkeypatch.setattr(alexq.classify, "canonical_label", recording)
+    report = classify_order(16, jobs=2, cache_dir=str(tmp_path))
+    assert _report_digest(report) == GOLDEN_REPORT_SHA256[16]
+    assert labelled and len(set(labelled)) == len(labelled)
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("order, jobs", [(16, 2), (48, 3)])
 def test_caller_does_no_aut_work_for_a_childs_carrier(order, jobs, monkeypatch, tmp_path):
     # a child's carriers are cache hits in the caller, so it partitions
@@ -846,3 +866,34 @@ def test_cached_labels_are_not_recomputed_by_cold_carriers(tmp_path, monkeypatch
     report = classify_order(16, cache_dir=str(tmp_path))
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[16]
     assert labelled and not cached_images & set(labelled)
+
+
+# --- totals that need no oracle ---------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 97, 251])
+def test_prime_order_totals(p, tmp_path):
+    # Aut(Z_p) is abelian, so each unit a is its own class; a = 1 gives the
+    # trivial quandle and every other a the connected module Z_p itself
+    assert classify_order(p, cache_dir=str(tmp_path)).totals == (p - 1, p - 2)
+
+
+def test_totals_are_multiplicative_over_the_sylow_orders(tmp_path):
+    # an image is the direct sum of its p-parts, so a class of order n is one
+    # class of each p^e exactly dividing n, connected when every part is
+    def totals(n):
+        try:
+            return classify_order(n, cache_dir=str(tmp_path)).totals
+        except EnumerationBudgetError:
+            return None
+
+    checked = 0
+    for n in range(2, 101):
+        parts = [p**e for p, e in _prime_factorization(n).items()]
+        part_totals = [totals(q) for q in parts]
+        if len(parts) == 1 or None in part_totals:
+            continue
+        product = tuple(map(math.prod, zip(*part_totals)))
+        assert totals(n) == product, n
+        checked += 1
+    assert checked == 63

@@ -4,6 +4,7 @@ import pytest
 
 import alexq.abelian
 import alexq.autgroup
+import alexq.lambda_modules
 import alexq.linearq
 import alexq.polymod
 import alexq.quandle
@@ -11,7 +12,14 @@ import alexq.quandle
 
 @pytest.mark.parametrize(
     "mod",
-    [alexq.abelian, alexq.autgroup, alexq.linearq, alexq.polymod, alexq.quandle],
+    [
+        alexq.abelian,
+        alexq.autgroup,
+        alexq.lambda_modules,
+        alexq.linearq,
+        alexq.polymod,
+        alexq.quandle,
+    ],
     ids=lambda mod: mod.__name__,
 )
 def test_module_doctests(mod):

@@ -26,6 +26,7 @@ from alexq.lambda_modules import (
     _grouped,
     _image_indices,
     _primary_parts,
+    _scalar_candidate,
     canonical_label,
     cyclic_name,
     image_one_minus_t,
@@ -357,6 +358,20 @@ class TestComputedRoutes:
         ]
         assert mismatches == []
 
+    def test_scalar_candidate_matches_the_residue_sums(
+        self, representative_modules, chain_modules
+    ):
+        modules = {*representative_modules, *map(image_one_minus_t, representative_modules)}
+        modules.update(chain_modules)
+        modules.update(map(parse_module_spec, _LARGE_MODULE_SPECS))
+        modules.update(parse_module_spec(f"L251/{a}") for a in (2, 3, 6, 250))
+        mismatches = [
+            M.spec()
+            for M in sorted(modules, key=LambdaModule.spec)
+            if M.order > 1 and _scalar_candidate(M) != _reference_scalar_candidate(M)
+        ]
+        assert mismatches == []
+
     @pytest.mark.parametrize("factors", [(2, 4), (4, 4), (3, 9), (2, 2, 2), (3, 3)])
     def test_routes_agree_on_every_automorphism(self, factors):
         G = AbelianGroup(factors)
@@ -415,6 +430,40 @@ def _reference_eigen_counts(M: LambdaModule) -> Counter:
             ((p, g),) = factorization.items()
             eigen[p, g, multiples.index(tx)] += 1
     return eigen
+
+
+def _reference_scalar_candidate(M: LambdaModule) -> tuple[tuple[int, int], ...] | None:
+    """`_scalar_candidate` with the sum it replaced: each residue r of level
+    f subtracts above[r + j*p^f] for all p values of j, one lookup at a time."""
+    eigen = _eigen_counts(M)
+    pairs = []
+    for p, top in sorted(_prime_factorization(M.group.factors[-1]).items()):
+        log_n = [
+            {
+                r: _prime_factorization(
+                    1 + sum(eigen[p, g, r % p**g] for g in range(1, f + 1))
+                ).get(p, 0)
+                for r in range(p**f)
+                if r % p
+            }
+            for f in range(top + 1)
+        ]
+        above: dict[int, int] = {}
+        for f in range(top, 0, -1):
+            q = p**f
+            level = {
+                r: log - log_n[f - 1].get(r % (q // p), 0) for r, log in log_n[f].items()
+            }
+            for r, c in level.items():
+                exact = c - sum(above.get(r + j * q, 0) for j in range(p))
+                if exact < 0:
+                    return None
+                pairs.extend([(q, r)] * exact)
+            above = level
+    pairs.sort()
+    if [q for q, _ in pairs] != _primary_parts(M.group.factors):
+        return None
+    return tuple(pairs)
 
 
 def _evaluate(coeffs: tuple[int, ...], x: int, p: int) -> int:
