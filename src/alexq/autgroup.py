@@ -61,7 +61,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from operator import itemgetter, mod
 from typing import NamedTuple
 
 from . import kernels
@@ -79,15 +79,19 @@ class Endomorphism:
     images: tuple[Element, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(tuple(img) for img in self.images))
+        images = tuple(map(tuple, self.images))
+        object.__setattr__(self, "images", images)
         G = self.group
-        if len(self.images) != G.rank:
-            raise ValueError(
-                f"expected {G.rank} generator images for {G}, got {len(self.images)}"
-            )
-        for d, img in zip(G.factors, self.images):
-            G.check_element(img)
-            if G.scalar_mul(d, img) != G.zero:
+        factors = G.factors
+        if len(images) != len(factors):
+            raise ValueError(f"expected {G.rank} generator images for {G}, got {len(images)}")
+        # one pass per image: each coordinate c mod f is reduced and killed by
+        # d; the helpers run only to raise the error of a failing image
+        for d, img in zip(factors, images):
+            if len(img) != len(factors) or not all(
+                0 <= c < f and d * c % f == 0 for c, f in zip(img, factors)
+            ):
+                G.check_element(img)
                 raise ValueError(
                     f"image {img} of a generator of order {d} has order "
                     f"{G.element_order(img)}; the map is not well defined"
@@ -167,22 +171,24 @@ def identity_automorphism(G: AbelianGroup) -> Automorphism:
 def parse_phi_spec(G: AbelianGroup, text: str) -> Automorphism:
     """Parse "0,1;3,2" as an automorphism of G. Coordinates are reduced."""
     text = text.strip()
-    if G.rank == 0:
+    factors = G.factors
+    rank = len(factors)
+    if rank == 0:
         if text:
             raise SpecError(f"the trivial group takes an empty map spec, got {text!r}")
         return identity_automorphism(G)
     parts = text.split(";")
-    if len(parts) != G.rank:
-        raise SpecError(f"expected {G.rank} generator images for {G}, got {len(parts)}")
+    if len(parts) != rank:
+        raise SpecError(f"expected {rank} generator images for {G}, got {len(parts)}")
     images = []
     for part in parts:
         try:
-            coords = tuple(int(c) for c in part.split(","))
+            coords = tuple(map(int, part.split(",")))
         except ValueError:
             raise SpecError(f"bad generator image {part!r}") from None
-        if len(coords) != G.rank:
-            raise SpecError(f"image {part!r} has {len(coords)} coordinates, expected {G.rank}")
-        images.append(tuple(c % d for c, d in zip(coords, G.factors)))
+        if len(coords) != rank:
+            raise SpecError(f"image {part!r} has {len(coords)} coordinates, expected {rank}")
+        images.append(tuple(map(mod, coords, factors)))
     try:
         return Automorphism(G, tuple(images))
     except ValueError as exc:

@@ -18,11 +18,12 @@ Aut. ALEXQ_CACHE overrides the default ./.alexq-cache directory and entries
 are safe to delete.
 
 Every carrier reaches the merge through `_carrier_triples`, which reads and
-extends one image -> label table per process and run, so a process labels
-each distinct image once, whether it met the image in a carrier it
-classified or in a cache entry. With `jobs` > 1 the carriers are dealt,
-heaviest first, into one share per process; the calling process runs the
-share with the heaviest carrier and forked children run the others. A
+extends one table per process and run: image spec -> (image, label), for
+every image met so far. So a process labels each distinct image once and
+parses each distinct cached image spec once, whether it met the image in a
+carrier it classified or in a cache entry. With `jobs` > 1 the carriers are
+dealt, heaviest first, into one share per process; the calling process runs
+the share with the heaviest carrier and forked children run the others. A
 child hands its carriers back through the cache alone: the caller reads
 each of them from there, and classifies one the child left no entry for.
 Where `os.fork` does not exist or the cache directory cannot be written,
@@ -67,6 +68,8 @@ from .quandle import alexander_table, brute_force_isomorphic, orbits
 Member = tuple[AbelianGroup, Automorphism]
 # (representative, image of 1 - t, canonical label of the image)
 Triple = tuple[Automorphism, LambdaModule, str]
+# image spec -> (image, label): every image a process has met in a run
+ImageTable = dict[str, tuple[LambdaModule, str]]
 
 
 @dataclass(frozen=True)
@@ -118,10 +121,14 @@ def _cache_path(cache_dir: Path, carrier: AbelianGroup) -> Path:
 _CACHED_LISTS = ("reps", "images", "labels")  # aligned, one item per class
 
 
-def _load_cached(path: Path, carrier: AbelianGroup) -> list[Triple] | None:
+def _load_cached(path: Path, carrier: AbelianGroup, table: ImageTable) -> list[Triple] | None:
     """Cached (representative, image, label) triples, or None.
 
     None when the entry is missing, stale, unparseable or of the wrong shape.
+    An image spec that `table` or an earlier triple of the entry holds reuses
+    that image, so only new specs are parsed; each triple keeps its entry's
+    label. `table` learns the entry's images and labels only once the whole
+    entry has parsed, so a rejected entry adds nothing to it.
     """
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -135,14 +142,17 @@ def _load_cached(path: Path, carrier: AbelianGroup) -> list[Triple] | None:
             or not all(isinstance(label, str) for label in payload["labels"])
         ):
             return None
-        return [
-            (parse_phi_spec(carrier, rep_spec), parse_module_spec(image_spec), label)
-            for rep_spec, image_spec, label in zip(
-                payload["reps"], payload["images"], payload["labels"]
-            )
-        ]
+        learned: ImageTable = {}
+        triples = []
+        for rep_spec, spec, label in zip(payload["reps"], payload["images"], payload["labels"]):
+            known = learned.get(spec) or table.get(spec)
+            image = known[0] if known else parse_module_spec(spec)
+            learned[spec] = image, label
+            triples.append((parse_phi_spec(carrier, rep_spec), image, label))
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
+    table.update(learned)
+    return triples
 
 
 def _store_cached(path: Path, payload: dict) -> None:
@@ -162,37 +172,38 @@ def _store_cached(path: Path, payload: dict) -> None:
 
 
 def _carrier_triples(
-    factors: tuple[int, ...], cache_dir: str | None, labels: dict[LambdaModule, str]
+    factors: tuple[int, ...], cache_dir: str | None, table: ImageTable
 ) -> list[Triple]:
     """Conjugacy representatives, their images and the images' labels.
 
-    `labels` maps every image this process has met in this run to its
-    label. An image found there is not labelled again, and every triple
-    returned, computed or read from the cache, is added to it, so a process
-    labels each distinct image once. A new image is labelled right after
-    the carrier's partition is built, so a fallback label's least conjugate
-    reads that partition from `_conjugacy`'s cache. The JSON cache stores
-    the triples as strings, and is how a forked child's triples reach the
-    caller.
+    `table` maps the spec of every image this process has met in this run
+    to the image and its label. A cache entry's images are parsed once per
+    distinct spec (`_load_cached`); a computed image whose spec is there is
+    not labelled again, and every triple returned, computed or read from
+    the cache, is added to it, so a process labels each distinct image
+    once. A new image is labelled right after the carrier's partition is
+    built, so a fallback label's least conjugate reads that partition from
+    `_conjugacy`'s cache. The JSON cache stores the triples as strings, and
+    is how a forked child's triples reach the caller.
     """
     carrier = AbelianGroup(factors)
     path = _cache_path(resolve_cache_dir(cache_dir), carrier)
-    cached = _load_cached(path, carrier)
+    cached = _load_cached(path, carrier, table)
     if cached is not None:
-        labels.update((image, label) for _, image, label in cached)
         return cached
     reps = conjugacy_representatives(carrier)
     images = [image_one_minus_t(LambdaModule(carrier, rep)) for rep in reps]
-    for image in images:
-        if image not in labels:
-            labels[image] = canonical_label(image)
+    specs = [image.spec() for image in images]
+    for spec, image in zip(specs, images):
+        if spec not in table:
+            table[spec] = image, canonical_label(image)
     payload = {
         "carrier": carrier.spec(),
         "version": __version__,
         "source": _source_digest(),
         "reps": [rep.spec() for rep in reps],
-        "images": [image.spec() for image in images],
-        "labels": [labels[image] for image in images],
+        "images": specs,
+        "labels": [table[spec][1] for spec in specs],
     }
     _store_cached(path, payload)
     return list(zip(reps, images, payload["labels"]))
@@ -263,9 +274,9 @@ def _forked(shares: list[list[AbelianGroup]], cache_dir: str | None):
             pid = os.fork()
             if pid == 0:
                 try:
-                    labels: dict[LambdaModule, str] = {}  # the child's own, for its run
+                    table: ImageTable = {}  # the child's own, for its run
                     for G in share:
-                        _carrier_triples(G.factors, cache_dir, labels)
+                        _carrier_triples(G.factors, cache_dir, table)
                 finally:
                     os._exit(0)
             pids.append(pid)
@@ -329,12 +340,12 @@ def classify_order(
     ):
         workers = 1
     shares = _shares(carriers, workers)
-    labels: dict[LambdaModule, str] = {}
+    table: ImageTable = {}
     done: dict[tuple[int, ...], list[Triple]] = {}
     with _forked(shares[1:], cache_dir):
         for G in shares[0]:
             try:
-                done[G.factors] = _carrier_triples(G.factors, cache_dir, labels)
+                done[G.factors] = _carrier_triples(G.factors, cache_dir, table)
             except Exception:  # noqa: BLE001 - classified again, and raised, in carrier order
                 break
 
@@ -346,7 +357,7 @@ def classify_order(
         if G.factors in done:
             triples = done[G.factors]
         else:
-            triples = _carrier_triples(G.factors, cache_dir, labels)
+            triples = _carrier_triples(G.factors, cache_dir, table)
         for rep, image, label in triples:
             classes.setdefault(label, (image, []))[1].append((G, rep))
 

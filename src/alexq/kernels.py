@@ -86,7 +86,13 @@ def invert_perm(p: Perm) -> tuple[int, ...]:
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Sorted cycle lengths of the permutation p."""
+    """Sorted cycle lengths of the permutation p, fixed points included.
+
+    >>> cycle_type(bytes([1, 0, 2]))
+    (1, 2)
+    >>> cycle_type((1, 2, 3, 0))
+    (4,)
+    """
     seen = bytearray(len(p))
     lengths = []
     for start in range(len(p)):

@@ -174,20 +174,28 @@ def _eigen_counts(M: LambdaModule) -> Counter[tuple[int, int, int]]:
     """(p, g, rho) -> #{x of order p^g with t(x) = rho*x}, 0 < rho < p^g.
 
     Read off the last candidate level of `_group_tables`, which lists the
-    multiples c*x, c = 1..d-1, of every x, where d is the exponent. Of those,
-    c*x = 0 exactly when ord(x) divides c, which it does d/ord(x) - 1 times;
-    t(x), never 0 for x != 0, lies in <x> exactly when it is in the list,
-    first at c = rho.
+    multiples c*x, c = 1..d-1, of every x, where d is the exponent: ord(x)
+    is the first c with c*x = 0 (d if there is none), and t(x), never 0 for
+    x != 0, lies in <x> exactly when it is in the list, first at c = rho.
+    The generators c*x of <x>, c a unit mod ord(x), share its order, and
+    t(c*x) = c*t(x), so they share its rho too, or all lie outside <x>: one
+    x is walked per cyclic subgroup and counts for all phi(ord(x)) of them.
     """
     d = M.group.factors[-1]
     perm = M.t.perm
+    seen = bytearray(M.order)
     eigen: Counter[tuple[int, int, int]] = Counter()
     for x, multiples in enumerate(_group_tables(M.group)[1][-1]):
-        if x and perm[x] in multiples:
-            factorization = _prime_factorization(d // (multiples.count(0) + 1))
-            if len(factorization) == 1:
-                ((p, g),) = factorization.items()
-                eigen[p, g, multiples.index(perm[x]) + 1] += 1
+        if not x or seen[x]:
+            continue
+        order = multiples.index(0) + 1 if 0 in multiples else d
+        units = [c for c in range(1, order) if math.gcd(c, order) == 1]
+        for c in units:
+            seen[multiples[c - 1]] = 1
+        factorization = _prime_factorization(order)
+        if len(factorization) == 1 and perm[x] in multiples:
+            ((p, g),) = factorization.items()
+            eigen[p, g, multiples.index(perm[x]) + 1] += len(units)
     return eigen
 
 

@@ -9,6 +9,7 @@ import pytest
 from alexq import autgroup, kernels
 from alexq.abelian import (
     AbelianGroup,
+    ShapeError,
     _addition_rows,
     _prime_factorization,
     enumerate_groups,
@@ -181,6 +182,34 @@ class TestMapAlgebra:
         G = AbelianGroup((4,))
         with pytest.raises(ValueError):
             Automorphism(G, ((2,),))
+
+    @pytest.mark.parametrize(
+        "images, error, message",
+        [
+            (((1, 0),), ValueError, "expected 2 generator images for 2,4, got 1"),
+            (((1,), (0, 1)), ShapeError, "element (1,) does not fit group with factors (2, 4)"),
+            (((1, 0), (0, 5)), ShapeError, "coordinate 5 of (0, 5) not reduced modulo 4"),
+            (((1, -1), (0, 1)), ShapeError, "coordinate -1 of (1, -1) not reduced modulo 4"),
+            (
+                ((0, 1), (0, 1)),
+                ValueError,
+                "image (0, 1) of a generator of order 2 has order 4; the map is not well defined",
+            ),
+            # images are checked in order: the first one's error is raised
+            (
+                ((0, 1), (5,)),
+                ValueError,
+                "image (0, 1) of a generator of order 2 has order 4; the map is not well defined",
+            ),
+            (((1, 0), (0, 2)), ValueError, "map 1,0;0,2 on 2,4 is not bijective"),
+        ],
+    )
+    def test_validation_errors_are_pinned(self, images, error, message):
+        G = AbelianGroup((2, 4))
+        with pytest.raises(error) as raised:
+            Automorphism(G, images)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
 
 
 class TestConjugacy:
@@ -524,6 +553,25 @@ class TestPhiSpec:
     def test_reduces_coordinates(self):
         G = AbelianGroup((4, 4))
         assert parse_phi_spec(G, "4,1;3,2").images[0] == (0, 1)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "0,1;0,1",
+                "image (0, 1) of a generator of order 2 has order 4; the map is not well defined",
+            ),
+            ("1,0;0,2", "map 1,0;0,2 on 2,4 is not bijective"),
+            ("1,0", "expected 2 generator images for 2,4, got 1"),
+            ("1,0;0,x", "bad generator image '0,x'"),
+            ("1,0;1", "image '1' has 1 coordinates, expected 2"),
+        ],
+    )
+    def test_errors_are_pinned(self, text, message):
+        with pytest.raises(SpecError) as raised:
+            parse_phi_spec(AbelianGroup((2, 4)), text)
+        assert type(raised.value) is SpecError
+        assert str(raised.value) == message
 
     def test_errors(self):
         G = AbelianGroup((4, 4))

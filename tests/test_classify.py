@@ -18,6 +18,8 @@ from alexq.abelian import AbelianGroup, _prime_factorization, enumerate_groups
 from alexq.autgroup import conjugacy_representatives
 from alexq.classify import (
     ORACLE_VALIDATION_MAX_ORDER,
+    _cache_path,
+    _load_cached,
     _source_digest,
     classify_order,
     classify_range,
@@ -866,6 +868,52 @@ def test_cached_labels_are_not_recomputed_by_cold_carriers(tmp_path, monkeypatch
     report = classify_order(16, cache_dir=str(tmp_path))
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[16]
     assert labelled and not cached_images & set(labelled)
+
+
+@pytest.mark.parametrize("order, distinct", [(16, 28), (27, 47), (48, 55)])
+def test_warm_run_parses_each_distinct_image_spec_once(order, distinct, tmp_path, monkeypatch):
+    # classes of one carrier, and carriers of one order, share images; a
+    # warm run parses each image spec of its entries once
+    cold = classify_order(order, cache_dir=str(tmp_path))
+    specs = {
+        spec
+        for G in enumerate_groups(order)
+        for spec in json.loads(_cache_path(tmp_path, G).read_text())["images"]
+    }
+    parsed = []
+    parse = alexq.classify.parse_module_spec
+
+    def recording(spec):
+        parsed.append(spec)
+        return parse(spec)
+
+    monkeypatch.setattr(alexq.classify, "parse_module_spec", recording)
+    warm = classify_order(order, cache_dir=str(tmp_path))
+    assert warm == cold
+    assert _report_digest(warm) == GOLDEN_REPORT_SHA256[order]
+    assert sorted(parsed) == sorted(specs)
+    assert len(parsed) == distinct
+
+
+def test_rejected_entry_teaches_the_table_nothing(tmp_path):
+    # the last representative of 2,4's entry is not bijective, so the entry
+    # is rejected after all its images have parsed; none of them is learned
+    cold = classify_order(8, cache_dir=str(tmp_path))
+    G = AbelianGroup((2, 4))
+    path = _cache_path(tmp_path, G)
+    payload = json.loads(path.read_text())
+    payload["reps"][-1] = "1,0;0,2"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    table = {}
+    assert _load_cached(path, G, table) is None
+    assert table == {}
+    Z8 = AbelianGroup((8,))
+    assert _load_cached(_cache_path(tmp_path, Z8), Z8, table) is not None
+    learned = dict(table)
+    assert learned and _load_cached(path, G, table) is None
+    assert table == learned
+    assert classify_order(8, cache_dir=str(tmp_path)) == cold
+    assert json.loads(path.read_text())["reps"][-1] != "1,0;0,2"
 
 
 # --- totals that need no oracle ---------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 import alexq.abelian
 import alexq.autgroup
+import alexq.kernels
 import alexq.lambda_modules
 import alexq.linearq
 import alexq.polymod
@@ -15,6 +16,7 @@ import alexq.quandle
     [
         alexq.abelian,
         alexq.autgroup,
+        alexq.kernels,
         alexq.lambda_modules,
         alexq.linearq,
         alexq.polymod,

@@ -358,6 +358,17 @@ class TestComputedRoutes:
         ]
         assert mismatches == []
 
+    def test_eigen_counts_match_the_scan(self, representative_modules):
+        # one x per cyclic subgroup against the scan over every x it replaced
+        images = [image_one_minus_t(M) for M in representative_modules]
+        modules = representative_modules + [M for M in images if M.order > 1]
+        modules += [parse_module_spec(f"L251/{a}") for a in (2, 3, 6, 250)]
+        assert len(modules) == 2266
+        mismatches = [
+            M.spec() for M in modules if _eigen_counts(M) != _reference_eigen_scan(M)
+        ]
+        assert mismatches == []
+
     def test_scalar_candidate_matches_the_residue_sums(
         self, representative_modules, chain_modules
     ):
@@ -429,6 +440,21 @@ def _reference_eigen_counts(M: LambdaModule) -> Counter:
         if len(factorization) == 1 and tx in multiples:
             ((p, g),) = factorization.items()
             eigen[p, g, multiples.index(tx)] += 1
+    return eigen
+
+
+def _reference_eigen_scan(M: LambdaModule) -> Counter:
+    """The scan that `_eigen_counts` replaced: for every x, its multiples give
+    its order (by counting zeros) and rho (by searching for t(x))."""
+    d = M.group.factors[-1]
+    perm = M.t.perm
+    eigen: Counter = Counter()
+    for x, multiples in enumerate(_group_tables(M.group)[1][-1]):
+        if x and perm[x] in multiples:
+            factorization = _prime_factorization(d // (multiples.count(0) + 1))
+            if len(factorization) == 1:
+                ((p, g),) = factorization.items()
+                eigen[p, g, multiples.index(perm[x]) + 1] += 1
     return eigen
 
 
