@@ -131,6 +131,8 @@ class AbelianGroup:
 
         Any list of cyclic orders is accepted and normalized to invariant
         factors, e.g. "8,2" and "2,8" both give the group with factors (2, 8).
+        A list that already is an invariant-factor chain, the form `spec`
+        writes, is taken as it is.
         """
         parts = [p.strip() for p in text.split(",")]
         try:
@@ -139,6 +141,8 @@ class AbelianGroup:
             raise ValueError(f"bad group spec {text!r}") from None
         if any(m < 1 for m in orders):
             raise ValueError(f"bad group spec {text!r}: orders must be positive")
+        if orders[0] > 1 and all(b % a == 0 for a, b in itertools.pairwise(orders)):
+            return cls(tuple(orders))
         return cls(normalize_cyclic_orders(orders))
 
     def __str__(self) -> str:

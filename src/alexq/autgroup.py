@@ -46,8 +46,12 @@ instead of |Aut| * #classes. That S generates Aut is proved by a
 Schreier-Sims stabilizer chain on the standard generators, in milliseconds
 on the largest carriers, not by a closure over Aut. Since a linear map is
 fixed by its generator images, a conjugate h o f o h^-1 is evaluated on the
-generators only: with h^-1(g) = h.index(g) that is k lookups and no inverse
-permutation, after one `bytes.translate` for h o f on bytes maps.
+generators only, at h^-1(g) = h.index(g), with no inverse permutation. On
+bytes maps the key is packed into one int, and one C-level pass per
+generator h translates blocks of joined maps by h and packs the columns at
+h^-1(g), giving the index of every conjugate before the closure starts; on
+tuple maps the closure computes each conjugate by k lookups as it goes.
+One BFS closes the classes in both cases and keeps each class's least key.
 `is_conjugate` decides a single pair without enumerating Aut: the kernel
 searches directly for an h with h o f = g o h, the same search that
 enumerates Aut and that decides module isomorphism in `lambda_modules`.

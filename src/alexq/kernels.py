@@ -38,9 +38,15 @@ The conjugacy partition treats each class as an orbit: it finds a small
 generating set S of the group, then closes each class under conjugation by
 S alone. That S generates is proved by a Schreier-Sims stabilizer chain on
 the base `gens` (`_StabilizerChain`), whose order is the product of its
-basic orbit lengths, so no closure over the whole group is built. The
-input may come in any order: each closure keeps its class's least key, and
-the classes are numbered by those keys.
+basic orbit lengths, so no closure over the whole group is built. On
+bytes maps a key is packed into one int, and each s in S costs one pass
+that computes the conjugate s o f o s^-1 of every map f in C: blocks of
+joined maps are translated by s, the columns at s^-1(g) are packed into
+keys, and the key index turns them into a table of indices, so the
+closure only follows those tables; on tuple maps it computes each
+conjugate as it goes. The input may come in any order: one BFS
+(`_orbits`) closes every class and keeps its least key, and the classes
+are numbered by those keys.
 
 The classes of a carrier with several primes are products of classes of
 its Sylow parts. `least_keys_of_products` finds the least member of each
@@ -53,6 +59,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from operator import itemgetter
 
 
@@ -126,6 +134,24 @@ def _commuting_levels(factors, t1):
     return levels
 
 
+def _coset_checks(factors, t1):
+    """The pairs of `_commuting_levels`, bucketed by the coset that completes them.
+
+    At position i the partial map covers the first w = prod(factors[i+1:])
+    indices, and its c-th new coset (c = 1..d_i-1) extends it to (c+1)*w,
+    so the pair (x, t1[x]) is complete once coset max(x, t1[x]) // w is in:
+    bucket c-1 of position i lists those pairs.
+    """
+    checks = []
+    for i, pairs in enumerate(_commuting_levels(factors, t1)):
+        width = math.prod(factors[i + 1 :])
+        buckets = [[] for _ in range(factors[i] - 1)]
+        for x, tx in pairs:
+            buckets[max(x, tx) // width - 1].append((x, tx))
+        checks.append(buckets)
+    return checks
+
+
 def _linear_bijections(n, factors, rows, candidates, t1=None, t2=None):
     """Bijective linear self-maps h as permutations, in search order.
 
@@ -149,21 +175,32 @@ def _linear_bijections(n, factors, rows, candidates, t1=None, t2=None):
     are read from rows of the addition table, by `bytes.translate` or by
     one getter per node. A rejected candidate kills its whole subtree,
     which is what keeps the search near the size of the output. The
-    commuting constraint h[t1[x]] = t2[h[x]] is checked at the first
-    position whose prefix holds both x and t1[x] (`_commuting_levels`).
+    commuting constraint h[t1[x]] = t2[h[x]] is checked as soon as the
+    partial map holds both x and t1[x]: right after the coset that
+    completes the pair is appended (`_coset_checks`), so a failing
+    candidate builds no further cosets.
     """
     k = len(factors)
     compact = isinstance(rows[0], bytes)
     identity = bytes(1) if compact else (0,)
     if k == 0:
         return [identity]
-    checks = [()] * k if t1 is None else _commuting_levels(factors, t1)
+    checks = [None] * k if t1 is None else _coset_checks(factors, t1)
     results = []
+
+    def commuting_cosets(new, coset, multiples, buckets):
+        # new extended by the cosets of multiples, or None as soon as a
+        # pair that a coset completes fails to commute
+        for m, pairs in zip(multiples, buckets):
+            new += coset(rows[m])
+            if pairs and any(t2[new[x]] != new[tx] for x, tx in pairs):
+                return None
+        return new
 
     def extend(i, partial):
         # partial maps the span of generators i+1..k-1, a prefix of indices,
         # onto H; returns True once a constrained search has its map
-        pairs = checks[i]
+        buckets = checks[i]
         in_h = bytearray(n)
         for y in partial:
             in_h[y] = 1
@@ -178,11 +215,16 @@ def _linear_bijections(n, factors, rows, candidates, t1=None, t2=None):
                 if in_h[m]:
                     break
             else:
-                new = partial
-                for m in multiples:
-                    new += coset(rows[m])
-                if pairs and any(t2[new[x]] != new[tx] for x, tx in pairs):
-                    continue
+                if buckets is None:
+                    # the enumeration keeps this plain loop: a zip with
+                    # empty buckets per survivor made it a third slower
+                    new = partial
+                    for m in multiples:
+                        new += coset(rows[m])
+                else:
+                    new = commuting_cosets(partial, coset, multiples, buckets)
+                    if new is None:
+                        continue
                 if i == 0:
                     results.append(new)
                     if t1 is not None:
@@ -344,6 +386,106 @@ def _generating_set(perms, gens, index_of):
     return chosen
 
 
+# Maps per block when bytes maps are joined for the C-level passes: a block
+# of n-byte maps is CHUNK * n bytes, and its keys take 8 bytes per map
+CHUNK = 4096
+
+
+def _blocks(perms):
+    """The bytes maps joined in blocks of CHUNK, one block alive at a time."""
+    for a in range(0, len(perms), CHUNK):
+        yield b"".join(perms[a : a + CHUNK])
+
+
+def _pack(block, n, columns):
+    """The packed keys of the n-byte maps joined in block, read at columns.
+
+    Byte columns[i] of each map becomes digit i, most significant first, of
+    a native 8-byte word, so each word, read as an unsigned "Q", is
+    int.from_bytes(bytes(p[c] for c in columns), "big").
+    """
+    buf = bytearray(8 * (len(block) // n))
+    last = len(columns) - 1
+    for i, c in enumerate(columns):
+        buf[last - i if sys.byteorder == "little" else 7 - last + i :: 8] = block[c::n]
+    return buf
+
+
+def _packed_keys(perms, gens):
+    """The key of each bytes map as one int, in an array("Q").
+
+    The key int.from_bytes(bytes(p[g] for g in gens), "big") fits in 8 bytes
+    (a group of at most 256 elements has rank at most 8), and the ints sort
+    as the generator-image tuples do.
+
+    >>> list(_packed_keys([bytes([0, 2, 1, 3]), bytes([0, 1, 3, 2])], [1, 2]))
+    [513, 259]
+    """
+    keys = array("Q")
+    for block in _blocks(perms):
+        keys.frombytes(_pack(block, len(perms[0]), gens))
+    return keys
+
+
+class _PackedIndex:
+    """An index by generator-image tuple over an index by packed key."""
+
+    __slots__ = ("_index",)
+
+    def __init__(self, index):
+        self._index = index
+
+    def __getitem__(self, images):
+        return self._index[int.from_bytes(bytes(images), "big")]
+
+
+def _conjugation_table(perms, gens, s, index_of):
+    """sigma_s: the index of s o f o s^-1 for each bytes map f, as array("i").
+
+    One `translate` per block gives s o f for every map f of the block, and
+    the conjugate's key is the packed columns at s^-1(g), g in gens.
+    """
+    n = len(perms[0])
+    table = s + bytes(BYTES_LIMIT - n)
+    pulled = [s.index(g) for g in gens]
+    sigma = array("i")
+    for block in _blocks(perms):
+        packed = memoryview(_pack(block.translate(table), n, pulled)).cast("Q")
+        sigma.extend(map(index_of.__getitem__, packed))
+    return sigma
+
+
+def _conjugation_move(perms, gens, s, index_of):
+    """i -> the index of s o perms[i] o s^-1, computed on demand on tuple maps."""
+    pull = itemgetter(*[s.index(g) for g in gens])
+    return lambda i: index_of[itemgetter(*pull(perms[i]))(s)]
+
+
+def _orbits(count, moves, key):
+    """The orbits of 0..count-1 under the moves i -> j, one BFS each.
+
+    Returns (class_ids, least): the orbit of each index, numbered in
+    discovery order, and per orbit (its least key, the index holding it).
+    """
+    class_ids = [-1] * count
+    least = []
+    for i in range(count):
+        if class_ids[i] != -1:
+            continue
+        cid = len(least)
+        class_ids[i] = cid
+        orbit = [i]
+        for f in orbit:
+            for move in moves:
+                j = move(f)
+                if class_ids[j] == -1:
+                    class_ids[j] = cid
+                    orbit.append(j)
+        low_i = min(orbit, key=key)
+        least.append((key(low_i), low_i))
+    return class_ids, least
+
+
 def conjugacy_partition(perms, gens):
     """Partition a full list of automorphism permutations into conjugacy classes.
 
@@ -358,51 +500,39 @@ def conjugacy_partition(perms, gens):
     A class is the orbit of f under conjugation by Aut, and an orbit under a
     finite group is its closure under a generating set S. So the kernel
     first finds a small S (`_generating_set`, proved by a stabilizer chain),
-    then expands each class by s o f o s^-1 for s in S, costing
-    |Aut| * |S| conjugates in all instead of |Aut| * #classes. Each
+    then closes each class under f -> s o f o s^-1 for s in S (`_orbits`),
+    costing |Aut| * |S| conjugates in all instead of |Aut| * #classes. Each
     conjugate is identified by its generator images alone,
-    s(f(s^-1(g))) for g in gens, so only s^-1 on the generators is stored.
-    On bytes, s o f is one `f.translate(s)` and the key is read off it by a
-    getter; on tuples the key costs k lookups, done by C-level getters.
-    That key is also what the closure compares, once per new member, to
-    keep the least. The perms may be bytes or tuples, not a mix.
+    s(f(s^-1(g))) for g in gens, so only s^-1 on the generators is needed.
+    On bytes maps every conjugate is computed in C before the closure: a
+    key is packed into one int (`_packed_keys`), and one pass per s
+    translates blocks of joined maps by s and packs the columns at s^-1(g),
+    which the key index turns into the move table sigma_s
+    (`_conjugation_table`). On tuples a move computes its conjugate's key
+    on demand by C-level getters. The perms may be bytes or tuples, not a
+    mix.
     """
     count = len(perms)
     if len(gens) < 2:
         # Aut of a cyclic (or trivial) group is abelian: every class is a singleton
         reps = sorted(range(count), key=lambda i: [perms[i][g] for g in gens])
         return list(invert_perm(reps)), reps
-    key_of = itemgetter(*gens)
-    index_of = dict(zip(map(key_of, perms), range(count)))
-    # a bytes s is padded to a translate table, so f.translate(s) is s o f
-    pad = bytes(BYTES_LIMIT - len(perms[0])) if isinstance(perms[0], bytes) else None
-    conj = [
-        (s if pad is None else s + pad, itemgetter(*[s.index(g) for g in gens]))
-        for s in _generating_set(perms, gens, index_of)
-    ]
-    class_ids = [-1] * count
-    least = []  # per class in discovery order: (least key, index of that member)
-    for i in range(count):
-        if class_ids[i] != -1:
-            continue
-        cid = len(least)
-        class_ids[i] = cid
-        low, low_i = key_of(perms[i]), i
-        stack = [i]
-        while stack:
-            f = perms[stack.pop()]
-            for s, pull in conj:
-                key = itemgetter(*pull(f))(s) if pad is None else pull(f.translate(s))
-                j = index_of[key]
-                if class_ids[j] == -1:
-                    class_ids[j] = cid
-                    stack.append(j)
-                    if key < low:
-                        low, low_i = key, j
-        least.append((low, low_i))
-    # free the key table before the renumbering builds a second id list, so
-    # the peak memory stays that of the closure
+    if isinstance(perms[0], bytes):
+        keys = _packed_keys(perms, gens)
+        index_of = dict(zip(keys, range(count)))
+        chosen = _generating_set(perms, gens, _PackedIndex(index_of))
+        moves = [_conjugation_table(perms, gens, s, index_of).__getitem__ for s in chosen]
+    else:
+        keys = list(map(itemgetter(*gens), perms))
+        index_of = dict(zip(keys, range(count)))
+        chosen = _generating_set(perms, gens, index_of)
+        moves = [_conjugation_move(perms, gens, s, index_of) for s in chosen]
+    # the tables of bytes maps no longer need the key index (a tuple move
+    # holds it), and the moves go before the renumbering builds a second id
+    # list, so the peak memory stays that of the closure
     del index_of
+    class_ids, least = _orbits(count, moves, keys.__getitem__)
+    del moves
     order = sorted(range(len(least)), key=least.__getitem__)
     rank = invert_perm(order)
     return [rank[cid] for cid in class_ids], [least[cid][1] for cid in order]

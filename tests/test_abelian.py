@@ -132,6 +132,14 @@ class TestGroupSpec:
         with pytest.raises(ValueError):
             AbelianGroup.from_spec("0")
 
+    def test_chain_specs_parse_to_the_normalized_factors(self):
+        # an invariant-factor chain is taken as it is, any other list is
+        # normalized; both give what normalize_cyclic_orders gives
+        texts = [G.spec() for n in range(1, 65) for G in enumerate_groups(n)]
+        for text in texts + ["8,2", "6,4", "1", "1,1"]:
+            orders = [int(m) for m in text.split(",")]
+            assert AbelianGroup.from_spec(text).factors == normalize_cyclic_orders(orders), text
+
     def test_invalid_chain_rejected(self):
         with pytest.raises(ValueError):
             AbelianGroup((3, 4))

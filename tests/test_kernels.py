@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from alexq import kernels
 from alexq.abelian import AbelianGroup, _addition_rows, _prime_factorization, enumerate_groups
 from alexq.autgroup import (
     Automorphism,
@@ -17,6 +18,7 @@ from alexq.kernels import (
     _commuting_levels,
     _generating_set,
     _linear_bijections,
+    _packed_keys,
     _StabilizerChain,
     conjugacy_partition,
     enumerate_linear_bijections,
@@ -463,3 +465,55 @@ def test_kernels_give_the_same_results_on_bytes_and_on_tuples(order):
             chains.append((chain.order(), [p in chain for p in perms]))
         assert chosen[0] == chosen[1], G
         assert chains[0] == chains[1], G
+
+
+# --- the packed-key partition of bytes maps ----------------------------------
+
+
+@pytest.mark.parametrize("order", ENUMERABLE_ORDERS)
+def test_packed_keys_are_the_big_endian_generator_images(order):
+    for G in enumerate_groups(order):
+        perms, gens = _automorphism_perms(G), G.generator_indices
+        expected = [int.from_bytes(bytes(p[g] for g in gens), "big") for p in perms]
+        assert list(_packed_keys(perms, gens)) == expected, G
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 4), (3, 9), (2, 2, 2, 2)], ids=str)
+def test_partition_across_block_edges(monkeypatch, factors):
+    # blocks of 7 maps split every pass; 192 and 108 maps leave a short
+    # last block, and the 20,160 of 2,2,2,2 fill the last one
+    monkeypatch.setattr(kernels, "CHUNK", 7)
+    G = AbelianGroup(factors)
+    gens = G.generator_indices
+    perms = sorted(_automorphism_perms(G), key=lambda p: tuple(p[g] for g in gens))
+    assert conjugacy_partition(perms, gens) == _partition_by_full_expansion(perms, gens)
+
+
+def _first_intertwiner(perms, t1, t2):
+    """Reference: the first h in search order with h o t1 = t2 o h."""
+    for h in perms:
+        if all(h[t1[x]] == t2[h[x]] for x in range(len(t1))):
+            return h
+    return None
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2, 2), (3, 3, 3), (2, 4, 4)], ids=str)
+def test_constrained_search_returns_the_first_witness(factors):
+    G = AbelianGroup(factors)
+    n = G.order
+    perms = _automorphism_perms(G)
+    rows, candidates = _group_tables(G)
+    rng = random.Random(sum(factors))
+    negatives = 0
+    for _ in range(12):
+        t1, h = rng.choice(perms), rng.choice(perms)
+        h_inv = invert_perm(h)
+        conjugate = bytes(h[t1[h_inv[x]]] for x in range(n))
+        for t2 in (conjugate, rng.choice(perms)):
+            expected = _first_intertwiner(perms, t1, t2)
+            negatives += expected is None
+            found = _linear_bijections(n, G.factors, rows, candidates, t1, t2)
+            assert found == ([] if expected is None else [expected]), (t1, t2)
+            tuples = _linear_bijections(n, G.factors, _addition_rows(G), candidates, t1, t2)
+            assert tuples == [tuple(p) for p in found], (t1, t2)
+    assert negatives, G
