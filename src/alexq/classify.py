@@ -216,11 +216,6 @@ def resolve_cache_dir(cache_dir: str | None) -> Path:
 # --- merging --------------------------------------------------------------
 
 
-def _member_sort_key(member: Member):
-    group, phi = member
-    return (len(group.factors), group.factors, phi.images)
-
-
 def per_carrier_counts(
     carrier_specs: Iterable[str], classes: Iterable[QuandleClass]
 ) -> dict[str, int]:
@@ -351,7 +346,8 @@ def classify_order(
 
     # a carrier not done here is a cache hit, or is classified here if its
     # child left no entry; label -> (first image seen, members), and equal
-    # labels are isomorphic images
+    # labels are isomorphic images. Members arrive sorted: carriers by
+    # (rank, factors), and each carrier's in its representatives' order
     classes: dict[str, tuple[LambdaModule, list[Member]]] = {}
     for G in carriers:
         if G.factors in done:
@@ -368,7 +364,7 @@ def classify_order(
             image_label=label,
             image=image,
             connected=image.order == order,
-            members=tuple(sorted(members, key=_member_sort_key)),
+            members=tuple(members),
         )
         for i, (label, (image, members)) in enumerate(ordered)
     )

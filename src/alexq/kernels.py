@@ -38,15 +38,15 @@ The conjugacy partition treats each class as an orbit: it finds a small
 generating set S of the group, then closes each class under conjugation by
 S alone. That S generates is proved by a Schreier-Sims stabilizer chain on
 the base `gens` (`_StabilizerChain`), whose order is the product of its
-basic orbit lengths, so no closure over the whole group is built. On
-bytes maps a key is packed into one int, and each s in S costs one pass
-that computes the conjugate s o f o s^-1 of every map f in C: blocks of
-joined maps are translated by s, the columns at s^-1(g) are packed into
-keys, and the key index turns them into a table of indices, so the
-closure only follows those tables; on tuple maps it computes each
-conjugate as it goes. The input may come in any order: one BFS
-(`_orbits`) closes every class and keeps its least key, and the classes
-are numbered by those keys.
+basic orbit lengths, so no closure over the whole group is built. Each s
+in S costs one pass that computes the conjugate s o f o s^-1 of every map
+f in C: the columns at s^-1(g) are mapped by s into keys, and the key
+index turns them into a table of indices, so the closure only follows
+those tables. A key is one packed int on bytes maps, whose pass
+translates blocks of joined maps by s, and a tuple on tuple maps, whose
+pass reads each column by one getter. The input may come in any order:
+one BFS (`_orbits`) closes every class and keeps its least key, and the
+classes are numbered by those keys.
 
 The classes of a carrier with several primes are products of classes of
 its Sylow parts. `least_keys_of_products` finds the least member of each
@@ -115,40 +115,24 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def _commuting_levels(factors, t1):
-    """The pairs (x, t1[x]) to check at each generator position.
+def _coset_checks(factors, t1):
+    """The pairs (x, t1[x]) to check, per generator position and per coset.
 
-    Once position i has its image, the partial map covers the indices below
-    prod(factors[i:]). A pair is listed at the position whose prefix first
-    holds both of its ends, so each pair is checked exactly once.
+    At position i the partial map covers the first w = prod(factors[i+1:])
+    indices, and its c-th new coset (c = 1..d_i-1) extends it to (c+1)*w,
+    so the pair is complete once coset max(x, t1[x]) // w is in. Each pair
+    is listed once, at the position with w <= max(x, t1[x]) < w*d_i, in
+    bucket max(x, t1[x]) // w - 1.
     """
-    bounds = [math.prod(factors[i:]) for i in range(len(factors))]
-    levels = [[] for _ in factors]
+    widths = [math.prod(factors[i + 1 :]) for i in range(len(factors))]
+    checks = [[[] for _ in range(d - 1)] for d in factors]
     for x, tx in enumerate(t1):
         top = max(x, tx)
         if top:
             i = len(factors) - 1
-            while top >= bounds[i]:
+            while top >= widths[i] * factors[i]:
                 i -= 1
-            levels[i].append((x, tx))
-    return levels
-
-
-def _coset_checks(factors, t1):
-    """The pairs of `_commuting_levels`, bucketed by the coset that completes them.
-
-    At position i the partial map covers the first w = prod(factors[i+1:])
-    indices, and its c-th new coset (c = 1..d_i-1) extends it to (c+1)*w,
-    so the pair (x, t1[x]) is complete once coset max(x, t1[x]) // w is in:
-    bucket c-1 of position i lists those pairs.
-    """
-    checks = []
-    for i, pairs in enumerate(_commuting_levels(factors, t1)):
-        width = math.prod(factors[i + 1 :])
-        buckets = [[] for _ in range(factors[i] - 1)]
-        for x, tx in pairs:
-            buckets[max(x, tx) // width - 1].append((x, tx))
-        checks.append(buckets)
+            checks[i][top // widths[i] - 1].append((x, tx))
     return checks
 
 
@@ -440,14 +424,19 @@ class _PackedIndex:
 
 
 def _conjugation_table(perms, gens, s, index_of):
-    """sigma_s: the index of s o f o s^-1 for each bytes map f, as array("i").
+    """sigma_s: the index of s o f o s^-1 for each map f, as array("i").
 
-    One `translate` per block gives s o f for every map f of the block, and
-    the conjugate's key is the packed columns at s^-1(g), g in gens.
+    The conjugate's key is s applied to the columns at s^-1(g), g in gens.
+    On bytes maps one `translate` per block gives s o f for every map f of
+    the block and the columns are packed; on tuple maps each column is read
+    by one getter over perms and zipped into tuple keys.
     """
+    pulled = [s.index(g) for g in gens]
+    if not isinstance(s, bytes):
+        columns = (map(s.__getitem__, map(itemgetter(c), perms)) for c in pulled)
+        return array("i", map(index_of.__getitem__, zip(*columns)))
     n = len(perms[0])
     table = s + bytes(BYTES_LIMIT - n)
-    pulled = [s.index(g) for g in gens]
     sigma = array("i")
     for block in _blocks(perms):
         packed = memoryview(_pack(block.translate(table), n, pulled)).cast("Q")
@@ -455,14 +444,8 @@ def _conjugation_table(perms, gens, s, index_of):
     return sigma
 
 
-def _conjugation_move(perms, gens, s, index_of):
-    """i -> the index of s o perms[i] o s^-1, computed on demand on tuple maps."""
-    pull = itemgetter(*[s.index(g) for g in gens])
-    return lambda i: index_of[itemgetter(*pull(perms[i]))(s)]
-
-
-def _orbits(count, moves, key):
-    """The orbits of 0..count-1 under the moves i -> j, one BFS each.
+def _orbits(count, tables, key):
+    """The orbits of 0..count-1 under the moves i -> table[i], one BFS each.
 
     Returns (class_ids, least): the orbit of each index, numbered in
     discovery order, and per orbit (its least key, the index holding it).
@@ -476,8 +459,8 @@ def _orbits(count, moves, key):
         class_ids[i] = cid
         orbit = [i]
         for f in orbit:
-            for move in moves:
-                j = move(f)
+            for table in tables:
+                j = table[f]
                 if class_ids[j] == -1:
                     class_ids[j] = cid
                     orbit.append(j)
@@ -504,35 +487,28 @@ def conjugacy_partition(perms, gens):
     costing |Aut| * |S| conjugates in all instead of |Aut| * #classes. Each
     conjugate is identified by its generator images alone,
     s(f(s^-1(g))) for g in gens, so only s^-1 on the generators is needed.
-    On bytes maps every conjugate is computed in C before the closure: a
-    key is packed into one int (`_packed_keys`), and one pass per s
-    translates blocks of joined maps by s and packs the columns at s^-1(g),
-    which the key index turns into the move table sigma_s
-    (`_conjugation_table`). On tuples a move computes its conjugate's key
-    on demand by C-level getters. The perms may be bytes or tuples, not a
-    mix.
+    Every conjugate is computed in C before the closure: one pass per s
+    maps the columns at s^-1(g) by s, and the key index turns those keys
+    into the move table sigma_s (`_conjugation_table`). A key is packed
+    into one int on bytes maps (`_packed_keys`) and is a tuple on tuple
+    maps. The perms may be bytes or tuples, not a mix.
     """
     count = len(perms)
     if len(gens) < 2:
         # Aut of a cyclic (or trivial) group is abelian: every class is a singleton
         reps = sorted(range(count), key=lambda i: [perms[i][g] for g in gens])
         return list(invert_perm(reps)), reps
-    if isinstance(perms[0], bytes):
-        keys = _packed_keys(perms, gens)
-        index_of = dict(zip(keys, range(count)))
-        chosen = _generating_set(perms, gens, _PackedIndex(index_of))
-        moves = [_conjugation_table(perms, gens, s, index_of).__getitem__ for s in chosen]
-    else:
-        keys = list(map(itemgetter(*gens), perms))
-        index_of = dict(zip(keys, range(count)))
-        chosen = _generating_set(perms, gens, index_of)
-        moves = [_conjugation_move(perms, gens, s, index_of) for s in chosen]
-    # the tables of bytes maps no longer need the key index (a tuple move
-    # holds it), and the moves go before the renumbering builds a second id
-    # list, so the peak memory stays that of the closure
+    compact = isinstance(perms[0], bytes)
+    keys = _packed_keys(perms, gens) if compact else list(map(itemgetter(*gens), perms))
+    index_of = dict(zip(keys, range(count)))
+    chosen = _generating_set(perms, gens, _PackedIndex(index_of) if compact else index_of)
+    tables = [_conjugation_table(perms, gens, s, index_of) for s in chosen]
+    # the tables no longer need the key index, and they go before the
+    # renumbering builds a second id list, so the peak memory stays that of
+    # the closure
     del index_of
-    class_ids, least = _orbits(count, moves, keys.__getitem__)
-    del moves
+    class_ids, least = _orbits(count, tables, keys.__getitem__)
+    del tables
     order = sorted(range(len(least)), key=least.__getitem__)
     rank = invert_perm(order)
     return [rank[cid] for cid in class_ids], [least[cid][1] for cid in order]

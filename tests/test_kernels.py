@@ -15,7 +15,7 @@ from alexq.autgroup import (
 )
 from alexq.kernels import (
     _GENERATOR_STRIDE,
-    _commuting_levels,
+    _coset_checks,
     _generating_set,
     _linear_bijections,
     _packed_keys,
@@ -68,10 +68,12 @@ def test_partition_matches_definitional_conjugacy(factors):
     "factors", [(2, 2, 2, 2), (3, 3, 3), (2, 2, 4), (2, 4, 4), (2, 2, 12)]
 )
 def test_partition_matches_full_expansion(factors):
+    # bytes maps and the same maps as tuples, each sorted by key
     G = AbelianGroup(factors)
-    perms = [f.perm for f in enumerate_automorphisms(G)]
     gens = G.generator_indices
-    assert conjugacy_partition(perms, gens) == _partition_by_full_expansion(perms, gens)
+    compact = sorted(_automorphism_perms(G), key=lambda p: tuple(p[g] for g in gens))
+    for perms in (compact, [f.perm for f in enumerate_automorphisms(G)]):
+        assert conjugacy_partition(perms, gens) == _partition_by_full_expansion(perms, gens)
 
 
 def test_invert_perm():
@@ -156,7 +158,11 @@ def _reference_linear_bijections(n, factors, add, allowed, t1=None, t2=None):
     k = len(factors)
     if k == 0:
         return [(0,)]
-    checks = [()] * k if t1 is None else _commuting_levels(factors, t1)
+    if t1 is None:
+        checks = [()] * k
+    else:
+        # each position's pairs, checked once all its cosets are built
+        checks = [list(itertools.chain(*buckets)) for buckets in _coset_checks(factors, t1)]
     results = []
 
     def extend(i, partial):
@@ -350,19 +356,19 @@ def _assert_intertwines(G, h, t1, t2):
     assert all(h.perm[t1.perm[x]] == t2.perm[h.perm[x]] for x in range(G.order))
 
 
-def test_commuting_levels_list_each_pair_once_where_it_is_first_covered():
+def test_coset_checks_list_each_pair_once_where_it_is_first_covered():
     G = AbelianGroup((2, 4, 12))
     t = enumerate_automorphisms(G)[1234]
-    levels = _commuting_levels(G.factors, t.perm)
-    listed = [pair for level in levels for pair in level]
+    checks = _coset_checks(G.factors, t.perm)
+    listed = [pair for buckets in checks for bucket in buckets for pair in bucket]
     assert sorted(listed) == [(x, t.perm[x]) for x in range(1, G.order)]
-    for i, level in enumerate(levels):
-        covered = 1
-        for d in G.factors[i:]:
-            covered *= d
-        for x, tx in level:
-            assert max(x, tx) < covered
-            assert max(x, tx) >= covered // G.factors[i]
+    for i, buckets in enumerate(checks):
+        # coset c of position i extends the prefix of w indices to (c+1)*w
+        width = math.prod(G.factors[i + 1 :])
+        assert len(buckets) == G.factors[i] - 1
+        for c, bucket in enumerate(buckets, 1):
+            for x, tx in bucket:
+                assert c * width <= max(x, tx) < (c + 1) * width
 
 
 @pytest.mark.parametrize(
