@@ -275,8 +275,8 @@ class _StabilizerChain:
     orbit of gens[l] under them; each orbit point b maps to (u, w), where u
     is the generator-image tuple of a product of S_l sending gens[l] to b
     and w is the permutation of its inverse. Maps are composed on generator
-    images (s o x sends g to s[x[g]]) and looked up in the full list `perms`
-    through `index_of`, so no permutation is built.
+    images (s o x sends g to s[x[g]]), and find(images) returns the listed
+    map with those generator images, so no permutation is built.
 
     `add` extends level l by one map (Sims 1970; Seress, "Permutation Group
     Algorithms", 2003): it closes the orbit, and every Schreier generator
@@ -287,12 +287,11 @@ class _StabilizerChain:
     identity, and the group order is the product of the orbit lengths.
     """
 
-    def __init__(self, perms, gens, index_of):
-        self._perms = perms
+    def __init__(self, find, gens):
+        self._find = find
         self._gens = gens
-        self._index_of = index_of
         identity = tuple(gens)
-        self._levels = [([], {b: (identity, perms[index_of[identity]])}) for b in gens]
+        self._levels = [([], {b: (identity, find(identity))}) for b in gens]
 
     def order(self) -> int:
         return math.prod(len(orbit) for _, orbit in self._levels)
@@ -312,7 +311,7 @@ class _StabilizerChain:
 
     def add(self, perm, level=0) -> None:
         """Extend the group at level by perm, which fixes gens[:level] and lies outside it."""
-        perms, gens, index_of = self._perms, self._gens, self._index_of
+        find, gens = self._find, self._gens
         generators, orbit = self._levels[level]
         generators.append(perm)
         # the pairs (b, s) not seen before: the new map on the old points,
@@ -326,15 +325,14 @@ class _StabilizerChain:
                 c = image[level]
                 entry = orbit.get(c)
                 if entry is None:
-                    su = perms[index_of[tuple(image)]]
-                    inverse = perms[index_of[tuple([su.index(g) for g in gens])]]
-                    orbit[c] = (tuple(image), inverse)
+                    su = find(image)
+                    orbit[c] = (tuple(image), find([su.index(g) for g in gens]))
                     points.append(c)
                     continue
                 inverse = entry[1]
                 schreier = [inverse[x] for x in image]
                 if not self._sifts(schreier, level + 1):
-                    self.add(perms[index_of[tuple(schreier)]], level + 1)
+                    self.add(find(schreier), level + 1)
 
 
 # Step of the walk that picks generators: a large prime reduced mod |Aut|,
@@ -345,20 +343,21 @@ class _StabilizerChain:
 _GENERATOR_STRIDE = 1_000_003
 
 
-def _generating_set(perms, gens, index_of):
+def _generating_set(perms, gens, find):
     """A few perms that generate the whole group.
 
     Candidates are visited at the multiples of a stride coprime to |Aut|,
     so the walk reaches every index once. A candidate is kept only if it
     lies outside the group generated by those kept so far, which is decided
-    by sifting it through their stabilizer chain; the walk stops when the
-    chain's order is |Aut|, which proves the set generates.
+    by sifting it through their stabilizer chain, whose maps come from
+    find(images), the listed map with those generator images; the walk
+    stops when the chain's order is |Aut|, which proves the set generates.
     """
     count = len(perms)
     step = _GENERATOR_STRIDE % count
     while math.gcd(step, count) != 1:
         step += 1
-    chain = _StabilizerChain(perms, gens, index_of)
+    chain = _StabilizerChain(find, gens)
     chosen = []
     for j in range(1, count + 1):
         if chain.order() == count:
@@ -409,18 +408,6 @@ def _packed_keys(perms, gens):
     for block in _blocks(perms):
         keys.frombytes(_pack(block, len(perms[0]), gens))
     return keys
-
-
-class _PackedIndex:
-    """An index by generator-image tuple over an index by packed key."""
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index):
-        self._index = index
-
-    def __getitem__(self, images):
-        return self._index[int.from_bytes(bytes(images), "big")]
 
 
 def _conjugation_table(perms, gens, s, index_of):
@@ -489,19 +476,29 @@ def conjugacy_partition(perms, gens):
     s(f(s^-1(g))) for g in gens, so only s^-1 on the generators is needed.
     Every conjugate is computed in C before the closure: one pass per s
     maps the columns at s^-1(g) by s, and the key index turns those keys
-    into the move table sigma_s (`_conjugation_table`). A key is packed
-    into one int on bytes maps (`_packed_keys`) and is a tuple on tuple
-    maps. The perms may be bytes or tuples, not a mix.
+    into the move table sigma_s (`_conjugation_table`). The perms may be
+    bytes or tuples, not a mix. The format is decided once and fixes the
+    key, one packed int on bytes maps (`_packed_keys`) and the generator
+    images tuple on tuple maps, and the key index, which also gives the
+    chain its lookup by generator images. Every rank takes this path: an
+    abelian Aut, as of a cyclic group, has trivial moves, so its classes
+    are singletons numbered in key order.
+
+    >>> perms = [bytes(a * x % 5 for x in range(5)) for a in (3, 1, 4, 2)]
+    >>> conjugacy_partition(perms, (1,))
+    ([2, 0, 3, 1], [1, 3, 0, 2])
     """
     count = len(perms)
-    if len(gens) < 2:
-        # Aut of a cyclic (or trivial) group is abelian: every class is a singleton
-        reps = sorted(range(count), key=lambda i: [perms[i][g] for g in gens])
-        return list(invert_perm(reps)), reps
-    compact = isinstance(perms[0], bytes)
-    keys = _packed_keys(perms, gens) if compact else list(map(itemgetter(*gens), perms))
+    if isinstance(perms[0], bytes):
+        keys = _packed_keys(perms, gens)
+        key_of = lambda images: int.from_bytes(bytes(images), "big")
+    else:
+        # the per-generator columns zipped, as `_conjugation_table` builds
+        # them; the one map of a rank-0 group keys to ()
+        keys = list(zip(*(map(itemgetter(g), perms) for g in gens))) or [()]
+        key_of = tuple
     index_of = dict(zip(keys, range(count)))
-    chosen = _generating_set(perms, gens, _PackedIndex(index_of) if compact else index_of)
+    chosen = _generating_set(perms, gens, lambda images: perms[index_of[key_of(images)]])
     tables = [_conjugation_table(perms, gens, s, index_of) for s in chosen]
     # the tables no longer need the key index, and they go before the
     # renumbering builds a second id list, so the peak memory stays that of

@@ -331,7 +331,10 @@ def canonical_label(M: LambdaModule) -> str:
 def parse_module_spec(text: str) -> LambdaModule:
     """Parse "L16/3" or "<group>|<phi>" (e.g. "4,4|0,1;3,2").
 
-    A carrier over the addition-table budget is refused before a map is built.
+    The group part must be the invariant-factor chain that `spec` writes
+    ("1" for the trivial group), since phi's coordinates refer to that
+    chain; any other list is refused, not reordered. A carrier over the
+    addition-table budget is refused before a map is built.
     """
     text = text.strip()
     if text.upper().startswith("L"):
@@ -349,5 +352,10 @@ def parse_module_spec(text: str) -> LambdaModule:
         G = AbelianGroup.from_spec(group_part)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
+    if [int(p) for p in group_part.split(",")] != (list(G.factors) or [1]):
+        raise SpecError(
+            f"bad module spec {text!r}: the group part must be the invariant-factor "
+            f"chain {G.spec()}, in whose coordinates the map is written"
+        )
     _check_table_budget(G)
     return LambdaModule(G, parse_phi_spec(G, phi_part))

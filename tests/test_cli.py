@@ -289,6 +289,17 @@ class TestErrors:
             "over the budget of 16777216\n"
         )
 
+    @pytest.mark.parametrize("verb", ["image", "cayley", "iso"])
+    def test_module_spec_outside_the_invariant_factor_chain_is_refused(self, capsys, verb):
+        # t = -1 on Z4 read against 2,4 would be another module; the spec is
+        # refused and the chain it must be written in is named
+        spec = "4,2|3,0;0,1"
+        argv = ("iso", "--a", spec, "--b", "L8/1") if verb == "iso" else (verb, "--module", spec)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "2,4" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "--table", "/nonexistent/t.txt")
         assert code == 2

@@ -210,6 +210,11 @@ def _key_index(perms, gens):
     return {tuple([p[g] for g in gens]): i for i, p in enumerate(perms)}
 
 
+def _lookup(perms, index_of):
+    """The chain's lookup: the listed map with the given generator images."""
+    return lambda images: perms[index_of[tuple(images)]]
+
+
 def _closure(perms, gens, index_of, chosen):
     """Reference: the indices of the group generated by chosen, grown by BFS."""
     found = {index_of[tuple(gens)]}
@@ -320,7 +325,7 @@ def test_generating_set_matches_bfs_selection(order):
     for G in enumerate_groups(order):
         perms, gens = _automorphism_perms(G), G.generator_indices
         index_of = _key_index(perms, gens)
-        chosen = _generating_set(perms, gens, index_of)
+        chosen = _generating_set(perms, gens, _lookup(perms, index_of))
         assert chosen == _reference_generating_set(perms, gens, index_of), G
         assert len(_closure(perms, gens, index_of, chosen)) == len(perms), G
         assert len(chosen) <= 4, G
@@ -331,7 +336,8 @@ def test_chain_order_and_members_match_bfs_closure(factors):
     G = AbelianGroup(factors)
     perms, gens = _automorphism_perms(G), G.generator_indices
     index_of = _key_index(perms, gens)
-    chosen = _generating_set(perms, gens, index_of)
+    find = _lookup(perms, index_of)
+    chosen = _generating_set(perms, gens, find)
     # the walk stops once the last kept map completes the group, so every
     # proper prefix of chosen generates a proper subgroup
     for subset, proper in (
@@ -339,7 +345,7 @@ def test_chain_order_and_members_match_bfs_closure(factors):
         (chosen[:-1], True),
         ([chosen[0], perms[len(perms) // 2]], False),
     ):
-        chain = _StabilizerChain(perms, gens, index_of)
+        chain = _StabilizerChain(find, gens)
         for s in subset:
             if s not in chain:
                 chain.add(s)
@@ -460,11 +466,11 @@ def test_kernels_give_the_same_results_on_bytes_and_on_tuples(order):
         assert conjugacy_partition(tuples, gens) == conjugacy_partition(compact, gens), G
         chains, chosen = [], []
         for perms in (compact, tuples):
-            index_of = _key_index(perms, gens)
-            found = _generating_set(perms, gens, index_of)
+            find = _lookup(perms, _key_index(perms, gens))
+            found = _generating_set(perms, gens, find)
             chosen.append([tuple(s) for s in found])
             # a proper subgroup, so that membership is not always true
-            chain = _StabilizerChain(perms, gens, index_of)
+            chain = _StabilizerChain(find, gens)
             for s in found[:-1]:
                 if s not in chain:
                     chain.add(s)

@@ -230,6 +230,17 @@ class TestModuleSpec:
         with pytest.raises(SpecError):
             parse_module_spec("4,4|0,1")
 
+    def test_group_part_must_be_the_invariant_factor_chain(self):
+        # phi's coordinates refer to the chain that spec() writes, so a list
+        # in another order is refused, not read against reordered factors
+        with pytest.raises(SpecError, match="chain 2,4"):
+            parse_module_spec("4,2|3,0;0,1")
+        with pytest.raises(SpecError, match="chain 1,"):
+            parse_module_spec("1,1|")
+        M = parse_module_spec("2,4|1,0;0,3")
+        assert canonical_label(image_one_minus_t(M)) == "Λ2/t+1"
+        assert parse_module_spec("1|").spec() == "1|"
+
 
 # --- the routes the computed image and labels replaced ---------------------
 
