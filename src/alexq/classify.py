@@ -101,15 +101,19 @@ def _source_digest() -> str:
     Stored in every cache entry and checked on load, so a code change
     without a version bump cannot serve entries computed by other code.
     Read on first cache access, not at import; hashlib is imported here
-    for the same reason, as it is slow to load.
+    for the same reason, as it is slow to load. The files are listed with
+    `os.listdir`, as `Path.glob` compiles a pattern in every new process.
     """
     import hashlib
 
+    package = os.path.dirname(__file__)
     digest = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        data = path.read_bytes()
-        digest.update(f"{path.name}\0{len(data)}\0".encode())
-        digest.update(data)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as file:
+                data = file.read()
+            digest.update(f"{name}\0{len(data)}\0".encode())
+            digest.update(data)
     return digest.hexdigest()
 
 

@@ -5,6 +5,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alexq import autgroup, kernels
 from alexq.abelian import (
@@ -32,6 +34,8 @@ from alexq.autgroup import (
 from alexq.errors import EnumerationBudgetError, SpecError
 
 from helpers import clear_carrier_caches, conjugacy_class_sizes, enumerate_automorphisms
+
+_CARRIERS_UP_TO_64 = [G for n in range(1, 65) for G in enumerate_groups(n)]
 
 
 def brute_force_automorphism_count(factors):
@@ -210,6 +214,43 @@ class TestMapAlgebra:
             Automorphism(G, images)
         assert type(raised.value) is error
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["2,2", "2,4", "4,4", "2,6", "6", "12", "2,2,2", "2,12", "3,9", "6,6", "2,2,4", "30", "2,8"],
+    )
+    def test_bijectivity_on_g_mod_pg_matches_the_permutation(self, spec):
+        # every well-defined endomorphism: the test on G/pG agrees with the
+        # permutation's image size, and builds no permutation
+        G = AbelianGroup.from_spec(spec)
+        killed = [[x for x in G.elements if G.scalar_mul(d, x) == G.zero] for d in G.factors]
+        verdicts = set()
+        for images in itertools.product(*killed):
+            f = Endomorphism(G, images)
+            verdict = f.is_automorphism()
+            assert "perm" not in f.__dict__
+            assert verdict == (len(set(f.perm)) == G.order), f.spec()
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bijectivity_on_g_mod_pg_matches_the_permutation_up_to_order_64(self, data):
+        G = data.draw(st.sampled_from(_CARRIERS_UP_TO_64), label="carrier")
+        images = tuple(
+            data.draw(st.sampled_from([x for x in G.elements if G.scalar_mul(d, x) == G.zero]))
+            for d in G.factors
+        )
+        f = Endomorphism(G, images)
+        assert f.is_automorphism() == (len(set(f.perm)) == G.order)
+
+    def test_refused_map_keeps_its_error_text_on_a_mixed_prime_carrier(self):
+        # bijective mod 2 but not mod 3: 2e_2, of order 3, goes to 0
+        G = AbelianGroup((2, 6))
+        with pytest.raises(SpecError) as raised:
+            parse_phi_spec(G, "1,0;0,3")
+        assert str(raised.value) == "map 1,0;0,3 on 2,6 is not bijective"
+        assert parse_phi_spec(G, "1,3;0,1").is_automorphism()
 
 
 class TestConjugacy:

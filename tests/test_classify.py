@@ -895,6 +895,28 @@ def test_warm_run_parses_each_distinct_image_spec_once(order, distinct, tmp_path
     assert len(parsed) == distinct
 
 
+@pytest.mark.parametrize("order", [16, 48])
+def test_warm_run_builds_no_permutation(order, tmp_path):
+    # a parsed map is validated on G/pG, and nothing else on a warm run
+    # reads a member's or an image's permutation
+    cold = classify_order(order, cache_dir=str(tmp_path))
+    warm = classify_order(order, cache_dir=str(tmp_path))
+    assert _report_digest(warm) == _report_digest(cold) == GOLDEN_REPORT_SHA256[order]
+    assert warm == cold
+    maps = [rep for qc in warm.classes for _, rep in qc.members]
+    maps += [qc.image.t for qc in warm.classes]
+    assert not [f.spec() for f in maps if "perm" in f.__dict__]
+
+
+def test_source_digest_hashes_the_package_files_by_name():
+    package = Path(alexq.__file__).parent
+    digest = hashlib.sha256()
+    for name in sorted(p.name for p in package.iterdir() if p.suffix == ".py"):
+        data = (package / name).read_bytes()
+        digest.update(name.encode() + b"\0" + str(len(data)).encode() + b"\0" + data)
+    assert _source_digest() == digest.hexdigest()
+
+
 def test_rejected_entry_teaches_the_table_nothing(tmp_path):
     # the last representative of 2,4's entry is not bijective, so the entry
     # is rejected after all its images have parsed; none of them is learned
