@@ -52,10 +52,11 @@ on the largest carriers, not by a closure over Aut. Since a linear map is
 fixed by its generator images, a conjugate h o f o h^-1 is evaluated on the
 generators only, at h^-1(g) = h.index(g), with no inverse permutation. One
 C-level pass per generator h maps the columns at h^-1(g) of every map by
-h and looks the keys up, giving the index of every conjugate before the
-closure starts; on bytes maps the key is packed into one int and the pass
-translates blocks of joined maps by h. One BFS then closes the classes
-and keeps each class's least key.
+h and sums their ranks into a dense mixed-radix index of the keys, giving
+the position of every conjugate before the closure starts; the index
+needs one array of at most `_candidate_count(G)` entries, not a dict as
+large as Aut. One BFS then closes the classes and keeps each class's
+least key.
 `is_conjugate` decides a single pair without enumerating Aut: the kernel
 searches directly for an h with h o f = g o h, the same search that
 enumerates Aut and that decides module isomorphism in `lambda_modules`.

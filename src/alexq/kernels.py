@@ -40,13 +40,18 @@ S alone. That S generates is proved by a Schreier-Sims stabilizer chain on
 the base `gens` (`_StabilizerChain`), whose order is the product of its
 basic orbit lengths, so no closure over the whole group is built. Each s
 in S costs one pass that computes the conjugate s o f o s^-1 of every map
-f in C: the columns at s^-1(g) are mapped by s into keys, and the key
-index turns them into a table of indices, so the closure only follows
-those tables. A key is one packed int on bytes maps, whose pass
-translates blocks of joined maps by s, and a tuple on tuple maps, whose
-pass reads each column by one getter. The input may come in any order:
-one BFS (`_orbits`) closes every class and keeps its least key, and the
-classes are numbered by those keys.
+f in C: the columns at s^-1(g) are mapped by s into keys, and a dense
+index turns them into a table of positions, so the closure only follows
+those tables. The index is mixed-radix: position i ranks its image among
+the R_i values that occur there, a key's index is sum(rank_i * R_{i+1} *
+... * R_{k-1}), and one array of prod(R_i) entries, at most the search's
+candidate count, maps an index to its map (`_rank_tables`). A block's
+indices are summed in C, one 4-byte limb per map in one int per column
+(`_dense_indices`), so no key object or dict entry is made per map. Both
+map formats take this path and differ only in how a column is read:
+`translate` on bytes maps, `map` on tuples. The index sorts as the keys
+do, and the input may come in any order: one BFS (`_orbits`) closes every
+class and keeps its least index, and the classes are numbered by those.
 
 The classes of a carrier with several primes are products of classes of
 its Sylow parts. `least_keys_of_products` finds the least member of each
@@ -61,7 +66,9 @@ import itertools
 import math
 import sys
 from array import array
-from operator import itemgetter
+from collections import deque
+from itertools import repeat
+from operator import getitem, itemgetter, mul, setitem
 
 
 Perm = bytes | tuple[int, ...]
@@ -369,65 +376,116 @@ def _generating_set(perms, gens, find):
     return chosen
 
 
-# Maps per block when bytes maps are joined for the C-level passes: a block
-# of n-byte maps is CHUNK * n bytes, and its keys take 8 bytes per map
+# Maps per block in the C-level passes: a block of n-byte maps is joined
+# into CHUNK * n bytes, and each of its rank columns is an int of 4 bytes
+# per map
 CHUNK = 4096
+
+# One limb per map in those ints: the enumeration budget keeps every dense
+# index below 2^24, so a weighted sum of limbs carries no bit into the
+# next, and the limbs read back as native "I" words. A byte rank sits in
+# the low byte of its limb.
+_LIMB = 4
+_LOW = 0 if sys.byteorder == "little" else _LIMB - 1
 
 
 def _blocks(perms):
-    """The bytes maps joined in blocks of CHUNK, one block alive at a time."""
+    """The maps in blocks of CHUNK, bytes maps joined, one block alive at a time."""
+    compact = isinstance(perms[0], bytes)
     for a in range(0, len(perms), CHUNK):
-        yield b"".join(perms[a : a + CHUNK])
+        yield b"".join(perms[a : a + CHUNK]) if compact else perms[a : a + CHUNK]
 
 
-def _pack(block, n, columns):
-    """The packed keys of the n-byte maps joined in block, read at columns.
+def _column(block, n, c):
+    """The images p[c] of the maps p in block: bytes on a joined block."""
+    return block[c::n] if isinstance(block, bytes) else map(itemgetter(c), block)
 
-    Byte columns[i] of each map becomes digit i, most significant first, of
-    a native 8-byte word, so each word, read as an unsigned "Q", is
-    int.from_bytes(bytes(p[c] for c in columns), "big").
+
+def _limbs(block, n, c, table):
+    """table[p[c]] for the maps p in block, one per 4-byte limb of one int.
+
+    A bytes table is read by `translate` and spread one byte per limb; a
+    list table is read by `map`.
     """
-    buf = bytearray(8 * (len(block) // n))
-    last = len(columns) - 1
-    for i, c in enumerate(columns):
-        buf[last - i if sys.byteorder == "little" else 7 - last + i :: 8] = block[c::n]
-    return buf
+    column = _column(block, n, c)
+    if isinstance(block, bytes):
+        limbs = bytearray(_LIMB * len(column))
+        limbs[_LOW::_LIMB] = column.translate(table)
+    else:
+        limbs = array("I", map(table.__getitem__, column))
+    return int.from_bytes(limbs, sys.byteorder)
 
 
-def _packed_keys(perms, gens):
-    """The key of each bytes map as one int, in an array("Q").
+def _rank_tables(perms, gens):
+    """The dense index of the maps by generator-image key: (tables, weights, size).
 
-    The key int.from_bytes(bytes(p[g] for g in gens), "big") fits in 8 bytes
-    (a group of at most 256 elements has rank at most 8), and the ints sort
-    as the generator-image tuples do.
+    Position i ranks its image among the R_i values that occur at gens[i]:
+    tables[i][v] is the rank of v, a `translate` table on bytes maps and a
+    list on tuple maps. A key's index is sum(rank_i * weights[i]) with
+    weights[i] = R_{i+1} * ... * R_{k-1}, below size = R_0 * ... * R_{k-1}.
+    Ranks are ascending in the values, so indices sort as the keys do. An
+    image at position i has order dividing d_i, so R_i is at most the
+    number of candidates there and size at most the search's candidate
+    count.
 
-    >>> list(_packed_keys([bytes([0, 2, 1, 3]), bytes([0, 1, 3, 2])], [1, 2]))
-    [513, 259]
+    >>> perms = [bytes([0, 3, 2, 1]), bytes([0, 1, 3, 2]), bytes([0, 3, 1, 2])]
+    >>> tables, weights, size = _rank_tables(perms, [1, 2])
+    >>> [list(t[:4]) for t in tables], weights, size
+    ([[0, 0, 0, 1], [0, 0, 1, 2]], [3, 1], 6)
+    >>> (block,) = _dense_indices(perms, [1, 2], tables, weights)
+    >>> list(memoryview(block).cast("I"))
+    [4, 2, 3]
     """
-    keys = array("Q")
+    n = len(perms[0])
+    compact = isinstance(perms[0], bytes)
+    seen = [set() for _ in gens]
     for block in _blocks(perms):
-        keys.frombytes(_pack(block, len(perms[0]), gens))
-    return keys
+        for values, g in zip(seen, gens):
+            column = _column(block, n, g)
+            # a bytes column drops the values already seen in C first
+            values.update(column.translate(None, bytes(values)) if compact else column)
+    tables, radices = [], []
+    for values in seen:
+        table = bytearray(BYTES_LIMIT) if compact else [0] * n
+        for rank, v in enumerate(sorted(values)):
+            table[v] = rank
+        tables.append(bytes(table) if compact else table)
+        radices.append(len(values))
+    weights = [math.prod(radices[i + 1 :]) for i in range(len(radices))]
+    return tables, weights, math.prod(radices)
 
 
-def _conjugation_table(perms, gens, s, index_of):
-    """sigma_s: the index of s o f o s^-1 for each map f, as array("i").
+def _dense_indices(perms, columns, tables, weights):
+    """Per block, the dense index of each map's key read at columns through
+    tables, as the bytes of one native "I" word per map.
 
-    The conjugate's key is s applied to the columns at s^-1(g), g in gens.
-    On bytes maps one `translate` per block gives s o f for every map f of
-    the block and the columns are packed; on tuple maps each column is read
-    by one getter over perms and zipped into tuple keys.
+    The ranks of a column are one int with one limb per map, so the block's
+    indices are summed in C: sum(weights[i] * column i).
+    """
+    n = len(perms[0])
+    for block in _blocks(perms):
+        count = len(block) // n if isinstance(block, bytes) else len(block)
+        total = sum(w * _limbs(block, n, c, t) for c, t, w in zip(columns, tables, weights))
+        yield total.to_bytes(_LIMB * count, sys.byteorder)
+
+
+def _conjugation_table(perms, gens, s, tables, weights, pos):
+    """sigma_s: the position of s o f o s^-1 for each map f, as array("i").
+
+    The conjugate's key is s applied to the columns at s^-1(g), g in gens,
+    so each rank table is composed with s once: by `translate` of s on
+    bytes maps, by `map` on tuple maps. pos turns the dense indices of the
+    conjugates into positions in perms.
     """
     pulled = [s.index(g) for g in gens]
-    if not isinstance(s, bytes):
-        columns = (map(s.__getitem__, map(itemgetter(c), perms)) for c in pulled)
-        return array("i", map(index_of.__getitem__, zip(*columns)))
-    n = len(perms[0])
-    table = s + bytes(BYTES_LIMIT - n)
+    if isinstance(s, bytes):
+        padded = s + bytes(BYTES_LIMIT - len(s))
+        composed = [padded.translate(t) for t in tables]
+    else:
+        composed = [list(map(t.__getitem__, s)) for t in tables]
     sigma = array("i")
-    for block in _blocks(perms):
-        packed = memoryview(_pack(block.translate(table), n, pulled)).cast("Q")
-        sigma.extend(map(index_of.__getitem__, packed))
+    for block in _dense_indices(perms, pulled, composed, weights):
+        sigma.fromlist(list(map(getitem, repeat(pos), memoryview(block).cast("I"))))
     return sigma
 
 
@@ -475,37 +533,37 @@ def conjugacy_partition(perms, gens):
     conjugate is identified by its generator images alone,
     s(f(s^-1(g))) for g in gens, so only s^-1 on the generators is needed.
     Every conjugate is computed in C before the closure: one pass per s
-    maps the columns at s^-1(g) by s, and the key index turns those keys
-    into the move table sigma_s (`_conjugation_table`). The perms may be
-    bytes or tuples, not a mix. The format is decided once and fixes the
-    key, one packed int on bytes maps (`_packed_keys`) and the generator
-    images tuple on tuple maps, and the key index, which also gives the
-    chain its lookup by generator images. Every rank takes this path: an
-    abelian Aut, as of a cyclic group, has trivial moves, so its classes
-    are singletons numbered in key order.
+    maps the columns at s^-1(g) by s, and the dense index of the keys
+    (`_rank_tables`) turns them into the move table sigma_s
+    (`_conjugation_table`). The same index gives the chain its lookup by
+    generator images, and it sorts as the keys do, so a class's least
+    index names its least key. The perms may be bytes or tuples, not a
+    mix; the format only decides how a column is read. Every rank takes
+    this path: an abelian Aut, as of a cyclic group, has trivial moves, so
+    its classes are singletons numbered in key order.
 
     >>> perms = [bytes(a * x % 5 for x in range(5)) for a in (3, 1, 4, 2)]
     >>> conjugacy_partition(perms, (1,))
     ([2, 0, 3, 1], [1, 3, 0, 2])
     """
     count = len(perms)
-    if isinstance(perms[0], bytes):
-        keys = _packed_keys(perms, gens)
-        key_of = lambda images: int.from_bytes(bytes(images), "big")
-    else:
-        # the per-generator columns zipped, as `_conjugation_table` builds
-        # them; the one map of a rank-0 group keys to ()
-        keys = list(zip(*(map(itemgetter(g), perms) for g in gens))) or [()]
-        key_of = tuple
-    index_of = dict(zip(keys, range(count)))
-    chosen = _generating_set(perms, gens, lambda images: perms[index_of[key_of(images)]])
-    tables = [_conjugation_table(perms, gens, s, index_of) for s in chosen]
-    # the tables no longer need the key index, and they go before the
-    # renumbering builds a second id list, so the peak memory stays that of
-    # the closure
-    del index_of
-    class_ids, least = _orbits(count, tables, keys.__getitem__)
-    del tables
+    tables, weights, size = _rank_tables(perms, gens)
+    index = array("I")
+    for block in _dense_indices(perms, gens, tables, weights):
+        index.frombytes(block)
+    pos = array("i", [0]) * size
+    deque(map(setitem, repeat(pos), index, range(count)), maxlen=0)
+
+    def find(images):
+        return perms[pos[sum(map(mul, weights, map(getitem, tables, images)))]]
+
+    chosen = _generating_set(perms, gens, find)
+    moves = [_conjugation_table(perms, gens, s, tables, weights, pos) for s in chosen]
+    # the tables no longer need pos, and they go before the renumbering
+    # builds a second id list, so the peak memory stays that of the closure
+    del pos
+    class_ids, least = _orbits(count, moves, index.__getitem__)
+    del moves
     order = sorted(range(len(least)), key=least.__getitem__)
     rank = invert_perm(order)
     return [rank[cid] for cid in class_ids], [least[cid][1] for cid in order]

@@ -8,12 +8,13 @@ prod_{f != x} prod_{i >= 1} (1 - x^(i deg f))^-1. The quandle is connected
 exactly when 1 - t is bijective, that is when x - 1 does not divide the
 characteristic polynomial, so dropping f = x - 1 as well counts the
 connected classes. The irreducibles are counted by Gauss's formula with
-the Möbius function; nothing here but the report comes from alexq.
+the Möbius function; nothing here but the report and the divisor chains
+comes from alexq.
 """
 
 import pytest
 
-from alexq import classify_order
+from alexq import classify_order, polymod
 
 
 def _mobius(n: int) -> int:
@@ -79,3 +80,22 @@ def test_elementary_carrier_counts_match_gl_classes(p, k, tmp_path):
         _gl_class_count(p, k, 1),
         _gl_class_count(p, k, 2),
     )
+
+
+# p^k: (classes, connected) of the carriers over the enumeration budget,
+# checked against the divisor chains alone: the report of 32 and 81 exits 3
+CHAIN_ROUTE = {
+    (2, 5): (27, 8),
+    (3, 4): (78, 46),
+    (5, 3): (120, 92),
+}
+
+
+@pytest.mark.parametrize("p, k", sorted(CHAIN_ROUTE))
+def test_divisor_chains_match_gl_classes(p, k):
+    # a chain's module is connected when 1 - t is bijective, that is when
+    # its last entry, which every other entry divides, does not vanish at 1
+    specs = polymod.enumerate_specs(p, k)
+    connected = sum(1 for spec in specs if sum(spec.chain[-1].coeffs) % p)
+    assert (_gl_class_count(p, k, 1), _gl_class_count(p, k, 2)) == CHAIN_ROUTE[p, k]
+    assert (len(specs), connected) == CHAIN_ROUTE[p, k]

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,6 +11,7 @@ from alexq.abelian import AbelianGroup, _addition_rows, _prime_factorization, en
 from alexq.autgroup import (
     Automorphism,
     _automorphism_perms,
+    _candidate_count,
     _group_tables,
     conjugacy_representatives,
     is_conjugate,
@@ -16,9 +19,10 @@ from alexq.autgroup import (
 from alexq.kernels import (
     _GENERATOR_STRIDE,
     _coset_checks,
+    _dense_indices,
     _generating_set,
     _linear_bijections,
-    _packed_keys,
+    _rank_tables,
     _StabilizerChain,
     conjugacy_partition,
     enumerate_linear_bijections,
@@ -479,15 +483,28 @@ def test_kernels_give_the_same_results_on_bytes_and_on_tuples(order):
         assert chains[0] == chains[1], G
 
 
-# --- the packed-key partition of bytes maps ----------------------------------
+# --- the dense index of the partition ---------------------------------------
+
+
+def _index(perms, gens):
+    tables, weights, size = _rank_tables(perms, gens)
+    index = []
+    for block in _dense_indices(perms, gens, tables, weights):
+        index += memoryview(block).cast("I")
+    return index, size
 
 
 @pytest.mark.parametrize("order", ENUMERABLE_ORDERS)
-def test_packed_keys_are_the_big_endian_generator_images(order):
+def test_dense_index_is_injective_and_sorts_as_the_keys(order):
     for G in enumerate_groups(order):
         perms, gens = _automorphism_perms(G), G.generator_indices
-        expected = [int.from_bytes(bytes(p[g] for g in gens), "big") for p in perms]
-        assert list(_packed_keys(perms, gens)) == expected, G
+        index, size = _index(perms, gens)
+        assert len(set(index)) == len(perms), G
+        assert max(index) < size <= _candidate_count(G), G
+        keys = [tuple(p[g] for g in gens) for p in perms]
+        by_key = sorted(range(len(perms)), key=keys.__getitem__)
+        assert sorted(range(len(perms)), key=index.__getitem__) == by_key, G
+        assert _index([tuple(p) for p in perms], gens) == (index, size), G
 
 
 @pytest.mark.parametrize("factors", [(2, 2, 4), (3, 9), (2, 2, 2, 2)], ids=str)
@@ -499,6 +516,39 @@ def test_partition_across_block_edges(monkeypatch, factors):
     gens = G.generator_indices
     perms = sorted(_automorphism_perms(G), key=lambda p: tuple(p[g] for g in gens))
     assert conjugacy_partition(perms, gens) == _partition_by_full_expansion(perms, gens)
+
+
+@pytest.mark.parametrize(
+    "factors, digest",
+    [
+        ((2, 256), "91db7a74c421ad153bf4653db0eae3dc4ccdcbe7ec446e52ab48df71509dcf46"),
+        ((17, 17), "80317bf36140829659e374a30ac567d6f72788b47b9db390343815fae65582ef"),
+    ],
+    ids=str,
+)
+def test_partition_of_tuple_maps_keeps_its_classes_and_numbering(factors, digest):
+    # the sha256 of repr((class_ids, reps)) on Aut in search order, as the
+    # partition by a dict of generator-image keys gave it
+    G = AbelianGroup(factors)
+    perms = _automorphism_perms(G)
+    assert type(perms[0]) is tuple
+    found = conjugacy_partition(perms, G.generator_indices)
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
+
+
+def test_partition_peak_memory_per_map():
+    # the maps are the input; the partition itself holds a few words per
+    # map (its index, move tables and class ids), not a key dict
+    G = AbelianGroup((2, 2, 2, 4))
+    perms, gens = _automorphism_perms(G), G.generator_indices
+    tracemalloc.start()
+    try:
+        conjugacy_partition(perms, gens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(perms) == 21504
+    assert peak < 100 * len(perms)
 
 
 def _first_intertwiner(perms, t1, t2):
