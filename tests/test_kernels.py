@@ -495,6 +495,22 @@ def _index(perms, gens):
 
 
 @pytest.mark.parametrize("order", ENUMERABLE_ORDERS)
+def test_packed_keys_are_the_big_endian_generator_images(order):
+    # a map's index packs its generator images big-endian, each digit the
+    # image's rank among the values that occur at that generator
+    for G in enumerate_groups(order):
+        perms, gens = _automorphism_perms(G), G.generator_indices
+        ranks = [{v: r for r, v in enumerate(sorted({p[g] for p in perms}))} for g in gens]
+        expected = []
+        for p in perms:
+            key = 0
+            for rank, g in zip(ranks, gens):
+                key = key * len(rank) + rank[p[g]]
+            expected.append(key)
+        assert _index(perms, gens) == (expected, math.prod(map(len, ranks))), G
+
+
+@pytest.mark.parametrize("order", ENUMERABLE_ORDERS)
 def test_dense_index_is_injective_and_sorts_as_the_keys(order):
     for G in enumerate_groups(order):
         perms, gens = _automorphism_perms(G), G.generator_indices
