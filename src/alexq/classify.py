@@ -36,7 +36,6 @@ import contextlib
 import functools
 import json
 import os
-import sys
 import tempfile
 from collections import Counter
 from collections.abc import Iterable
@@ -101,28 +100,14 @@ def _source_digest() -> str:
 
     Stored in every cache entry and checked on load, so a code change
     without a version bump cannot serve entries computed by other code.
-    Read on first cache access, not at import. `hashlib` loads OpenSSL,
-    about 5 ms, more than a warm run; its sha256 hashes the package in
-    about 0.15 ms and the interpreter's builtin one in about 1 ms. So a
-    process that has loaded `hashlib` already uses it, and any other uses
-    the builtin module, as `random` does for sha512, with `hashlib` as the
-    fallback only where neither builtin module exists. The files are
-    listed with `os.listdir`, as `Path.glob` compiles a pattern in every
-    new process.
+    Read on first cache access, not at import; hashlib is imported here
+    for the same reason, as it is slow to load. The files are listed with
+    `os.listdir`, as `Path.glob` compiles a pattern in every new process.
     """
-    if "hashlib" in sys.modules:
-        sha256 = sys.modules["hashlib"].sha256
-    else:
-        try:
-            from _sha256 import sha256  # Python 3.11
-        except ImportError:
-            try:
-                from _sha2 import sha256  # Python 3.12 and later
-            except ImportError:
-                from hashlib import sha256
+    import hashlib
 
     package = os.path.dirname(__file__)
-    digest = sha256()
+    digest = hashlib.sha256()
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), "rb") as file:

@@ -48,10 +48,12 @@ the R_i values that occur there, a key's index is sum(rank_i * R_{i+1} *
 candidate count, maps an index to its map (`_rank_tables`). A block's
 indices are summed in C, one 4-byte limb per map in one int per column
 (`_dense_indices`), so no key object or dict entry is made per map. Both
-map formats take this path and differ only in how a column is read:
-`translate` on bytes maps, `map` on tuples. The index sorts as the keys
-do, and the input may come in any order: one BFS (`_orbits`) closes every
-class and keeps its least index, and the classes are numbered by those.
+map formats take this path; the format is decided once per partition and
+only picks the column reader: `_ByteColumns` reads bytes maps by
+`translate`, `_TupleColumns` reads tuples by `map`. The index sorts as
+the keys do, and the input may come in any order: one BFS (`_orbits`)
+closes every class and keeps its least index, and the classes are numbered
+by those.
 
 The classes of a carrier with several primes are products of classes of
 its Sylow parts. `least_keys_of_products` finds the least member of each
@@ -389,102 +391,132 @@ _LIMB = 4
 _LOW = 0 if sys.byteorder == "little" else _LIMB - 1
 
 
-def _blocks(perms):
-    """The maps in blocks of CHUNK, bytes maps joined, one block alive at a time."""
-    compact = isinstance(perms[0], bytes)
-    for a in range(0, len(perms), CHUNK):
-        yield b"".join(perms[a : a + CHUNK]) if compact else perms[a : a + CHUNK]
+class _ByteColumns:
+    """How the dense index reads bytes maps of n elements: a block is joined
+    into one bytes object, a column is a slice of it, and a rank table is a
+    `translate` table."""
 
+    def __init__(self, n):
+        self.n = n
 
-def _column(block, n, c):
-    """The images p[c] of the maps p in block: bytes on a joined block."""
-    return block[c::n] if isinstance(block, bytes) else map(itemgetter(c), block)
+    def join(self, maps):
+        return b"".join(maps)
 
+    def unseen(self, block, c, seen):
+        """The images at column c, less the values in seen, dropped in C."""
+        return block[c :: self.n].translate(None, bytes(seen))
 
-def _limbs(block, n, c, table):
-    """table[p[c]] for the maps p in block, one per 4-byte limb of one int.
+    def table(self, ranks):
+        table = bytearray(BYTES_LIMIT)
+        for rank, v in enumerate(ranks):
+            table[v] = rank
+        return bytes(table)
 
-    A bytes table is read by `translate` and spread one byte per limb; a
-    list table is read by `map`.
-    """
-    column = _column(block, n, c)
-    if isinstance(block, bytes):
+    def compose(self, table, s):
+        """v -> table[s[v]], the rank table read after s."""
+        return (s + bytes(BYTES_LIMIT - len(s))).translate(table)
+
+    def limbs(self, block, c, table):
+        """table[p[c]] for the maps p in block, one per 4-byte limb of one int."""
+        column = block[c :: self.n].translate(table)
         limbs = bytearray(_LIMB * len(column))
-        limbs[_LOW::_LIMB] = column.translate(table)
-    else:
-        limbs = array("I", map(table.__getitem__, column))
-    return int.from_bytes(limbs, sys.byteorder)
+        limbs[_LOW::_LIMB] = column
+        return int.from_bytes(limbs, sys.byteorder)
 
 
-def _rank_tables(perms, gens):
+class _TupleColumns:
+    """How the dense index reads tuple maps of n elements: a block is a
+    slice of the maps, a column is read by `map`, and a rank table is a
+    list."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def join(self, maps):
+        return maps
+
+    def unseen(self, block, c, seen):
+        return map(itemgetter(c), block)
+
+    def table(self, ranks):
+        table = [0] * self.n
+        for rank, v in enumerate(ranks):
+            table[v] = rank
+        return table
+
+    def compose(self, table, s):
+        return list(map(table.__getitem__, s))
+
+    def limbs(self, block, c, table):
+        ranks = array("I", map(table.__getitem__, map(itemgetter(c), block)))
+        return int.from_bytes(ranks, sys.byteorder)
+
+
+def _columns(perms):
+    """The column reader for the format of perms, bytes or tuples."""
+    return (_ByteColumns if isinstance(perms[0], bytes) else _TupleColumns)(len(perms[0]))
+
+
+def _blocks(perms, columns):
+    """(count, block) per CHUNK maps, joined by columns, one block alive at a time."""
+    for a in range(0, len(perms), CHUNK):
+        maps = perms[a : a + CHUNK]
+        yield len(maps), columns.join(maps)
+
+
+def _rank_tables(perms, gens, columns):
     """The dense index of the maps by generator-image key: (tables, weights, size).
 
     Position i ranks its image among the R_i values that occur at gens[i]:
-    tables[i][v] is the rank of v, a `translate` table on bytes maps and a
-    list on tuple maps. A key's index is sum(rank_i * weights[i]) with
-    weights[i] = R_{i+1} * ... * R_{k-1}, below size = R_0 * ... * R_{k-1}.
-    Ranks are ascending in the values, so indices sort as the keys do. An
-    image at position i has order dividing d_i, so R_i is at most the
-    number of candidates there and size at most the search's candidate
-    count.
+    tables[i][v] is the rank of v, in the format of `columns`. A key's
+    index is sum(rank_i * weights[i]) with weights[i] = R_{i+1} * ... *
+    R_{k-1}, below size = R_0 * ... * R_{k-1}. Ranks are ascending in the
+    values, so indices sort as the keys do. An image at position i has
+    order dividing d_i, so R_i is at most the number of candidates there
+    and size at most the search's candidate count.
 
     >>> perms = [bytes([0, 3, 2, 1]), bytes([0, 1, 3, 2]), bytes([0, 3, 1, 2])]
-    >>> tables, weights, size = _rank_tables(perms, [1, 2])
+    >>> columns = _columns(perms)
+    >>> tables, weights, size = _rank_tables(perms, [1, 2], columns)
     >>> [list(t[:4]) for t in tables], weights, size
     ([[0, 0, 0, 1], [0, 0, 1, 2]], [3, 1], 6)
-    >>> (block,) = _dense_indices(perms, [1, 2], tables, weights)
+    >>> (block,) = _dense_indices(perms, [1, 2], tables, weights, columns)
     >>> list(memoryview(block).cast("I"))
     [4, 2, 3]
     """
-    n = len(perms[0])
-    compact = isinstance(perms[0], bytes)
     seen = [set() for _ in gens]
-    for block in _blocks(perms):
+    for _, block in _blocks(perms, columns):
         for values, g in zip(seen, gens):
-            column = _column(block, n, g)
-            # a bytes column drops the values already seen in C first
-            values.update(column.translate(None, bytes(values)) if compact else column)
-    tables, radices = [], []
-    for values in seen:
-        table = bytearray(BYTES_LIMIT) if compact else [0] * n
-        for rank, v in enumerate(sorted(values)):
-            table[v] = rank
-        tables.append(bytes(table) if compact else table)
-        radices.append(len(values))
+            values.update(columns.unseen(block, g, values))
+    tables = [columns.table(sorted(values)) for values in seen]
+    radices = [len(values) for values in seen]
     weights = [math.prod(radices[i + 1 :]) for i in range(len(radices))]
     return tables, weights, math.prod(radices)
 
 
-def _dense_indices(perms, columns, tables, weights):
-    """Per block, the dense index of each map's key read at columns through
-    tables, as the bytes of one native "I" word per map.
+def _dense_indices(perms, at, tables, weights, columns):
+    """Per block, the dense index of each map's key read at positions at
+    through tables, as the bytes of one native "I" word per map.
 
     The ranks of a column are one int with one limb per map, so the block's
     indices are summed in C: sum(weights[i] * column i).
     """
-    n = len(perms[0])
-    for block in _blocks(perms):
-        count = len(block) // n if isinstance(block, bytes) else len(block)
-        total = sum(w * _limbs(block, n, c, t) for c, t, w in zip(columns, tables, weights))
+    for count, block in _blocks(perms, columns):
+        total = sum(w * columns.limbs(block, c, t) for c, t, w in zip(at, tables, weights))
         yield total.to_bytes(_LIMB * count, sys.byteorder)
 
 
-def _conjugation_table(perms, gens, s, tables, weights, pos):
+def _conjugation_table(perms, gens, s, tables, weights, pos, columns):
     """sigma_s: the position of s o f o s^-1 for each map f, as array("i").
 
     The conjugate's key is s applied to the columns at s^-1(g), g in gens,
-    so each rank table is composed with s once: by `translate` of s on
-    bytes maps, by `map` on tuple maps. pos turns the dense indices of the
-    conjugates into positions in perms.
+    so each rank table is composed with s once. pos turns the dense indices
+    of the conjugates into positions in perms.
     """
     pulled = [s.index(g) for g in gens]
-    if isinstance(s, bytes):
-        padded = s + bytes(BYTES_LIMIT - len(s))
-        composed = [padded.translate(t) for t in tables]
-    else:
-        composed = [list(map(t.__getitem__, s)) for t in tables]
+    composed = [columns.compose(t, s) for t in tables]
     sigma = array("i")
-    for block in _dense_indices(perms, pulled, composed, weights):
+    for block in _dense_indices(perms, pulled, composed, weights, columns):
         sigma.fromlist(list(map(getitem, repeat(pos), memoryview(block).cast("I"))))
     return sigma
 
@@ -538,7 +570,8 @@ def conjugacy_partition(perms, gens):
     (`_conjugation_table`). The same index gives the chain its lookup by
     generator images, and it sorts as the keys do, so a class's least
     index names its least key. The perms may be bytes or tuples, not a
-    mix; the format only decides how a column is read. Every rank takes
+    mix; the format is decided here once and only decides how a column is
+    read (`_ByteColumns`, `_TupleColumns`). Every rank takes
     this path: an abelian Aut, as of a cyclic group, has trivial moves, so
     its classes are singletons numbered in key order.
 
@@ -547,9 +580,10 @@ def conjugacy_partition(perms, gens):
     ([2, 0, 3, 1], [1, 3, 0, 2])
     """
     count = len(perms)
-    tables, weights, size = _rank_tables(perms, gens)
+    columns = _columns(perms)
+    tables, weights, size = _rank_tables(perms, gens, columns)
     index = array("I")
-    for block in _dense_indices(perms, gens, tables, weights):
+    for block in _dense_indices(perms, gens, tables, weights, columns):
         index.frombytes(block)
     pos = array("i", [0]) * size
     deque(map(setitem, repeat(pos), index, range(count)), maxlen=0)
@@ -558,7 +592,7 @@ def conjugacy_partition(perms, gens):
         return perms[pos[sum(map(mul, weights, map(getitem, tables, images)))]]
 
     chosen = _generating_set(perms, gens, find)
-    moves = [_conjugation_table(perms, gens, s, tables, weights, pos) for s in chosen]
+    moves = [_conjugation_table(perms, gens, s, tables, weights, pos, columns) for s in chosen]
     # the tables no longer need pos, and they go before the renumbering
     # builds a second id list, so the peak memory stays that of the closure
     del pos

@@ -917,44 +917,6 @@ def test_source_digest_hashes_the_package_files_by_name():
     assert _source_digest() == digest.hexdigest()
 
 
-@pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "fallback"])
-def test_source_digest_is_the_same_without_hashlib_loaded(builtin, monkeypatch):
-    # a process that has not loaded hashlib hashes with the builtin sha256,
-    # or imports hashlib where neither builtin module exists; each must read
-    # the cache entries that the others wrote
-    _source_digest.cache_clear()
-    expected = _source_digest()
-    _source_digest.cache_clear()
-    monkeypatch.delitem(sys.modules, "hashlib")
-    if not builtin:
-        monkeypatch.setitem(sys.modules, "_sha256", None)
-        monkeypatch.setitem(sys.modules, "_sha2", None)
-    try:
-        assert _source_digest() == expected
-        assert ("hashlib" in sys.modules) is not builtin
-    finally:
-        _source_digest.cache_clear()
-
-
-def test_cold_run_does_not_load_openssl(tmp_path):
-    # the source digest is hashed by the builtin sha256, so a cold run loads
-    # neither hashlib nor its OpenSSL module
-    probe = (
-        "import sys; from alexq.classify import classify_order; "
-        f"classify_order(8, cache_dir={str(tmp_path)!r}); "
-        "print(sorted({'_hashlib', 'hashlib'} & set(sys.modules)))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(alexq.__file__).parents[1])},
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
-    assert any(tmp_path.iterdir())
-
-
 def test_rejected_entry_teaches_the_table_nothing(tmp_path):
     # the last representative of 2,4's entry is not bijective, so the entry
     # is rejected after all its images have parsed; none of them is learned

@@ -19,6 +19,7 @@ from alexq.autgroup import (
 from alexq.kernels import (
     _GENERATOR_STRIDE,
     _coset_checks,
+    _columns,
     _dense_indices,
     _generating_set,
     _linear_bijections,
@@ -487,9 +488,10 @@ def test_kernels_give_the_same_results_on_bytes_and_on_tuples(order):
 
 
 def _index(perms, gens):
-    tables, weights, size = _rank_tables(perms, gens)
+    columns = _columns(perms)
+    tables, weights, size = _rank_tables(perms, gens, columns)
     index = []
-    for block in _dense_indices(perms, gens, tables, weights):
+    for block in _dense_indices(perms, gens, tables, weights, columns):
         index += memoryview(block).cast("I")
     return index, size
 
