@@ -436,6 +436,7 @@ class _TupleColumns:
         return maps
 
     def unseen(self, block, c, seen):
+        """The images at column c; the caller's set drops those in seen."""
         return map(itemgetter(c), block)
 
     def table(self, ranks):
@@ -460,8 +461,7 @@ def _columns(perms):
 def _blocks(perms, columns):
     """(count, block) per CHUNK maps, joined by columns, one block alive at a time."""
     for a in range(0, len(perms), CHUNK):
-        maps = perms[a : a + CHUNK]
-        yield len(maps), columns.join(maps)
+        yield min(CHUNK, len(perms) - a), columns.join(perms[a : a + CHUNK])
 
 
 def _rank_tables(perms, gens, columns):
