@@ -55,8 +55,9 @@ C-level pass per generator h maps the columns at h^-1(g) of every map by
 h and sums their ranks into a dense mixed-radix index of the keys, giving
 the position of every conjugate before the closure starts; the index
 needs one array of at most `_candidate_count(G)` entries, not a dict as
-large as Aut. One BFS then closes the classes and keeps each class's
-least key.
+large as Aut. The index sorts as the keys do, so the closure walks that
+array in ascending index and closes each class by one BFS from the first
+member it meets, its least key.
 `is_conjugate` decides a single pair without enumerating Aut: the kernel
 searches directly for an h with h o f = g o h, the same search that
 enumerates Aut and that decides module isomorphism in `lambda_modules`.

@@ -52,8 +52,8 @@ map formats take this path; the format is decided once per partition and
 only picks the column reader: `_ByteColumns` reads bytes maps by
 `translate`, `_TupleColumns` reads tuples by `map`. The index sorts as
 the keys do, and the input may come in any order: one BFS (`_orbits`)
-closes every class and keeps its least index, and the classes are numbered
-by those.
+closes each class from the first member met in ascending index, its least
+by key, so the classes are numbered in key order as they are closed.
 
 The classes of a carrier with several primes are products of classes of
 its Sylow parts. `least_keys_of_products` finds the least member of each
@@ -521,18 +521,24 @@ def _conjugation_table(perms, gens, s, tables, weights, pos, columns):
     return sigma
 
 
-def _orbits(count, tables, key):
+def _orbits(count, tables, order):
     """The orbits of 0..count-1 under the moves i -> table[i], one BFS each.
 
-    Returns (class_ids, least): the orbit of each index, numbered in
-    discovery order, and per orbit (its least key, the index holding it).
+    order lists the indices to start from, -1 standing for none; each orbit
+    is closed from the first of its members that order names. Returns
+    (class_ids, reps): the orbit of each index, numbered in that walk's
+    order, and per orbit the index it was closed from.
+
+    >>> _orbits(4, [[1, 0, 2, 3], [0, 1, 3, 2]], [-1, 3, -1, 1, 2, 0])
+    ([1, 1, 0, 0], [3, 1])
     """
     class_ids = [-1] * count
-    least = []
-    for i in range(count):
-        if class_ids[i] != -1:
+    reps = []
+    for i in order:
+        if i == -1 or class_ids[i] != -1:
             continue
-        cid = len(least)
+        cid = len(reps)
+        reps.append(i)
         class_ids[i] = cid
         orbit = [i]
         for f in orbit:
@@ -541,9 +547,7 @@ def _orbits(count, tables, key):
                 if class_ids[j] == -1:
                     class_ids[j] = cid
                     orbit.append(j)
-        low_i = min(orbit, key=key)
-        least.append((key(low_i), low_i))
-    return class_ids, least
+    return class_ids, reps
 
 
 def conjugacy_partition(perms, gens):
@@ -555,7 +559,7 @@ def conjugacy_partition(perms, gens):
     reps[c] is the index of the least member of class c by key. The classes
     are numbered in ascending order of those least keys, so for input
     sorted by key every representative is the least-index member of its
-    class and the classes come in discovery order.
+    class.
 
     A class is the orbit of f under conjugation by Aut, and an orbit under a
     finite group is its closure under a generating set S. So the kernel
@@ -568,36 +572,28 @@ def conjugacy_partition(perms, gens):
     maps the columns at s^-1(g) by s, and the dense index of the keys
     (`_rank_tables`) turns them into the move table sigma_s
     (`_conjugation_table`). The same index gives the chain its lookup by
-    generator images, and it sorts as the keys do, so a class's least
-    index names its least key. The perms may be bytes or tuples, not a
-    mix; the format is decided here once and only decides how a column is
-    read (`_ByteColumns`, `_TupleColumns`). Every rank takes
-    this path: an abelian Aut, as of a cyclic group, has trivial moves, so
-    its classes are singletons numbered in key order.
+    generator images, and it sorts as the keys do, so the closure walks
+    pos, the array from index to position, and meets each class first at
+    its least key. The perms may be bytes or tuples, not a mix; the format
+    is decided here once and only picks how a column is read
+    (`_ByteColumns`, `_TupleColumns`). Every rank takes this path: an
+    abelian Aut, as of a cyclic group, has trivial moves, so its classes
+    are singletons numbered in key order.
 
     >>> perms = [bytes(a * x % 5 for x in range(5)) for a in (3, 1, 4, 2)]
     >>> conjugacy_partition(perms, (1,))
     ([2, 0, 3, 1], [1, 3, 0, 2])
     """
-    count = len(perms)
     columns = _columns(perms)
     tables, weights, size = _rank_tables(perms, gens, columns)
-    index = array("I")
-    for block in _dense_indices(perms, gens, tables, weights, columns):
-        index.frombytes(block)
-    pos = array("i", [0]) * size
-    deque(map(setitem, repeat(pos), index, range(count)), maxlen=0)
+    pos = array("i", [-1]) * size
+    indices = _dense_indices(perms, gens, tables, weights, columns)
+    for block, a in zip(indices, range(0, len(perms), CHUNK)):
+        deque(map(setitem, repeat(pos), memoryview(block).cast("I"), itertools.count(a)), maxlen=0)
 
     def find(images):
         return perms[pos[sum(map(mul, weights, map(getitem, tables, images)))]]
 
     chosen = _generating_set(perms, gens, find)
     moves = [_conjugation_table(perms, gens, s, tables, weights, pos, columns) for s in chosen]
-    # the tables no longer need pos, and they go before the renumbering
-    # builds a second id list, so the peak memory stays that of the closure
-    del pos
-    class_ids, least = _orbits(count, moves, index.__getitem__)
-    del moves
-    order = sorted(range(len(least)), key=least.__getitem__)
-    rank = invert_perm(order)
-    return [rank[cid] for cid in class_ids], [least[cid][1] for cid in order]
+    return _orbits(len(perms), moves, pos)

@@ -27,17 +27,17 @@ the generators' columns, `orbits` moves elements only by them, and the
 search checks f(x |> s) = f(x) |> f(s) only for the elements s it has
 chosen: about n |S| steps instead of n^2.
 
-A step over the whole table runs in C. Up to `kernels.BYTES_LIMIT` (256)
-elements the oracle reads a table as bytes (`CayleyTable._compact`): the
-n^2 entries row after row, each column, and each row padded to a
-`bytes.translate` table (`kernels.search_rows`). Whether a map f is a
-homomorphism, which is both the self-distributivity check of one R_c and
-the final check of a witness, is then two translates: the whole table
-moved by f against the rows f(a) read at f, joined. Above 256 elements
-the columns are tuples, and the same check composes each row with
-itemgetter. The compact form is built the first time the oracle needs
-it, not with the table, and is kept on it like the axiom verdict and the
-fingerprints.
+A step over the whole table runs in C, in the format `kernels.search_rows`
+gives the table's rows. On bytes rows (up to 256 elements) the oracle
+reads a table as bytes (`CayleyTable._compact`): the n^2 entries row after
+row, each column, and each row padded to a `bytes.translate` table.
+Whether a map f is a homomorphism, which is both the self-distributivity
+check of one R_c and the final check of a witness, is then two
+translates: the whole table moved by f against the rows f(a) read at f,
+joined. On tuple rows the columns are tuples, and the same check composes
+each row with itemgetter. The compact form is built the first time the
+oracle needs it, not with the table, and is kept on it like the axiom
+verdict and the fingerprints.
 
 Table file format: line 1 holds n, lines 2..n+1 hold n space-separated
 zero-based entries; row a, column b is a |> b. Only blank lines may follow.
@@ -54,7 +54,7 @@ from operator import getitem, itemgetter
 
 from .autgroup import _group_tables
 from .errors import TableParseError
-from .kernels import BYTES_LIMIT, cycle_type, search_rows
+from .kernels import cycle_type, search_rows
 from .lambda_modules import LambdaModule, _one_minus_t_indices
 
 
@@ -91,19 +91,20 @@ class CayleyTable:
         """The table as the oracle composes it: (entries, columns, rows).
 
         columns[c] is R_c as a map (a -> a |> c), and rows[a] is row a as a
-        lookup table in the format of `search_rows`. Up to BYTES_LIMIT
-        elements entries is the n^2 entries row after row, and all three
-        are bytes, each row a `bytes.translate` table. Above that they are
+        lookup table in the format `search_rows` gives it. On bytes rows
+        entries is the n^2 entries row after row, and all three are bytes,
+        each row a `bytes.translate` table. On tuple rows all three are
         tuples, composed with itemgetter, and entries is the table's own
         rows, so no flat copy of the n^2 entries is kept. Built the first
         time the oracle needs it and kept on the table, so it is freed
         with it.
         """
         t, n = self.table, self.n
-        if n > BYTES_LIMIT:
+        rows = search_rows(n, t)
+        if rows is t:  # kept as they are: tuple rows
             return t, list(zip(*t)), t
         flat = bytes(chain.from_iterable(t))
-        return flat, [flat[c::n] for c in range(n)], search_rows(n, t)
+        return flat, [flat[c::n] for c in range(n)], rows
 
     @cached_property
     def _axiom_check(self) -> tuple[AxiomVerdict, list[int]]:
@@ -309,14 +310,11 @@ def _is_homomorphism(f, entries, rows) -> bool:
     the target read at f. On bytes each side is composed over the whole
     table by `bytes.translate`; on tuples each row is, by itemgetter.
     """
-    n = len(f)
-    if n > BYTES_LIMIT:  # so the getters take many indices
-        at_f = itemgetter(*f)
-        return all(
-            itemgetter(*row)(f) == at_f(rows[fa]) for row, fa in zip(entries, f)
-        )
-    moved = entries.translate(search_rows(n, [f])[0])
-    return moved == b"".join(map(f.translate, map(rows.__getitem__, f)))
+    if isinstance(f, bytes):
+        moved = entries.translate(search_rows(len(f), [f])[0])
+        return moved == b"".join(map(f.translate, map(rows.__getitem__, f)))
+    at_f = itemgetter(*f)
+    return all(itemgetter(*row)(f) == at_f(rows[fa]) for row, fa in zip(entries, f))
 
 
 def orbits(Q: CayleyTable) -> tuple[tuple[int, ...], ...]:

@@ -554,9 +554,22 @@ def test_partition_of_tuple_maps_keeps_its_classes_and_numbering(factors, digest
     assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
 
 
+def test_partition_of_a_large_bytes_carrier_keeps_its_numbering():
+    # the sha256 of repr((class_ids, reps)) on the 196,608 maps of
+    # Aut(Z2^2 + Z4 + Z8) in search order, as the partition that sorted its
+    # classes by their least keys gave it
+    G = AbelianGroup((2, 2, 4, 8))
+    perms = _automorphism_perms(G)
+    assert type(perms[0]) is bytes and len(perms) == 196608
+    found = conjugacy_partition(perms, G.generator_indices)
+    digest = "5e80b2ea223b0b441b688abb4503f8cd1b7b4d76737d0fc74f55be3dcec853a4"
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
+
+
 def test_partition_peak_memory_per_map():
     # the maps are the input; the partition itself holds a few words per
-    # map (its index, move tables and class ids), not a key dict
+    # map (its index-to-position array, move tables and class ids), not a
+    # key dict
     G = AbelianGroup((2, 2, 2, 4))
     perms, gens = _automorphism_perms(G), G.generator_indices
     tracemalloc.start()
