@@ -34,10 +34,10 @@ Rhea, "Automorphisms of finite abelian groups", Amer. Math. Monthly 114,
 2007), so a class of Aut(G) is a product of one class per part and its
 size is the product of theirs. Only the Aut of a p-group is enumerated and
 partitioned, once per part, and a prime-power carrier's representatives
-and class sizes are read straight off its partition. The least member of
-a product class in G's invariant-factor coordinates comes from one scan of
-the product through CRT index tables, linear in |Aut(G)|, so Aut of a
-carrier with several primes is never listed or partitioned.
+are read straight off its partition. The least member of a product class
+in G's invariant-factor coordinates comes from one scan of the product
+through CRT index tables, linear in |Aut(G)|, so Aut of a carrier with
+several primes is never listed or partitioned.
 `conjugacy_representatives` and `lex_least_conjugate` (the fallback label)
 both read one cached table per carrier, `_conjugacy`. The guard stays on
 G: G's candidate count is the product of the parts' counts and at least
@@ -68,7 +68,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter, mod
@@ -347,7 +346,6 @@ class _Classes(NamedTuple):
 
     parts: tuple[_SylowPart, ...]
     reps: tuple[Automorphism, ...]  # the least member of each class, sorted
-    sizes: tuple[int, ...]
     position: dict[tuple[int, ...], int]  # one class id per part -> index in reps
 
 
@@ -391,23 +389,20 @@ def _conjugacy(G: AbelianGroup) -> _Classes:
     """The conjugacy classes of Aut(G), composed from those of its Sylow parts.
 
     A p-group (or the trivial group) is its own single part: its Aut is
-    enumerated and partitioned here, once, and the partition's least
-    members and class counts are the table. A carrier with several primes
-    reads each part's partition from this cache and scans the products of
-    their classes for the least members (see the module docstring). Both
-    guards, on G's candidates and on its addition table, run before any part
-    is touched.
+    enumerated and partitioned here, once, and the partition's least members
+    are the table. A carrier with several primes reads each part's partition
+    from this cache and scans the products of their classes for the least
+    members (see the module docstring). Both guards, on G's candidates and
+    on its addition table, run before any part is touched.
     """
     _check_budget(G)
     sylow = sylow_parts(G)
     if len(sylow) < 2:
         perms = _automorphism_perms(G)
         class_ids, reps = kernels.conjugacy_partition(perms, G.generator_indices)
-        sizes = Counter(class_ids)
         return _Classes(
             (_SylowPart(G, 0, list(range(G.order)), perms, tuple(class_ids)),),
             tuple(Automorphism._from_perm(G, perms[i]) for i in reps),
-            tuple(sizes[cid] for cid in range(len(reps))),
             {(cid,): cid for cid in range(len(reps))},
         )
     rows, _ = _group_tables(G)
@@ -418,14 +413,12 @@ def _conjugacy(G: AbelianGroup) -> _Classes:
         part = _SylowPart(P, offset, project, own.perms, own.class_ids)
         parts.append(part)
         factor_classes.append(_class_columns(part, embed))
-    found = kernels.least_keys_of_products(G.rank, rows, factor_classes)
     ids = itertools.product(*(range(len(classes)) for classes in factor_classes))
-    ranked = sorted(zip(found, ids))
+    ranked = sorted(zip(kernels.least_keys_of_products(G.rank, rows, factor_classes), ids))
     elements = G.elements
     return _Classes(
         tuple(parts),
-        tuple(Automorphism(G, tuple(elements[x] for x in key)) for (key, _), _ in ranked),
-        tuple(size for (_, size), _ in ranked),
+        tuple(Automorphism(G, tuple(elements[x] for x in key)) for key, _ in ranked),
         {cids: i for i, (_, cids) in enumerate(ranked)},
     )
 

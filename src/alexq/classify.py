@@ -54,7 +54,7 @@ from .autgroup import (
     conjugacy_representatives,
     parse_phi_spec,
 )
-from .errors import ConsistencyError
+from .errors import ConsistencyError, EnumerationBudgetError
 from .lambda_modules import (
     LambdaModule,
     canonical_label,
@@ -153,7 +153,7 @@ def _load_cached(path: Path, carrier: AbelianGroup, table: ImageTable) -> list[T
             image = known[0] if known else parse_module_spec(spec)
             learned[spec] = image, label
             triples.append((parse_phi_spec(carrier, rep_spec), image, label))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, EnumerationBudgetError):
         return None
     table.update(learned)
     return triples

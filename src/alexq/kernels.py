@@ -247,7 +247,7 @@ def enumerate_linear_bijections(n, factors, rows, candidates):
 
 
 def least_keys_of_products(k, rows, factor_classes):
-    """The least key and the size of each product of classes.
+    """The least key of each product of classes.
 
     A key is a tuple of k element indices, the generator images of a map.
     Each factor gives a summand at every key position, and a member of a
@@ -256,12 +256,18 @@ def least_keys_of_products(k, rows, factor_classes):
     as k columns: the summands of the class's members at that position, in
     one member order.
 
-    Returns (least key, member count) per tuple of classes, in
-    itertools.product order. A product is built as k columns by folding in
-    one class at a time: the side with fewer members is walked, and the
-    other is translated whole by one of `rows` (the addition table) per
-    walked member, so the work is linear in the size of the product and
-    needs no conjugation.
+    Returns the least key per tuple of classes, in itertools.product order.
+    A product is built as k columns by folding in one class at a time: the
+    side with fewer members is walked, and the other is translated whole by
+    one of `rows` (the addition table) per walked member, so the work is
+    linear in the size of the product and needs no conjugation.
+
+    Z6 as Z2 + Z3: the generator's image has the 2-part 3 under Aut(Z2) and
+    the 3-part 4 or 2 under Aut(Z3)'s two classes, so x -> x and x -> 5x.
+
+    >>> rows = [[(x + y) % 6 for x in range(6)] for y in range(6)]
+    >>> least_keys_of_products(1, rows, [[[[3]]], [[[4]], [[2]]]])
+    [(1,), (5,)]
     """
     out = []
     for combo in itertools.product(*factor_classes):
@@ -273,7 +279,7 @@ def least_keys_of_products(k, rows, factor_classes):
                 for col, y, side in zip(new, [c[t] for c in small], large):
                     col += map(rows[y].__getitem__, side) if y else side
             cols = new
-        out.append((min(zip(*cols)), len(cols[0])))
+        out.append(min(zip(*cols)))
     return out
 
 

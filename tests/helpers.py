@@ -1,6 +1,8 @@
 """Helpers shared by the test modules."""
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,8 +150,17 @@ def clear_carrier_caches() -> None:
 
 
 def conjugacy_class_sizes(G: AbelianGroup) -> tuple[int, ...]:
-    """Class sizes aligned with conjugacy_representatives; they sum to |Aut|."""
-    return _conjugacy(G).sizes
+    """Class sizes aligned with conjugacy_representatives; they sum to |Aut|.
+
+    A class is a product of one class per Sylow part, so its size is the
+    product of how often each of its part class ids occurs in that part.
+    """
+    table = _conjugacy(G)
+    counts = [Counter(part.class_ids) for part in table.parts]
+    sizes = [0] * len(table.reps)
+    for cids, i in table.position.items():
+        sizes[i] = math.prod(count[cid] for count, cid in zip(counts, cids))
+    return tuple(sizes)
 
 
 def reference_isomorphic(Q1: CayleyTable, Q2: CayleyTable) -> tuple[int, ...] | None:

@@ -443,6 +443,18 @@ def test_cache_with_unparseable_specs_is_recomputed(tmp_path):
     assert r1 == r2
 
 
+def test_cache_with_over_budget_image_is_recomputed(tmp_path):
+    # the addition table of L5000/3 would have 25M entries, over the budget,
+    # so parsing the image raises; loading must fall back, not fail the run
+    cache = tmp_path / "cache"
+    r1 = classify_order(2, cache_dir=str(cache))
+    for p in cache.iterdir():
+        payload = json.loads(p.read_text())
+        payload["images"] = ["L5000/3"] * len(payload["images"])
+        p.write_text(json.dumps(payload), encoding="utf-8")
+    assert classify_order(2, cache_dir=str(cache)) == r1
+
+
 def test_cache_with_non_string_specs_is_recomputed(tmp_path):
     cache = tmp_path / "cache"
     r1 = classify_order(4, cache_dir=str(cache))
@@ -499,14 +511,14 @@ class TestMergeByLabel:
 
 
 # sha256 of report_to_json without its generated_by line, which carries the
-# version; recorded while classes were still merged by pairwise
-# is_lambda_isomorphic.
+# version, for every order from 1 to 130 but 125; null marks an order over
+# the enumeration budget. The digests of 12, 16, 24, 27 and 48 were recorded
+# while classes were still merged by pairwise is_lambda_isomorphic.
 GOLDEN_REPORT_SHA256 = {
-    12: "9024b7267a573cab1872bf0ca058d3166da1658ee72783f1ba8c9176cdbbe395",
-    16: "1d555ea55003abe755a7404462d27bfa2e602cc51db49dc28b21f1744287942d",
-    24: "eb11f2635d928965b2a57c0cc2a64a3ebaa95b24d5e7cbccc165853a0730b16a",
-    27: "b4b8ae073c98a77300c982f8dd029bf977e6e80dc88977712690b4979178c8a2",
-    48: "9df02ad9d7c0c1e53b0f4fb127cf94aada1b5c4fcaa8e4ce598bd1aaaecbded8",
+    int(order): digest
+    for order, digest in json.loads(
+        (Path(__file__).parent / "golden_reports.json").read_text(encoding="utf-8")
+    ).items()
 }
 
 
@@ -521,6 +533,10 @@ def _report_digest(report) -> str:
 
 @pytest.mark.parametrize("order", sorted(GOLDEN_REPORT_SHA256))
 def test_report_matches_golden_digest(order, tmp_path):
+    if GOLDEN_REPORT_SHA256[order] is None:
+        with pytest.raises(EnumerationBudgetError):
+            classify_order(order, cache_dir=str(tmp_path))
+        return
     report = classify_order(order, cache_dir=str(tmp_path))
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[order]
 
