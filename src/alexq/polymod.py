@@ -8,17 +8,22 @@ action on coefficient vectors). The unit constant term is exactly what
 makes the action invertible.
 
 Polynomials are stored densely, constant term first; the string form is
-ascending, e.g. "1+t+t^4".
+ascending, e.g. "1+t+t^4". `Poly` and `PolySpec` are the value types of a
+chain. The one computation on polynomials, the Smith form that reads a
+module's chain back, runs on trimmed coefficient lists mod p through three
+helpers (`_trim`, `_divmod` and the row step `_sub_mul`), and `Poly` is made
+only for the factors of the chain it returns.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abelian import AbelianGroup, _elementary_prime
+from .abelian import AbelianGroup, _elementary_prime, _prime_factorization
 from .autgroup import Automorphism
 from .errors import SpecError
 from .lambda_modules import LambdaModule, _poly_terms
@@ -26,18 +31,16 @@ from .lambda_modules import LambdaModule, _poly_terms
 
 @dataclass(frozen=True)
 class Poly:
-    """A polynomial over Z_p; coeffs has no trailing zeros, () is zero."""
+    """A polynomial over Z_p, p prime; coeffs has no trailing zeros, () is zero."""
 
     p: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.p}")
-        coeffs = tuple(int(c) % self.p for c in self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        if _prime_factorization(self.p) != {self.p: 1}:
+            raise ValueError(f"modulus must be a prime, got {self.p}")
+        coeffs = _trim([int(c) % self.p for c in self.coeffs])
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -83,95 +86,64 @@ class Poly:
         return cls(p, tuple(out))
 
 
-def _check_same_modulus(a: Poly, b: Poly) -> None:
-    if a.p != b.p:
-        raise ValueError(f"mixed moduli: {a.p} and {b.p}")
+def _trim(c: list[int]) -> list[int]:
+    """c with its trailing zeros removed, in place."""
+    while c and not c[-1]:
+        c.pop()
+    return c
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    _check_same_modulus(a, b)
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = a.coeffs + (0,) * (n - len(a.coeffs))
-    cb = b.coeffs + (0,) * (n - len(b.coeffs))
-    return Poly(a.p, tuple(x + y for x, y in zip(ca, cb)))
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    _check_same_modulus(a, b)
-    if a.is_zero or b.is_zero:
-        return Poly(a.p, ())
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            out[i + j] += x * y
-    return Poly(a.p, tuple(out))
-
-
-def poly_divmod(a: Poly, m: Poly) -> tuple[Poly, Poly]:
-    _check_same_modulus(a, m)
-    if m.is_zero:
+def _divmod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of trimmed a by trimmed m over Z_p, as trimmed lists."""
+    if not m:
         raise ZeroDivisionError("polynomial division by zero")
-    p = a.p
-    lead_inv = pow(m.coeffs[-1], -1, p)
-    rem = list(a.coeffs)
-    quot = [0] * max(len(rem) - len(m.coeffs) + 1, 1)
-    while len(rem) >= len(m.coeffs) and any(rem):
-        while rem and rem[-1] % p == 0:
-            rem.pop()
-        if len(rem) < len(m.coeffs):
-            break
-        shift = len(rem) - len(m.coeffs)
-        factor = (rem[-1] * lead_inv) % p
-        quot[shift] = factor
-        for i, c in enumerate(m.coeffs):
-            rem[shift + i] = (rem[shift + i] - factor * c) % p
-    return Poly(p, tuple(quot)), Poly(p, tuple(rem))
+    rem = list(a)
+    d = len(m) - 1
+    lead_inv = pow(m[-1], -1, p)
+    quot = [0] * (len(rem) - d)
+    for shift in reversed(range(len(quot))):
+        factor = rem[shift + d] * lead_inv % p
+        if factor:
+            quot[shift] = factor
+            for i, c in enumerate(m):
+                rem[shift + i] = (rem[shift + i] - factor * c) % p
+    del rem[d:]
+    return _trim(quot), _trim(rem)
 
 
-def poly_mod(a: Poly, m: Poly) -> Poly:
-    return poly_divmod(a, m)[1]
+def _sub_mul(x: list[int], q: list[int], y: list[int], p: int) -> list[int]:
+    """x - q*y over Z_p, trimmed; a new list."""
+    out = x + [0] * (len(q) + len(y) - 1 - len(x))
+    for i, a in enumerate(q):
+        if a:
+            for j, b in enumerate(y):
+                out[i + j] = (out[i + j] - a * b) % p
+    return _trim(out)
 
 
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    return poly_add(a, Poly(b.p, tuple(-c for c in b.coeffs)))
-
-
-def poly_monic(a: Poly) -> Poly:
-    """a scaled to leading coefficient 1 (zero stays zero)."""
-    if a.is_zero:
-        return a
-    inv = pow(a.coeffs[-1], -1, a.p)
-    return Poly(a.p, tuple(c * inv for c in a.coeffs))
-
-
-def smith_invariant_factors(matrix: list[list[Poly]]) -> tuple[Poly, ...]:
+def smith_invariant_factors(matrix: list[list[list[int]]], p: int) -> list[list[int]]:
     """Monic invariant factors d_1 | d_2 | ... | d_n of a square matrix over Z_p[t].
 
-    Elimination by unimodular row and column operations: the entry of least
-    degree is moved to the pivot, the pivot's row and column are cleared by
-    division, and a remaining entry the pivot does not divide is added into
-    the pivot row so that the next division lowers the pivot's degree. A
-    zero block leaves zero factors.
+    Entries and factors are trimmed coefficient lists, constant term first,
+    with [] for zero. Elimination by unimodular row and column operations:
+    the entry of least degree is moved to the pivot, the pivot's row and
+    column are cleared by division, and a remaining entry the pivot does not
+    divide is added into the pivot row so that the next division lowers the
+    pivot's degree. A zero block leaves zero factors.
 
-    >>> p = 3
-    >>> m = [[Poly(p, (1, 1)), Poly(p, ())], [Poly(p, ()), Poly(p, (2, 1))]]
-    >>> [str(d) for d in smith_invariant_factors(m)]
-    ['1', '2+t^2']
+    >>> smith_invariant_factors([[[1, 1], []], [[], [2, 1]]], 3)
+    [[1], [2, 0, 1]]
     """
     a = [list(row) for row in matrix]
     n = len(a)
-    diagonal: list[Poly] = []
+    diagonal: list[list[int]] = []
     for s in range(n):
         while True:
             nonzero = [
-                (a[i][j].degree, i, j)
-                for i in range(s, n)
-                for j in range(s, n)
-                if not a[i][j].is_zero
+                (len(a[i][j]), i, j) for i in range(s, n) for j in range(s, n) if a[i][j]
             ]
             if not nonzero:
-                zero = Poly(a[s][s].p, ())
-                return tuple(diagonal) + (zero,) * (n - s)
+                return diagonal + [[] for _ in range(n - s)]
             _, i, j = min(nonzero)
             a[s], a[i] = a[i], a[s]
             for row in a:
@@ -179,16 +151,16 @@ def smith_invariant_factors(matrix: list[list[Poly]]) -> tuple[Poly, ...]:
             pivot = a[s][s]
             cleared = True
             for i in range(s + 1, n):
-                q, r = poly_divmod(a[i][s], pivot)
-                if not q.is_zero:
-                    a[i] = [poly_sub(x, poly_mul(q, y)) for x, y in zip(a[i], a[s])]
-                cleared = cleared and r.is_zero
+                q, r = _divmod(a[i][s], pivot, p)
+                if q:
+                    a[i] = [_sub_mul(x, q, y, p) for x, y in zip(a[i], a[s])]
+                cleared = cleared and not r
             for j in range(s + 1, n):
-                q, r = poly_divmod(a[s][j], pivot)
-                if not q.is_zero:
+                q, r = _divmod(a[s][j], pivot, p)
+                if q:
                     for row in a:
-                        row[j] = poly_sub(row[j], poly_mul(q, row[s]))
-                cleared = cleared and r.is_zero
+                        row[j] = _sub_mul(row[j], q, row[s], p)
+                cleared = cleared and not r
             if not cleared:
                 continue
             stray = next(
@@ -196,23 +168,26 @@ def smith_invariant_factors(matrix: list[list[Poly]]) -> tuple[Poly, ...]:
                     i
                     for i in range(s + 1, n)
                     for j in range(s + 1, n)
-                    if not poly_divides(pivot, a[i][j])
+                    if _divmod(a[i][j], pivot, p)[1]
                 ),
                 None,
             )
             if stray is None:
-                diagonal.append(poly_monic(pivot))
+                lead_inv = pow(pivot[-1], -1, p)
+                diagonal.append([c * lead_inv % p for c in pivot])
                 break
-            a[s] = [poly_add(x, y) for x, y in zip(a[s], a[stray])]
-    return tuple(diagonal)
+            # the row step with q = -1 adds the stray row
+            a[s] = [_sub_mul(x, [p - 1], y, p) for x, y in zip(a[s], a[stray])]
+    return diagonal
 
 
 def poly_divides(a: Poly, b: Poly) -> bool:
     """Whether a divides b over Z_p (everything divides zero)."""
-    _check_same_modulus(a, b)
+    if a.p != b.p:
+        raise ValueError(f"mixed moduli: {a.p} and {b.p}")
     if a.is_zero:
         return b.is_zero
-    return poly_mod(b, a).is_zero
+    return not _divmod(b.coeffs, a.coeffs, a.p)[1]
 
 
 @dataclass(frozen=True)
@@ -246,9 +221,11 @@ class PolySpec:
 @lru_cache(maxsize=None)
 def monic_unit_constant_polys(p: int, degree: int) -> tuple[Poly, ...]:
     """All monic degree-`degree` polynomials over Z_p with unit constant term."""
+    if degree < 1:
+        raise ValueError(f"a monic polynomial with unit constant term has degree >= 1, got {degree}")
     out = []
     for constant in range(1, p):
-        for middle in itertools.product(range(p), repeat=max(degree - 1, 0)):
+        for middle in itertools.product(range(p), repeat=degree - 1):
             out.append(Poly(p, (constant,) + middle + (1,)))
     return tuple(sorted(out, key=lambda h: h.coeffs))
 
@@ -316,7 +293,8 @@ def divisor_chain(M: LambdaModule) -> PolySpec:
     images = M.t.images
     k = M.group.rank
     matrix = [
-        [Poly(p, (-images[j][i], 1) if i == j else (-images[j][i],)) for j in range(k)]
+        [_trim([-images[j][i] % p, 1] if i == j else [-images[j][i] % p]) for j in range(k)]
         for i in range(k)
     ]
-    return PolySpec(p, tuple(h for h in smith_invariant_factors(matrix) if h.degree >= 1))
+    factors = smith_invariant_factors(matrix, p)
+    return PolySpec(p, tuple(Poly(p, tuple(d)) for d in factors if len(d) > 1))

@@ -1,10 +1,15 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alexq.abelian import AbelianGroup
+from alexq.autgroup import Automorphism, Endomorphism, conjugacy_representatives
 from alexq.lambda_modules import (
+    LambdaModule,
     is_connected,
     is_lambda_isomorphic,
     parse_module_spec,
@@ -16,11 +21,10 @@ from alexq.polymod import (
     divisor_chain,
     enumerate_specs,
     monic_unit_constant_polys,
-    poly_add,
+    _divmod,
+    _sub_mul,
+    _trim,
     poly_divides,
-    poly_divmod,
-    poly_mod,
-    poly_mul,
     smith_invariant_factors,
 )
 
@@ -31,24 +35,65 @@ def p2(text: str) -> Poly:
     return Poly.from_str(2, text)
 
 
+# sha256 of the divisor chains of `pinned_modules()`, one repr a line; a
+# rewrite of the Smith form must give exactly these chains
+PINNED_CHAINS_SHA256 = "57d316cea23e51b7fa1be11cac0462391a6cfc1f6bd51dccc43565d2192285d1"
+
+
+def pinned_modules():
+    """Every conjugacy representative of each elementary carrier up to order
+    130 whose Aut is listed, then, for every spec of (Z_2)^5, (Z_3)^4 and
+    (Z_5)^3, its built module conjugated by a seeded random h, which is not
+    in companion form."""
+    primes = [q for q in range(2, 131) if all(q % d for d in range(2, q))]
+    carriers = [(2,) * k for k in (2, 3, 4)] + [(3, 3), (3, 3, 3), (5, 5), (7, 7), (11, 11)]
+    for factors in carriers + [(q,) for q in primes]:
+        G = AbelianGroup(factors)
+        for t in conjugacy_representatives(G):
+            yield LambdaModule(G, t), None
+    rng = random.Random(35)
+    for p, k in [(2, 5), (3, 4), (5, 3)]:
+        G = AbelianGroup((p,) * k)
+        for spec in enumerate_specs(p, k):
+            images = None
+            while images is None or not Endomorphism(G, images).is_automorphism():
+                images = tuple(tuple(rng.randrange(p) for _ in range(k)) for _ in range(k))
+            h = Automorphism(G, images)
+            yield LambdaModule(G, h.compose(build(spec).t).compose(h.invert())), spec
+
+
+def product(a: list[int], b: list[int], p: int) -> list[int]:
+    """a*b over Z_p, as a trimmed coefficient list."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trim(out)
+
+
 class TestArithmetic:
     def test_product_example(self):
-        assert poly_mul(p2("1+t"), p2("1+t^3")) == p2("1+t+t^3+t^4")
+        # the row step with x = 0 is -q*y, which over Z_2 is the product
+        assert _sub_mul([], [1, 1], [1, 0, 0, 1], 2) == list(p2("1+t+t^3+t^4").coeffs)
 
     def test_square_cancels_cross_terms(self):
-        assert poly_mul(p2("1+t+t^2"), p2("1+t+t^2")) == p2("1+t^2+t^4")
+        assert _sub_mul([], [1, 1, 1], [1, 1, 1], 2) == list(p2("1+t^2+t^4").coeffs)
 
     def test_self_division(self):
         h = p2("1+t+t^4")
         assert poly_divides(h, h)
 
     def test_modulus_mismatch(self):
-        with pytest.raises(ValueError):
-            poly_mul(Poly(2, (1, 1)), Poly(3, (1, 1)))
+        with pytest.raises(ValueError, match="mixed moduli"):
+            poly_divides(Poly(2, (1, 1)), Poly(3, (1, 1)))
+
+    def test_spec_refuses_mixed_moduli(self):
+        with pytest.raises(ValueError, match="share the spec modulus"):
+            PolySpec(2, (Poly(3, (1, 1)),))
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            poly_mod(p2("1+t"), Poly(2, ()))
+            _divmod([1, 1], [], 2)
 
     def test_string_roundtrip(self):
         for text in ["1+t+t^4", "1", "t", "1+t^2", "2+2t^2+t^3"]:
@@ -63,27 +108,50 @@ class TestArithmetic:
         st.lists(st.integers(0, 4), min_size=1, max_size=4),
     )
     def test_divmod_law(self, p, a_coeffs, m_coeffs):
-        a = Poly(p, tuple(a_coeffs))
-        m = Poly(p, tuple(m_coeffs))
-        if m.is_zero:
+        a = list(Poly(p, tuple(a_coeffs)).coeffs)
+        m = list(Poly(p, tuple(m_coeffs)).coeffs)
+        if not m:
             return
-        q, r = poly_divmod(a, m)
-        assert r.degree < m.degree or r.is_zero
-        assert poly_add(poly_mul(q, m), r) == a
+        q, r = _divmod(a, m, p)
+        assert len(r) < len(m)
+        qm = product(q, m, p)
+        assert _trim([(x + y) % p for x, y in itertools.zip_longest(qm, r, fillvalue=0)]) == a
+
+
+class TestModulus:
+    def test_poly_refuses_a_composite_modulus(self):
+        for p in (0, 1, 4, 6):
+            with pytest.raises(ValueError, match="prime"):
+                Poly(p, (2, 1))
+
+    def test_spec_over_a_composite_modulus_is_refused(self):
+        with pytest.raises(ValueError, match="prime"):
+            PolySpec(6, (Poly(6, (1, 1)),))
+
+    def test_no_specs_over_a_composite_modulus(self):
+        # over Z_4 the constants 2 of 2+t^2 and 2+t are not units
+        with pytest.raises(ValueError, match="prime"):
+            enumerate_specs(4, 2)
+
+    def test_unit_constant_polys_need_positive_degree(self):
+        assert [str(h) for h in monic_unit_constant_polys(2, 1)] == ["1+t"]
+        for degree in (0, -1):
+            with pytest.raises(ValueError, match="degree"):
+                monic_unit_constant_polys(2, degree)
 
 
 class TestSmithForm:
     def test_diagonal_entries_are_recombined_into_a_chain(self):
-        zero = Poly(2, ())
         # diag(t+1, t^2+1) over Z_2 is already a chain: t^2+1 = (t+1)^2
-        chain = smith_invariant_factors([[p2("1+t"), zero], [zero, p2("1+t^2")]])
-        assert [str(d) for d in chain] == ["1+t", "1+t^2"]
+        assert smith_invariant_factors([[[1, 1], []], [[], [1, 0, 1]]], 2) == [
+            [1, 1],
+            [1, 0, 1],
+        ]
         # diag(t, t+1): coprime entries merge into 1 | t^2+t
-        chain = smith_invariant_factors([[p2("t"), zero], [zero, p2("1+t")]])
-        assert [str(d) for d in chain] == ["1", "t+t^2"]
+        assert smith_invariant_factors([[[0, 1], []], [[], [1, 1]]], 2) == [[1], [0, 1, 1]]
 
     def test_zero_matrix(self):
-        assert smith_invariant_factors([[Poly(2, ())] * 2] * 2) == (Poly(2, ()),) * 2
+        assert smith_invariant_factors([[[]] * 2] * 2, 2) == [[], []]
 
     @pytest.mark.parametrize(
         "p, k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2)]
@@ -97,6 +165,17 @@ class TestSmithForm:
         M = parse_module_spec("2,2|1,1;0,1")
         N = parse_module_spec("2,2|1,0;1,1")
         assert divisor_chain(M) == divisor_chain(N) == PolySpec(2, (p2("1+t^2"),))
+
+    def test_divisor_chain_matches_pinned_digest(self):
+        chains = []
+        for M, spec in pinned_modules():
+            chain = divisor_chain(M)
+            if spec is not None:
+                assert chain == spec
+            chains.append(repr(chain))
+        assert len(chains) == 2161
+        digest = hashlib.sha256("\n".join(chains).encode()).hexdigest()
+        assert digest == PINNED_CHAINS_SHA256
 
     def test_divisor_chain_needs_an_elementary_carrier(self):
         for spec in ["4|1", "2,4|1,0;0,1", "6|1", "1|"]:
@@ -174,9 +253,9 @@ class TestQuotientIdentity:
             M = build(spec)
             image_size = len(image_set(M))
             if poly_divides(one_plus_t, h):
-                quotient, r = poly_divmod(h, one_plus_t)
-                assert r.is_zero
-                expected = build(PolySpec(2, (quotient,)))
+                quotient, r = _divmod(h.coeffs, one_plus_t.coeffs, 2)
+                assert not r
+                expected = build(PolySpec(2, (Poly(2, tuple(quotient)),)))
                 assert image_size == expected.order
             else:
                 assert image_size == M.order
