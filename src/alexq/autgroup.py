@@ -61,6 +61,14 @@ member it meets, its least key.
 `is_conjugate` decides a single pair without enumerating Aut: the kernel
 searches directly for an h with h o f = g o h, the same search that
 enumerates Aut and that decides module isomorphism in `lambda_modules`.
+
+Classification takes its representatives from here on every carrier but
+an elementary one, (Z_p)^k, whose least members `polymod.least_members`
+finds without listing Aut. This route still serves a carrier's Sylow
+parts, elementary ones included (`2,2,2` inside `2,2,2,6`), the fallback
+label of a non-elementary image (`lex_least_conjugate`), and
+`classify.cross_validate`, which checks the divisor chains against the
+classes listed here.
 """
 
 from __future__ import annotations

@@ -5,10 +5,21 @@ automorphism group, the pipeline computes the image module of 1 - t.
 Structures of one order are isomorphic exactly when their images are
 isomorphic modules, and `canonical_label` is equal exactly for isomorphic
 modules. So structures are merged by the label of their image, and each
-label names one isomorphism class of quandles. Each carrier labels its
-distinct images right after its conjugacy partition is built. A connected
-image's fallback label reads that cached partition; a smaller image's
-carrier (e.g. `2,4` for order-16 images on `4,4`) is partitioned anew.
+label names one isomorphism class of quandles.
+
+Each class is represented by its lexicographically least member, found by
+one of two routes chosen by the carrier alone:
+- an elementary carrier (Z_p)^k: its classes are those of GL_k(p), and
+  `polymod.least_members` finds their least members by a pruned walk over
+  the matrices, without listing Aut; its count is `polymod.scan_count`;
+- any other carrier: Aut is listed and partitioned
+  (`autgroup.conjugacy_representatives`); its count is `_candidate_count`.
+`_route_count` gives the count of the carrier's route, which both the
+up-front budget guard and the split into shares read. Each carrier labels
+its distinct images right after its classes are found. An elementary image
+is named by its divisor chain. A connected non-elementary image's fallback
+label reads its carrier's cached partition; a smaller image's carrier (e.g.
+`2,4` for order-16 images on `4,4`) is partitioned anew.
 
 Per-carrier results (conjugacy representatives, their images and the
 images' labels) are cached on disk as JSON keyed by carrier, code version
@@ -43,7 +54,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._version import __version__
-from .abelian import AbelianGroup, _prime_factorization, enumerate_groups
+from .abelian import AbelianGroup, _elementary_prime, _prime_factorization, enumerate_groups
 from .autgroup import (
     ENUMERATION_BUDGET,
     Automorphism,
@@ -185,17 +196,23 @@ def _carrier_triples(
     distinct spec (`_load_cached`); a computed image whose spec is there is
     not labelled again, and every triple returned, computed or read from
     the cache, is added to it, so a process labels each distinct image
-    once. A new image is labelled right after the carrier's partition is
-    built, so a fallback label's least conjugate reads that partition from
-    `_conjugacy`'s cache. The JSON cache stores the triples as strings, and
-    is how a forked child's triples reach the caller.
+    once. A new image is labelled right after the carrier's classes are
+    found, so a fallback label's least conjugate reads the partition of an
+    Aut-route carrier from `_conjugacy`'s cache; an elementary carrier's
+    images are elementary and are named by their divisor chain. The JSON
+    cache stores the triples as strings, and is how a forked child's
+    triples reach the caller.
     """
     carrier = AbelianGroup(factors)
     path = _cache_path(resolve_cache_dir(cache_dir), carrier)
     cached = _load_cached(path, carrier, table)
     if cached is not None:
         return cached
-    reps = conjugacy_representatives(carrier)
+    p = _elementary_prime(carrier)
+    if p is None:
+        reps = conjugacy_representatives(carrier)
+    else:
+        reps = polymod.least_members(p, carrier.rank)
     images = [image_one_minus_t(LambdaModule(carrier, rep)) for rep in reps]
     specs = [image.spec() for image in images]
     for spec, image in zip(specs, images):
@@ -217,6 +234,22 @@ def resolve_cache_dir(cache_dir: str | None) -> Path:
     return Path(cache_dir or os.environ.get("ALEXQ_CACHE") or ".alexq-cache")
 
 
+def _route_count(G: AbelianGroup) -> int:
+    """The candidate image tuples that G's route walks: the least-member
+    scan's on an elementary carrier, the Aut enumeration's on any other."""
+    p = _elementary_prime(G)
+    return _candidate_count(G) if p is None else polymod.scan_count(p, G.rank)
+
+
+def _check_route_budget(G: AbelianGroup) -> None:
+    """Refuse G if its route walks over ENUMERATION_BUDGET candidate tuples."""
+    p = _elementary_prime(G)
+    if p is None:
+        _check_budget(G)
+    else:
+        polymod._check_scan_budget(p, G.rank)
+
+
 # --- merging --------------------------------------------------------------
 
 
@@ -233,13 +266,14 @@ def _shares(carriers: tuple[AbelianGroup, ...], workers: int) -> list[list[Abeli
 
     Heaviest first, each carrier goes to the share with the least cost so
     far (longest processing time first; Graham, SIAM J. Appl. Math. 17,
-    1969), so share 0 holds the heaviest. The cost is the enumeration's
-    candidate count; a carrier over ENUMERATION_BUDGET costs 0, as it fails
-    at its guard at once. Each share keeps the carriers' given order.
+    1969), so share 0 holds the heaviest. The cost is the candidate count
+    of the carrier's route (`_route_count`); a carrier over
+    ENUMERATION_BUDGET costs 0, as it fails at its guard at once. Each
+    share keeps the carriers' given order.
     """
 
     def cost(G: AbelianGroup) -> int:
-        count = _candidate_count(G)
+        count = _route_count(G)
         return count if count <= ENUMERATION_BUDGET else 0
 
     shares: list[list[AbelianGroup]] = [[] for _ in range(workers)]
@@ -326,10 +360,10 @@ def classify_order(
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     carriers = enumerate_groups(order)
-    # both guards of every carrier, in the order `_conjugacy` runs them,
-    # before any carrier is classified, cached or forked
+    # both guards of every carrier, its route's and its table's, before any
+    # carrier is classified, cached or forked
     for G in carriers:
-        _check_budget(G)
+        _check_route_budget(G)
         _check_table_budget(G)
     # a child hands its carriers back through the cache alone, so without a
     # writable cache the caller would redo the children's work

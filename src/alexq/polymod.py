@@ -13,19 +13,35 @@ chain. The one computation on polynomials, the Smith form that reads a
 module's chain back, runs on trimmed coefficient lists mod p through three
 helpers (`_trim`, `_divmod` and the row step `_sub_mul`), and `Poly` is made
 only for the factors of the chain it returns.
+
+The chains name the conjugacy classes of GL_k(p), and `least_members` finds
+the lexicographically least member of each without listing the group. It
+walks the invertible matrices in the order of their flattened generator
+images (columns), one column at a time, and the first matrix it meets in a
+class is that class's least member. A chain fixes the nullity of f − λI at
+every λ in F_p: the number of its entries that vanish at λ. A prefix of j
+columns c_a − λe_a of rank r bounds every completion f, as the k − j
+columns still to come add at most k − j to the rank: the nullity of f − λI
+lies between j − r and k − r. At λ = 0 this says that the prefix must be
+independent. A subtree is walked only while some chain not yet met has its
+nullities within those bounds at every λ, so no subtree that holds a
+class's least member is skipped, and the walk stops once every chain has a
+member. At a leaf the nullities are exact, and the Smith form names the
+class unless one chain alone has those nullities.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import AbelianGroup, _elementary_prime, _prime_factorization
-from .autgroup import Automorphism
-from .errors import SpecError
+from .autgroup import ENUMERATION_BUDGET, Automorphism, _group_tables
+from .errors import EnumerationBudgetError, SpecError
 from .lambda_modules import LambdaModule, _poly_terms
 
 
@@ -280,21 +296,145 @@ def build(spec: PolySpec) -> LambdaModule:
     return LambdaModule(G, Automorphism(G, tuple(images)))
 
 
-def divisor_chain(M: LambdaModule) -> PolySpec:
-    """The divisor chain of a module on (Z_p)^D, the inverse of `build`.
-
-    The chain is read from the Smith form of tI - A, where column j of A
-    holds the image of the j-th generator: its invariant factors of positive
-    degree are the chain, so `build` of the result is isomorphic to M.
-    """
-    p = _elementary_prime(M.group)
-    if p is None:
-        raise ValueError(f"{M.group} is not an elementary abelian p-group")
-    images = M.t.images
-    k = M.group.rank
+def _chain_factors(images: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], ...]:
+    """The divisor chain of t with these generator images on (Z_p)^k, as
+    coefficient tuples: the invariant factors of tI - A of positive degree,
+    where column j of A holds the j-th image."""
+    k = len(images)
     matrix = [
         [_trim([-images[j][i] % p, 1] if i == j else [-images[j][i] % p]) for j in range(k)]
         for i in range(k)
     ]
-    factors = smith_invariant_factors(matrix, p)
-    return PolySpec(p, tuple(Poly(p, tuple(d)) for d in factors if len(d) > 1))
+    return tuple(tuple(d) for d in smith_invariant_factors(matrix, p) if len(d) > 1)
+
+
+def divisor_chain(M: LambdaModule) -> PolySpec:
+    """The divisor chain of a module on (Z_p)^D, the inverse of `build`.
+
+    The chain is read from the Smith form of tI - A (`_chain_factors`): its
+    invariant factors of positive degree are the chain, so `build` of the
+    result is isomorphic to M.
+    """
+    p = _elementary_prime(M.group)
+    if p is None:
+        raise ValueError(f"{M.group} is not an elementary abelian p-group")
+    return PolySpec(p, tuple(Poly(p, d) for d in _chain_factors(M.t.images, p)))
+
+
+# --- least members of the classes of GL_k(p) -------------------------------
+
+
+def scan_count(p: int, k: int) -> int:
+    """The candidate image tuples with the first image fixed, p^(k(k-1)):
+    what `least_members` is budgeted by."""
+    return p ** (k * (k - 1))
+
+
+def _check_scan_budget(p: int, k: int) -> None:
+    count = scan_count(p, k)
+    if count > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"scanning {','.join([str(p)] * k)} for least class members needs {count} "
+            f"candidate image tuples, over the budget of {ENUMERATION_BUDGET}"
+        )
+
+
+@lru_cache(maxsize=None)
+def _roots(h: Poly) -> tuple[int, ...]:
+    """The roots of the monic h in F_p, ascending."""
+    p = h.p
+    if h.degree == 1:
+        return (-h.coeffs[0] % p,)
+    values = [0] * p
+    for c in reversed(h.coeffs):
+        values = [(v * lam + c) % p for lam, v in enumerate(values)]
+    return tuple(lam for lam, v in enumerate(values) if not v)
+
+
+def _admits(nullities: dict[int, int], lost: dict[int, int], slack: int) -> bool:
+    """Whether a chain with these nullities can complete a prefix that has
+    lost rank `lost[λ]` at each λ, with `slack` columns still to come."""
+    return all(nullities.get(lam, 0) >= u for lam, u in lost.items()) and all(
+        v <= lost.get(lam, 0) + slack for lam, v in nullities.items()
+    )
+
+
+def least_members(p: int, k: int) -> tuple[Automorphism, ...]:
+    """The lexicographically least member of every conjugacy class of GL_k(p), ascending.
+
+    The members and their order are those of `conjugacy_representatives` on
+    (Z_p)^k, found by a walk over the columns that the nullities of the
+    chains not yet met prune (see the module docstring), not by listing the
+    group. The walk runs on element indices, which ascend as the columns do:
+    the span of the prefix columns c_a − λe_a is kept for each λ, and the
+    next column c loses rank at λ exactly when c − λe_j lies in it.
+
+    >>> [f.spec() for f in least_members(2, 2)]
+    ['0,1;1,0', '0,1;1,1', '1,0;0,1']
+    """
+    _check_scan_budget(p, k)
+    G = AbelianGroup((p,) * k)
+    rows, candidates = _group_tables(G)
+    multiples = candidates[-1]  # x -> [x, 2x, ..., (p-1)x]
+    units = G.generator_indices  # e_j is the element of index units[j]
+    missing: dict[tuple[tuple[int, ...], ...], frozenset] = {}  # chain -> its nullities
+    for spec in enumerate_specs(p, k):
+        nullities = Counter(lam for h in spec.chain for lam in _roots(h))
+        missing[tuple(h.coeffs for h in spec.chain)] = frozenset(nullities.items())
+    profiles = Counter(missing.values())  # nullities -> chains with them not yet met
+    alone = {nullities: chain for chain, nullities in missing.items() if profiles[nullities] == 1}
+    shapes = {nullities: dict(nullities) for nullities in profiles}
+    members: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def walk(spans: list[list[int]], lost: dict[int, int]) -> bool:
+        """Try each next column in ascending order; True once no chain is missing."""
+        j = len(prefix)
+        e = units[j]
+        drops: list[tuple[int, ...]] = [()] * G.order  # column -> each λ it loses rank at
+        for lam, span in enumerate(spans):
+            for c in map(rows[lam * e].__getitem__, span):
+                drops[c] += (lam,)
+        slack = k - j - 1
+        for c, dropped in enumerate(drops):
+            if dropped[:1] == (0,):  # c is in the span of the prefix
+                continue
+            after = dict(lost)
+            for lam in dropped:
+                after[lam] = after.get(lam, 0) + 1
+            if slack:
+                if not any(_admits(shapes[nullities], after, slack) for nullities in profiles):
+                    continue
+                grown = [
+                    span
+                    if lam in dropped
+                    else span
+                    + [
+                        y
+                        for w in multiples[rows[c][(p - lam) % p * e]]
+                        for y in map(rows[w].__getitem__, span)
+                    ]
+                    for lam, span in enumerate(spans)
+                ]
+                prefix.append(c)
+                if walk(grown, after):
+                    return True
+                prefix.pop()
+                continue
+            nullities = frozenset(after.items())
+            if nullities not in profiles:
+                continue
+            images = [G.elements[x] for x in prefix + [c]]
+            chain = alone.get(nullities) or _chain_factors(images, p)
+            if chain in missing:
+                del missing[chain]
+                profiles[nullities] -= 1
+                if not profiles[nullities]:
+                    del profiles[nullities]
+                members.append(tuple(images))
+                if not missing:
+                    return True
+        return False
+
+    walk([[0]] * p, {})
+    return tuple(Automorphism(G, images) for images in members)

@@ -516,8 +516,9 @@ class TestSylowProduct:
         ],
     )
     def test_budget_message_names_the_carrier(self, factors, count):
-        # orders 32, 81 and 64 exit 3 with these messages; a carrier with two
-        # primes is refused as a whole, before any part is searched
+        # the Aut route refuses these carriers, and a carrier with two primes
+        # as a whole, before any part is searched; 64 exits 3 with the
+        # message of 2,2,2,2,4, while 2^5 and 3^4 take the least-member scan
         G = AbelianGroup(factors)
         with pytest.raises(EnumerationBudgetError) as exc:
             conjugacy_representatives(G)

@@ -14,7 +14,7 @@ import pytest
 import alexq
 
 from alexq import autgroup, kernels, polymod
-from alexq.abelian import AbelianGroup, _prime_factorization, enumerate_groups
+from alexq.abelian import AbelianGroup, _elementary_prime, _prime_factorization, enumerate_groups
 from alexq.autgroup import conjugacy_representatives
 from alexq.classify import (
     ORACLE_VALIDATION_MAX_ORDER,
@@ -242,6 +242,9 @@ class TestDeterminismAndCache:
             (4098, "the addition table of 4098 has 16793604 entries"),
             # Z_2^25 is over both; the candidate guard runs first
             (2**25, "enumerating automorphisms of 33554432 needs 33554432 candidate"),
+            # four carriers of 625 in budget, 5,5,25 with 9765625 candidates
+            # among them, come before 5,5,5,5, whose scan is over the budget
+            (625, "scanning 5,5,5,5 for least class members needs 244140625 candidate"),
         ],
     )
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -511,9 +514,12 @@ class TestMergeByLabel:
 
 
 # sha256 of report_to_json without its generated_by line, which carries the
-# version, for every order from 1 to 130 but 125; null marks an order over
-# the enumeration budget. The digests of 12, 16, 24, 27 and 48 were recorded
-# while classes were still merged by pairwise is_lambda_isomorphic.
+# version, for every order from 1 to 130; null marks an order over the
+# enumeration budget. The digests of 12, 16, 24, 27 and 48 were recorded
+# while classes were still merged by pairwise is_lambda_isomorphic, and that
+# of 125 while 5,5,5 still listed its Aut. Those of 32 and 81 were recorded
+# once the least-member scan let them complete; their per-carrier counts are
+# checked against the GL_k(p) closed form in test_gl_class_counts.
 GOLDEN_REPORT_SHA256 = {
     int(order): digest
     for order, digest in json.loads(
@@ -531,14 +537,51 @@ def _report_digest(report) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def golden_report(tmp_path_factory):
+    """The cold report of an order, or None over the budget; each order is
+    classified once in this module, so the golden and inclusion tests share it."""
+    cache = tmp_path_factory.mktemp("golden")
+    reports = {}
+
+    def report(order):
+        if order not in reports:
+            try:
+                reports[order] = classify_order(order, cache_dir=str(cache))
+            except EnumerationBudgetError:
+                reports[order] = None
+        return reports[order]
+
+    return report
+
+
 @pytest.mark.parametrize("order", sorted(GOLDEN_REPORT_SHA256))
-def test_report_matches_golden_digest(order, tmp_path):
+def test_report_matches_golden_digest(order, golden_report):
+    report = golden_report(order)
     if GOLDEN_REPORT_SHA256[order] is None:
-        with pytest.raises(EnumerationBudgetError):
-            classify_order(order, cache_dir=str(tmp_path))
+        assert report is None
         return
-    report = classify_order(order, cache_dir=str(tmp_path))
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[order]
+
+
+def test_labels_of_an_order_are_labels_of_its_multiples(golden_report):
+    # a quandle of order m on the module M gives one of order m * r on
+    # M + Z_r with t = 1 there, and both have the image of 1 - t of M, so
+    # every image label of m is an image label of every multiple of m
+    labels = {}
+    for order in sorted(GOLDEN_REPORT_SHA256):
+        report = golden_report(order)
+        if report is not None:
+            labels[order] = {qc.image_label for qc in report.classes}
+    assert {32, 81, 125} <= labels.keys()
+    missing = [
+        (m, n, label)
+        for n in labels
+        for m in labels
+        if m < n and n % m == 0
+        for label in sorted(labels[m] - labels[n])
+    ]
+    assert missing == []
 
 
 # sha256 of the concatenated to_text() of every class member's Alexander
@@ -583,9 +626,26 @@ def test_forked_report_matches_golden_digest(order, jobs, tmp_path):
 def _share_cost(share) -> int:
     return sum(
         count
-        for count in map(autgroup._candidate_count, share)
+        for count in map(alexq.classify._route_count, share)
         if count <= autgroup.ENUMERATION_BUDGET
     )
+
+
+@pytest.mark.parametrize(
+    "order, workers, shares",
+    [
+        (16, 3, [["2,2,2,2"], ["2,2,4"], ["16", "2,8", "4,4"]]),
+        (27, 2, [["3,3,3"], ["27", "3,9"]]),
+        (27, 3, [["3,3,3"], ["3,9"], ["27"]]),
+        (48, 2, [["2,2,2,6"], ["48", "2,24", "4,12", "2,2,12"]]),
+        (48, 3, [["2,2,2,6"], ["2,2,12"], ["48", "2,24", "4,12"]]),
+    ],
+)
+def test_shares_of_the_ladder_orders(order, workers, shares):
+    # an elementary carrier is weighed by its scan's count, p^(k(k-1)), not
+    # by Aut's p^(k^2): 2,2,2,2 (4,096) and 3,3,3 (729) still weigh most
+    dealt = alexq.classify._shares(enumerate_groups(order), workers)
+    assert [[G.spec() for G in share] for share in dealt] == shares
 
 
 def test_order_16_caller_share_is_the_heaviest_carrier_alone():
@@ -609,7 +669,7 @@ def test_shares_partition_the_carriers_in_order(order, workers):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("order", [32, 64, 81])
+@pytest.mark.parametrize("order", [64, 96, 162])
 def test_over_budget_carriers_do_not_unbalance_the_shares(order, workers):
     # they fail at their guard at once, so they weigh nothing: the carriers
     # in budget are split exactly as they would be without them
@@ -706,21 +766,28 @@ def test_caller_labels_each_image_once_when_a_child_dies(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("order, jobs", [(16, 2), (48, 3)])
 def test_caller_does_no_aut_work_for_a_childs_carrier(order, jobs, monkeypatch, tmp_path):
-    # a child's carriers are cache hits in the caller, so it partitions
-    # only its own share
+    # a child's carriers are cache hits in the caller, so it finds the
+    # classes of its own share only, on either route
     caller = os.getpid()
-    partitioned = []
+    classified = []
     representatives = alexq.classify.conjugacy_representatives
+    least_members = polymod.least_members
 
-    def recording(G):
+    def recording_aut(G):
         if os.getpid() == caller:
-            partitioned.append(G)
+            classified.append(G)
         return representatives(G)
 
-    monkeypatch.setattr(alexq.classify, "conjugacy_representatives", recording)
+    def recording_scan(p, k):
+        if os.getpid() == caller:
+            classified.append(AbelianGroup((p,) * k))
+        return least_members(p, k)
+
+    monkeypatch.setattr(alexq.classify, "conjugacy_representatives", recording_aut)
+    monkeypatch.setattr(polymod, "least_members", recording_scan)
     report = classify_order(order, jobs=jobs, cache_dir=str(tmp_path))
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[order]
-    assert partitioned == alexq.classify._shares(enumerate_groups(order), jobs)[0]
+    assert classified == alexq.classify._shares(enumerate_groups(order), jobs)[0]
 
 
 def test_unwritable_cache_runs_serially(monkeypatch, tmp_path):
@@ -831,6 +898,24 @@ def test_cold_run_searches_and_partitions_only_prime_power_carriers(tmp_path, mo
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[48]
     assert 16 in orders and 3 in orders
     assert all(len(_prime_factorization(n)) == 1 for n in orders), sorted(set(orders))
+
+
+@pytest.mark.parametrize("order", [16, 27, 125])
+def test_cold_run_lists_aut_of_no_elementary_carrier(order, tmp_path, monkeypatch):
+    # an elementary carrier's least members come from the scan and its images
+    # are named by their divisor chains, so its Aut is never listed
+    clear_carrier_caches()
+    listed = []
+    perms = autgroup._automorphism_perms
+
+    def recording(G):
+        listed.append(G)
+        return perms(G)
+
+    monkeypatch.setattr(autgroup, "_automorphism_perms", recording)
+    report = classify_order(order, cache_dir=str(tmp_path))
+    assert _report_digest(report) == GOLDEN_REPORT_SHA256[order]
+    assert listed and not any(_elementary_prime(G) for G in listed), listed
 
 
 @pytest.mark.parametrize("order", [16, 27])
@@ -979,7 +1064,12 @@ def test_totals_are_multiplicative_over_the_sylow_orders(tmp_path):
         part_totals = [totals(q) for q in parts]
         if len(parts) == 1 or None in part_totals:
             continue
-        product = tuple(map(math.prod, zip(*part_totals)))
-        assert totals(n) == product, n
+        whole = totals(n)
+        if whole is None:
+            # 96's carrier 2,2,2,2,6 lists Aut, over the budget, while 32's
+            # 2^5 is scanned for least members
+            assert n == 96
+            continue
+        assert whole == tuple(map(math.prod, zip(*part_totals))), n
         checked += 1
     assert checked == 63

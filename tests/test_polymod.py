@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexq.abelian import AbelianGroup
-from alexq.autgroup import Automorphism, Endomorphism, conjugacy_representatives
+from alexq.autgroup import (
+    ENUMERATION_BUDGET,
+    Automorphism,
+    Endomorphism,
+    _candidate_count,
+    _conjugacy,
+    conjugacy_representatives,
+)
+from alexq.errors import EnumerationBudgetError
 from alexq.lambda_modules import (
     LambdaModule,
     is_connected,
@@ -20,11 +28,13 @@ from alexq.polymod import (
     build,
     divisor_chain,
     enumerate_specs,
+    least_members,
     monic_unit_constant_polys,
     _divmod,
     _sub_mul,
     _trim,
     poly_divides,
+    scan_count,
     smith_invariant_factors,
 )
 
@@ -292,3 +302,55 @@ class TestConnectivityCriterion:
             assert no_trivial_divisor == odd_terms == is_connected(M)
             starred += is_connected(M)
         assert starred == 5
+
+
+# (p, k) of every elementary carrier of order up to 128 whose Aut is listed
+LISTED_ELEMENTARY = [
+    (p, k)
+    for p in range(2, 128)
+    if all(p % d for d in range(2, p))
+    for k in range(1, 8)
+    if p**k <= 128 and _candidate_count(AbelianGroup((p,) * k)) <= ENUMERATION_BUDGET
+]
+
+
+class TestLeastMembers:
+    @pytest.mark.parametrize("p, k", LISTED_ELEMENTARY)
+    def test_least_members_are_the_aut_routes_representatives(self, p, k):
+        # the same members in the same order; the class table is built past
+        # its cache, so the 1,488,000 maps of 5,5,5 are freed after the test
+        expected = _conjugacy.__wrapped__(AbelianGroup((p,) * k)).reps
+        assert least_members(p, k) == expected
+
+    def test_every_listed_carrier_is_checked(self):
+        assert len(LISTED_ELEMENTARY) == 40
+        assert {(2, 4), (3, 3), (5, 3), (11, 2), (127, 1)} <= set(LISTED_ELEMENTARY)
+
+    @pytest.mark.parametrize(
+        "p, k, count",
+        [(2, 5, 1048576), (3, 4, 531441), (2, 6, 1073741824), (3, 5, 3486784401), (5, 4, 244140625)],
+    )
+    def test_scan_budget(self, p, k, count):
+        # the scan counts the image tuples with the first image fixed: it
+        # admits 2^5 and 3^4, whose Aut is over the budget, and refuses the
+        # next ranks before any table is built
+        assert scan_count(p, k) == count
+        if count <= ENUMERATION_BUDGET:
+            return
+        spec = ",".join([str(p)] * k)
+        with pytest.raises(EnumerationBudgetError) as exc:
+            least_members(p, k)
+        assert str(exc.value) == (
+            f"scanning {spec} for least class members needs {count} candidate "
+            "image tuples, over the budget of 16777216"
+        )
+
+    @pytest.mark.parametrize("p, k", [(2, 5), (3, 4), (5, 3)])
+    def test_one_member_per_chain(self, p, k):
+        # over the Aut route's reach, each member's chain is one of the
+        # listed chains, met once, and the members ascend
+        G = AbelianGroup((p,) * k)
+        members = least_members(p, k)
+        chains = [divisor_chain(LambdaModule(G, f)) for f in members]
+        assert sorted(chains, key=str) == sorted(enumerate_specs(p, k), key=str)
+        assert list(members) == sorted(members, key=lambda f: f.images)
