@@ -38,8 +38,8 @@ are read straight off its partition. The least member of a product class
 in G's invariant-factor coordinates comes from one scan of the product
 through CRT index tables, linear in |Aut(G)|, so Aut of a carrier with
 several primes is never listed or partitioned.
-`conjugacy_representatives` and `lex_least_conjugate` (the fallback label)
-both read one cached table per carrier, `_conjugacy`. The guard stays on
+`conjugacy_representatives` and `_listed_least_conjugate` both read one
+cached table per carrier, `_conjugacy`. The guard stays on
 G: G's candidate count is the product of the parts' counts and at least
 |Aut(G)|, so it bounds both the part searches and the scan.
 
@@ -62,13 +62,18 @@ member it meets, its least key.
 searches directly for an h with h o f = g o h, the same search that
 enumerates Aut and that decides module isomorphism in `lambda_modules`.
 
+A cyclic p-group's Aut is abelian, so each map is its own class: its
+classes are numbered in search order, which is ascending in the key at
+rank 1, and it is not partitioned.
+
 Classification takes its representatives from here on every carrier but
-an elementary one, (Z_p)^k, whose least members `polymod.least_members`
-finds without listing Aut. This route still serves a carrier's Sylow
-parts, elementary ones included (`2,2,2` inside `2,2,2,6`), the fallback
-label of a non-elementary image (`lex_least_conjugate`), and
-`classify.cross_validate`, which checks the divisor chains against the
-classes listed here.
+one of the shape (Z_p)^k + Z_m, gcd(p, m) = 1, whose least members
+`polymod.least_members` finds without listing Aut; on such a carrier
+`lex_least_conjugate` reads the scan's table too. This route still serves
+the carriers whose Sylow p-part is not elementary or that have two
+non-cyclic parts (and their Sylow parts), the fallback label of an image on
+such a carrier, and `classify.cross_validate`, which checks the divisor
+chains against the classes listed here.
 """
 
 from __future__ import annotations
@@ -397,17 +402,22 @@ def _conjugacy(G: AbelianGroup) -> _Classes:
     """The conjugacy classes of Aut(G), composed from those of its Sylow parts.
 
     A p-group (or the trivial group) is its own single part: its Aut is
-    enumerated and partitioned here, once, and the partition's least members
-    are the table. A carrier with several primes reads each part's partition
-    from this cache and scans the products of their classes for the least
-    members (see the module docstring). Both guards, on G's candidates and
+    enumerated and partitioned here, once, unless it is cyclic, and the
+    partition's least members are the table. A carrier with several primes
+    reads each part's partition from this cache and scans the products of
+    their classes for the least members (see the module docstring). Both guards, on G's candidates and
     on its addition table, run before any part is touched.
     """
     _check_budget(G)
     sylow = sylow_parts(G)
     if len(sylow) < 2:
         perms = _automorphism_perms(G)
-        class_ids, reps = kernels.conjugacy_partition(perms, G.generator_indices)
+        if G.rank <= 1:
+            # Aut of a cyclic group is abelian, so each map is its own class,
+            # and search order is ascending in the key at rank 1
+            class_ids = reps = range(len(perms))
+        else:
+            class_ids, reps = kernels.conjugacy_partition(perms, G.generator_indices)
         return _Classes(
             (_SylowPart(G, 0, list(range(G.order)), perms, tuple(class_ids)),),
             tuple(Automorphism._from_perm(G, perms[i]) for i in reps),
@@ -461,14 +471,27 @@ def is_conjugate(G: AbelianGroup, f: Automorphism, g: Automorphism) -> Automorph
 def lex_least_conjugate(G: AbelianGroup, f: Automorphism) -> Automorphism:
     """The lexicographically least member of f's conjugacy class.
 
-    Read from the cached classes: each p-part of f is found by bisection in
-    its part's automorphism list, which is ascending in the reversed key,
-    and the parts' classes name f's class, whose least member is already
-    known. A part holds G's last generator positions, so its reversed key
-    is the head of G's.
+    On a carrier (Z_p)^k + Z_m it is read from the least-member scan's
+    table (`polymod.least_conjugate`), on any other from the cached classes
+    (`_listed_least_conjugate`).
     """
     if f.group != G:
         raise ValueError("the map must act on the given group")
+    from . import polymod  # polymod imports this module
+
+    if polymod.scan_shape(G) is not None:
+        return polymod.least_conjugate(G, f)
+    return _listed_least_conjugate(G, f)
+
+
+def _listed_least_conjugate(G: AbelianGroup, f: Automorphism) -> Automorphism:
+    """The least member of f's class, read from the classes of listed Aut.
+
+    Each p-part of f is found by bisection in its part's automorphism list,
+    which is ascending in the reversed key, and the parts' classes name f's
+    class, whose least member is already known. A part holds G's last
+    generator positions, so its reversed key is the head of G's.
+    """
     table = _conjugacy(G)
     reversed_key = [f.perm[g] for g in reversed(G.generator_indices)]
     cids = []

@@ -8,18 +8,21 @@ modules. So structures are merged by the label of their image, and each
 label names one isomorphism class of quandles.
 
 Each class is represented by its lexicographically least member, found by
-one of two routes chosen by the carrier alone:
-- an elementary carrier (Z_p)^k: its classes are those of GL_k(p), and
-  `polymod.least_members` finds their least members by a pruned walk over
-  the matrices, without listing Aut; its count is `polymod.scan_count`;
+one of two routes chosen by the carrier's shape alone (`polymod.scan_shape`):
+- a carrier (Z_p)^k + Z_m with gcd(p, m) = 1, elementary ones (m = 1)
+  included and cyclic ones of composite order excepted: its classes are
+  those of GL_k(p), each paired with a unit of Z_m, and `polymod.least_members` finds their least members by one pruned
+  walk over the matrices, without listing Aut; its count is
+  `polymod.scan_count`;
 - any other carrier: Aut is listed and partitioned
   (`autgroup.conjugacy_representatives`); its count is `_candidate_count`.
 `_route_count` gives the count of the carrier's route, which both the
 up-front budget guard and the split into shares read. Each carrier labels
 its distinct images right after its classes are found. An elementary image
-is named by its divisor chain. A connected non-elementary image's fallback
-label reads its carrier's cached partition; a smaller image's carrier (e.g.
-`2,4` for order-16 images on `4,4`) is partitioned anew.
+is named by its divisor chain. Any other image that is not scalar-cyclic
+gets the fallback label, its action's least conjugate, which reads its
+carrier's cached scan table or partition; a smaller image's carrier (e.g.
+`2,4` for order-16 images on `4,4`) is scanned or partitioned anew.
 
 Per-carrier results (conjugacy representatives, their images and the
 images' labels) are cached on disk as JSON keyed by carrier, code version
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._version import __version__
-from .abelian import AbelianGroup, _elementary_prime, _prime_factorization, enumerate_groups
+from .abelian import AbelianGroup, _prime_factorization, enumerate_groups
 from .autgroup import (
     ENUMERATION_BUDGET,
     Automorphism,
@@ -197,9 +200,9 @@ def _carrier_triples(
     not labelled again, and every triple returned, computed or read from
     the cache, is added to it, so a process labels each distinct image
     once. A new image is labelled right after the carrier's classes are
-    found, so a fallback label's least conjugate reads the partition of an
-    Aut-route carrier from `_conjugacy`'s cache; an elementary carrier's
-    images are elementary and are named by their divisor chain. The JSON
+    found, so a fallback label's least conjugate reads the carrier's classes
+    from the cache of its route; an elementary carrier's images are
+    elementary and are named by their divisor chain. The JSON
     cache stores the triples as strings, and is how a forked child's
     triples reach the caller.
     """
@@ -208,11 +211,11 @@ def _carrier_triples(
     cached = _load_cached(path, carrier, table)
     if cached is not None:
         return cached
-    p = _elementary_prime(carrier)
-    if p is None:
+    shape = polymod.scan_shape(carrier)
+    if shape is None:
         reps = conjugacy_representatives(carrier)
     else:
-        reps = polymod.least_members(p, carrier.rank)
+        reps = polymod.least_members(*shape)
     images = [image_one_minus_t(LambdaModule(carrier, rep)) for rep in reps]
     specs = [image.spec() for image in images]
     for spec, image in zip(specs, images):
@@ -236,18 +239,21 @@ def resolve_cache_dir(cache_dir: str | None) -> Path:
 
 def _route_count(G: AbelianGroup) -> int:
     """The candidate image tuples that G's route walks: the least-member
-    scan's on an elementary carrier, the Aut enumeration's on any other."""
-    p = _elementary_prime(G)
-    return _candidate_count(G) if p is None else polymod.scan_count(p, G.rank)
+    scan's on a carrier (Z_p)^k + Z_m, the Aut enumeration's on any other."""
+    shape = polymod.scan_shape(G)
+    if shape is None:
+        return _candidate_count(G)
+    p, k, _ = shape
+    return polymod.scan_count(p, k)
 
 
 def _check_route_budget(G: AbelianGroup) -> None:
     """Refuse G if its route walks over ENUMERATION_BUDGET candidate tuples."""
-    p = _elementary_prime(G)
-    if p is None:
+    shape = polymod.scan_shape(G)
+    if shape is None:
         _check_budget(G)
     else:
-        polymod._check_scan_budget(p, G.rank)
+        polymod._check_scan_budget(*shape)
 
 
 # --- merging --------------------------------------------------------------

@@ -14,32 +14,48 @@ module's chain back, runs on trimmed coefficient lists mod p through three
 helpers (`_trim`, `_divmod` and the row step `_sub_mul`), and `Poly` is made
 only for the factors of the chain it returns.
 
-The chains name the conjugacy classes of GL_k(p), and `least_members` finds
-the lexicographically least member of each without listing the group. It
-walks the invertible matrices in the order of their flattened generator
-images (columns), one column at a time, and the first matrix it meets in a
-class is that class's least member. A chain fixes the nullity of f − λI at
-every λ in F_p: the number of its entries that vanish at λ. A prefix of j
-columns c_a − λe_a of rank r bounds every completion f, as the k − j
-columns still to come add at most k − j to the rank: the nullity of f − λI
-lies between j − r and k − r. At λ = 0 this says that the prefix must be
-independent. A subtree is walked only while some chain not yet met has its
-nullities within those bounds at every λ, so no subtree that holds a
-class's least member is skipped, and the walk stops once every chain has a
-member. At a leaf the nullities are exact, and the Smith form names the
-class unless one chain alone has those nullities.
+The chains name the conjugacy classes of GL_k(p). `least_members` finds the
+lexicographically least member of each class of Aut(G) without listing the
+group, on every carrier G = (Z_p)^k + Z_m with gcd(p, m) = 1, whose
+invariant factors are (p, ..., p, p*m) (`scan_shape`); an elementary carrier
+is the case m = 1. Aut(G) is GL_k(p) x Aut(Z_m) (Hillar & Rhea, Amer. Math.
+Monthly 114, 2007), and Aut(Z_m) is abelian, so a class is one divisor chain
+paired with one unit of Z_m. One walk over GL_k(p) serves every unit (see
+`_scan`). It walks the invertible matrices in the order of their flattened
+generator images (columns) in G's coordinates, one column at a time, and the
+first matrix it meets in a class is that class's least member. A chain fixes
+the nullity of f − λI at every λ in F_p: the number of its entries that
+vanish at λ. A prefix of j columns c_a − λe_a of rank r bounds every
+completion f, as the k − j columns still to come add at most k − j to the
+rank: the nullity of f − λI lies between j − r and k − r. At λ = 0 this says
+that the prefix must be independent. A subtree is walked only while some
+chain not yet met has its nullities within those bounds at every λ, so no
+subtree that holds a class's least member is skipped, and the walk stops
+once every chain has a member. At a leaf the nullities are exact, and the
+Smith form names the class unless one chain alone has those nullities. The
+members are kept in one table per carrier, keyed by (chain, unit), which
+`least_conjugate` (the fallback label's least conjugate on these carriers)
+reads.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
-from .abelian import AbelianGroup, _elementary_prime, _prime_factorization
+from .abelian import (
+    AbelianGroup,
+    Element,
+    _elementary_prime,
+    _linear_indices,
+    _prime_factorization,
+)
 from .autgroup import ENUMERATION_BUDGET, Automorphism, _group_tables
 from .errors import EnumerationBudgetError, SpecError
 from .lambda_modules import LambdaModule, _poly_terms
@@ -321,20 +337,41 @@ def divisor_chain(M: LambdaModule) -> PolySpec:
     return PolySpec(p, tuple(Poly(p, d) for d in _chain_factors(M.t.images, p)))
 
 
-# --- least members of the classes of GL_k(p) -------------------------------
+# --- least members of the classes of Aut((Z_p)^k + Z_m) -------------------
+
+
+def scan_shape(G: AbelianGroup) -> tuple[int, int, int] | None:
+    """(p, k, m) if the least-member scan serves G, else None.
+
+    G is served when it is (Z_p)^k + Z_m with p prime and gcd(p, m) = 1,
+    its invariant factors (p, ..., p, p*m), k its rank. A cyclic G is served
+    only at prime order: Z_n's Aut is abelian, and the Aut route lists it
+    without a partition.
+
+    >>> [scan_shape(AbelianGroup(f)) for f in [(5,), (2, 2), (3, 6), (2, 2, 12), (6,)]]
+    [(5, 1, 1), (2, 2, 1), (3, 2, 2), None, None]
+    """
+    factors = G.factors
+    if not factors or _prime_factorization(factors[0]) != {factors[0]: 1}:
+        return None
+    p, last = factors[0], factors[-1]
+    if any(d != p for d in factors[:-1]) or last % p or last // p % p == 0:
+        return None
+    return p, len(factors), last // p
 
 
 def scan_count(p: int, k: int) -> int:
     """The candidate image tuples with the first image fixed, p^(k(k-1)):
-    what `least_members` is budgeted by."""
+    what the walk of `least_members` is budgeted by, whatever m is."""
     return p ** (k * (k - 1))
 
 
-def _check_scan_budget(p: int, k: int) -> None:
+def _check_scan_budget(p: int, k: int, m: int) -> None:
     count = scan_count(p, k)
     if count > ENUMERATION_BUDGET:
+        spec = ",".join(map(str, (p,) * (k - 1) + (p * m,)))
         raise EnumerationBudgetError(
-            f"scanning {','.join([str(p)] * k)} for least class members needs {count} "
+            f"scanning {spec} for least class members needs {count} "
             f"candidate image tuples, over the budget of {ENUMERATION_BUDGET}"
         )
 
@@ -359,44 +396,43 @@ def _admits(nullities: dict[int, int], lost: dict[int, int], slack: int) -> bool
     )
 
 
-def least_members(p: int, k: int) -> tuple[Automorphism, ...]:
-    """The lexicographically least member of every conjugacy class of GL_k(p), ascending.
+Chain = tuple[tuple[int, ...], ...]  # a divisor chain as coefficient tuples
 
-    The members and their order are those of `conjugacy_representatives` on
-    (Z_p)^k, found by a walk over the columns that the nullities of the
-    chains not yet met prune (see the module docstring), not by listing the
-    group. The walk runs on element indices, which ascend as the columns do:
-    the span of the prefix columns c_a − λe_a is kept for each λ, and the
-    next column c loses rank at λ exactly when c − λe_j lies in it.
 
-    >>> [f.spec() for f in least_members(2, 2)]
-    ['0,1;1,0', '0,1;1,1', '1,0;0,1']
+def _first_members(P: AbelianGroup, ascending: list[int]) -> dict[Chain, tuple[int, ...]]:
+    """Chain -> the first matrix of GL_k(p) with that chain in the walk, as
+    the element indices of its columns, in the order the chains are met.
+
+    P is (Z_p)^k, and `ascending` lists P's elements in the order each
+    column's candidates are tried. The walk runs on element indices: the
+    span of the prefix columns c_a − λe_a is kept for each λ, and the next
+    column c loses rank at λ exactly when c − λe_j lies in it.
     """
-    _check_scan_budget(p, k)
-    G = AbelianGroup((p,) * k)
-    rows, candidates = _group_tables(G)
+    p, k = P.factors[0], P.rank
+    rows, candidates = _group_tables(P)
     multiples = candidates[-1]  # x -> [x, 2x, ..., (p-1)x]
-    units = G.generator_indices  # e_j is the element of index units[j]
-    missing: dict[tuple[tuple[int, ...], ...], frozenset] = {}  # chain -> its nullities
+    units = P.generator_indices  # e_j is the element of index units[j]
+    missing: dict[Chain, frozenset] = {}  # chain -> its nullities
     for spec in enumerate_specs(p, k):
         nullities = Counter(lam for h in spec.chain for lam in _roots(h))
         missing[tuple(h.coeffs for h in spec.chain)] = frozenset(nullities.items())
     profiles = Counter(missing.values())  # nullities -> chains with them not yet met
     alone = {nullities: chain for chain, nullities in missing.items() if profiles[nullities] == 1}
     shapes = {nullities: dict(nullities) for nullities in profiles}
-    members: list[tuple[int, ...]] = []
+    members: dict[Chain, tuple[int, ...]] = {}
     prefix: list[int] = []
 
     def walk(spans: list[list[int]], lost: dict[int, int]) -> bool:
-        """Try each next column in ascending order; True once no chain is missing."""
+        """Try each next column in its order; True once no chain is missing."""
         j = len(prefix)
         e = units[j]
-        drops: list[tuple[int, ...]] = [()] * G.order  # column -> each λ it loses rank at
+        drops: list[tuple[int, ...]] = [()] * P.order  # column -> each λ it loses rank at
         for lam, span in enumerate(spans):
             for c in map(rows[lam * e].__getitem__, span):
                 drops[c] += (lam,)
         slack = k - j - 1
-        for c, dropped in enumerate(drops):
+        for c in ascending:
+            dropped = drops[c]
             if dropped[:1] == (0,):  # c is in the span of the prefix
                 continue
             after = dict(lost)
@@ -424,17 +460,85 @@ def least_members(p: int, k: int) -> tuple[Automorphism, ...]:
             nullities = frozenset(after.items())
             if nullities not in profiles:
                 continue
-            images = [G.elements[x] for x in prefix + [c]]
-            chain = alone.get(nullities) or _chain_factors(images, p)
+            columns = (*prefix, c)
+            chain = alone.get(nullities) or _chain_factors([P.elements[x] for x in columns], p)
             if chain in missing:
                 del missing[chain]
                 profiles[nullities] -= 1
                 if not profiles[nullities]:
                     del profiles[nullities]
-                members.append(tuple(images))
+                members[chain] = columns
                 if not missing:
                     return True
         return False
 
     walk([[0]] * p, {})
-    return tuple(Automorphism(G, images) for images in members)
+    return members
+
+
+@lru_cache(maxsize=32)
+def _scan(p: int, k: int, m: int) -> dict[tuple[Chain, int], Automorphism]:
+    """(chain, u) -> the least member of that class of Aut(G), G = (Z_p)^k + Z_m,
+    in ascending order of the members.
+
+    Aut(G) = GL_k(p) x Aut(Z_m), and Aut(Z_m) is abelian, so a class is one
+    class of GL_k(p), named by its chain, and one unit u of Z_m. In G's
+    coordinates the member (f, u) has column j = embed(v_j) + c_j, for the
+    column v_j of f, where c_j is 0 but on the last generator, c_last =
+    u*b*e_last with b = 0 mod p, 1 mod m. So the walk tries candidates in
+    the order of embed's index in G, and its first matrix of a chain, lifted
+    with u, is the least member of (chain, u). The walk does not depend on
+    u. Adding c_last changes only the last coordinate of the last column, so
+    it reorders only those candidates for that column that agree in every
+    other coordinate. They differ in the diagonal entry, so in trace, so
+    they lie in distinct classes, and each class is met first at the same
+    matrix in either order. One walk serves every unit.
+    """
+    _check_scan_budget(p, k, m)
+    P = AbelianGroup((p,) * k)
+    G = AbelianGroup((p,) * (k - 1) + (p * m,))
+    *gens, last = G.generators()
+    a, b = m * pow(m, -1, p), p * pow(p, -1, m)  # the CRT idempotents of p and m
+    embed = _linear_indices(P, G, [*gens, G.scalar_mul(a, last)])  # the identity when m = 1
+    first = _first_members(P, sorted(range(P.order), key=embed.__getitem__))
+    elements = G.elements
+    found: dict[tuple[Chain, int], tuple[Element, ...]] = {}
+    for u in range(m):
+        if math.gcd(u, m) != 1:
+            continue
+        c_last = G.scalar_mul(u * b, last)
+        for chain, columns in first.items():
+            images = [elements[embed[x]] for x in columns]
+            images[-1] = G.add(images[-1], c_last)
+            found[chain, u] = tuple(images)
+    ranked = sorted(found.items(), key=itemgetter(1))
+    return {cls: Automorphism(G, images) for cls, images in ranked}
+
+
+def least_members(p: int, k: int, m: int = 1) -> tuple[Automorphism, ...]:
+    """The lexicographically least member of every conjugacy class of
+    Aut((Z_p)^k + Z_m), gcd(p, m) = 1, ascending.
+
+    The members and their order are those of `conjugacy_representatives` on
+    the carrier with invariant factors (p, ..., p, p*m), found by one walk
+    over the columns that the nullities of the chains not yet met prune (see
+    the module docstring), not by listing the group.
+
+    >>> [f.spec() for f in least_members(2, 2)]
+    ['0,1;1,0', '0,1;1,1', '1,0;0,1']
+    >>> [f.spec() for f in least_members(2, 2, 3)]
+    ['0,3;1,1', '0,3;1,2', '0,3;1,4', '0,3;1,5', '1,0;0,1', '1,0;0,5']
+    """
+    return tuple(_scan(p, k, m).values())
+
+
+def least_conjugate(G: AbelianGroup, f: Automorphism) -> Automorphism:
+    """The least member of f's class on a carrier of `scan_shape`, read from
+    its scan's table.
+
+    f's GL_k(p) part has the matrix of f's images mod p, and f acts on the
+    Z_m part by the unit of its last image's last coordinate mod m, so
+    neither Aut nor a CRT table is needed to name f's class.
+    """
+    p, k, m = scan_shape(G)
+    return _scan(p, k, m)[_chain_factors(f.images, p), f.images[-1][-1] % m]

@@ -322,6 +322,22 @@ class TestRepresentatives:
         reps = conjugacy_representatives(AbelianGroup(()))
         assert len(reps) == 1
 
+    def test_cyclic_classes_skip_the_partition_and_match_it(self, monkeypatch):
+        # Aut(Z_n) is abelian: each map is its own class, numbered in search
+        # order, which is ascending in the key at rank 1. A cyclic carrier
+        # with several primes composes its classes from such parts.
+        partition = kernels.conjugacy_partition
+        monkeypatch.setattr(kernels, "conjugacy_partition", None)
+        for n in range(1, 256):
+            if len(_prime_factorization(n)) > 1:
+                continue
+            G = AbelianGroup((n,) if n > 1 else ())
+            table = autgroup._conjugacy.__wrapped__(G)
+            (part,) = table.parts
+            class_ids, reps = partition(part.perms, G.generator_indices)
+            assert part.class_ids == tuple(class_ids), n
+            assert [f.perm for f in table.reps] == [tuple(part.perms[i]) for i in reps], n
+
     def test_representatives_are_lex_least(self):
         G = AbelianGroup((2, 4))
         for rep in conjugacy_representatives(G):

@@ -514,12 +514,15 @@ class TestMergeByLabel:
 
 
 # sha256 of report_to_json without its generated_by line, which carries the
-# version, for every order from 1 to 130; null marks an order over the
-# enumeration budget. The digests of 12, 16, 24, 27 and 48 were recorded
-# while classes were still merged by pairwise is_lambda_isomorphic, and that
-# of 125 while 5,5,5 still listed its Aut. Those of 32 and 81 were recorded
-# once the least-member scan let them complete; their per-carrier counts are
-# checked against the GL_k(p) closed form in test_gl_class_counts.
+# version, for every order from 1 to 130 and for 250; null marks an order
+# over the enumeration budget. The digests of 12, 16, 24, 27 and 48 were
+# recorded while classes were still merged by pairwise is_lambda_isomorphic,
+# and those of 125 and 250 while 5,5,5 and 5,5,10 still listed their Aut.
+# Those of 32 and 81 were recorded once the least-member scan let them
+# complete; their per-carrier counts are checked against the GL_k(p) closed
+# form in test_gl_class_counts. That of 96 was recorded once the scan served
+# its carrier 2,2,2,2,6; its totals are those of 32 times those of 3, and the
+# labels of 32 and 48 are labels of 96 (the inclusion test below).
 GOLDEN_REPORT_SHA256 = {
     int(order): digest
     for order, digest in json.loads(
@@ -573,7 +576,7 @@ def test_labels_of_an_order_are_labels_of_its_multiples(golden_report):
         report = golden_report(order)
         if report is not None:
             labels[order] = {qc.image_label for qc in report.classes}
-    assert {32, 81, 125} <= labels.keys()
+    assert {32, 81, 96, 125, 250} <= labels.keys()
     missing = [
         (m, n, label)
         for n in labels
@@ -642,8 +645,9 @@ def _share_cost(share) -> int:
     ],
 )
 def test_shares_of_the_ladder_orders(order, workers, shares):
-    # an elementary carrier is weighed by its scan's count, p^(k(k-1)), not
-    # by Aut's p^(k^2): 2,2,2,2 (4,096) and 3,3,3 (729) still weigh most
+    # a scanned carrier (Z_p)^k + Z_m is weighed by its one walk's count,
+    # p^(k(k-1)), not by Aut's: 2,2,2,2 (4,096), 3,3,3 (729) and 2,2,2,6
+    # (4,096, over the 4,080 of 48's other carriers together) still weigh most
     dealt = alexq.classify._shares(enumerate_groups(order), workers)
     assert [[G.spec() for G in share] for share in dealt] == shares
 
@@ -669,7 +673,7 @@ def test_shares_partition_the_carriers_in_order(order, workers):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("order", [64, 96, 162])
+@pytest.mark.parametrize("order", [64, 128, 243])
 def test_over_budget_carriers_do_not_unbalance_the_shares(order, workers):
     # they fail at their guard at once, so they weigh nothing: the carriers
     # in budget are split exactly as they would be without them
@@ -778,10 +782,10 @@ def test_caller_does_no_aut_work_for_a_childs_carrier(order, jobs, monkeypatch, 
             classified.append(G)
         return representatives(G)
 
-    def recording_scan(p, k):
+    def recording_scan(p, k, m=1):
         if os.getpid() == caller:
-            classified.append(AbelianGroup((p,) * k))
-        return least_members(p, k)
+            classified.append(AbelianGroup((p,) * (k - 1) + (p * m,)))
+        return least_members(p, k, m)
 
     monkeypatch.setattr(alexq.classify, "conjugacy_representatives", recording_aut)
     monkeypatch.setattr(polymod, "least_members", recording_scan)
@@ -860,7 +864,9 @@ def test_warm_run_does_no_aut_work(tmp_path, monkeypatch):
 
 def test_each_partition_has_a_distinct_input(tmp_path, monkeypatch):
     # The fallback label reads its carrier's partition from the cache that
-    # classify_order filled, so no carrier's Aut is partitioned twice.
+    # classify_order filled, so no carrier's Aut is partitioned twice. A
+    # cyclic Aut is abelian and 2,2,2,6 is scanned, so the partitions are
+    # those of the non-cyclic Sylow parts and of the fallback carrier 2,4.
     clear_carrier_caches()
     inputs = []
     partition = kernels.conjugacy_partition
@@ -872,8 +878,11 @@ def test_each_partition_has_a_distinct_input(tmp_path, monkeypatch):
     monkeypatch.setattr(kernels, "conjugacy_partition", recording)
     report = classify_order(48, cache_dir=str(tmp_path))
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[48]
-    assert len(inputs) >= len(enumerate_groups(48))
     assert len(set(inputs)) == len(inputs)
+    assert sorted((len(perms[0]), gens) for perms, gens in inputs) == sorted(
+        (G.order, G.generator_indices)
+        for G in map(AbelianGroup, [(2, 4), (2, 8), (4, 4), (2, 2, 4)])
+    )
 
 
 def test_cold_run_searches_and_partitions_only_prime_power_carriers(tmp_path, monkeypatch):
@@ -900,10 +909,13 @@ def test_cold_run_searches_and_partitions_only_prime_power_carriers(tmp_path, mo
     assert all(len(_prime_factorization(n)) == 1 for n in orders), sorted(set(orders))
 
 
-@pytest.mark.parametrize("order", [16, 27, 125])
+@pytest.mark.parametrize("order", [16, 27, 48, 125, 250])
 def test_cold_run_lists_aut_of_no_elementary_carrier(order, tmp_path, monkeypatch):
     # an elementary carrier's least members come from the scan and its images
-    # are named by their divisor chains, so its Aut is never listed
+    # are named by their divisor chains, so its Aut is never listed; nor is
+    # that of the elementary Sylow part of a scanned mixed carrier (2,2,2,2
+    # of 2,2,2,6, 5,5,5 of 5,5,10). Only a cyclic Z_p, a Sylow part of a
+    # carrier on the Aut route, is listed.
     clear_carrier_caches()
     listed = []
     perms = autgroup._automorphism_perms
@@ -915,7 +927,7 @@ def test_cold_run_lists_aut_of_no_elementary_carrier(order, tmp_path, monkeypatc
     monkeypatch.setattr(autgroup, "_automorphism_perms", recording)
     report = classify_order(order, cache_dir=str(tmp_path))
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[order]
-    assert listed and not any(_elementary_prime(G) for G in listed), listed
+    assert listed and not any(_elementary_prime(G) and G.rank > 1 for G in listed), listed
 
 
 @pytest.mark.parametrize("order", [16, 27])
@@ -1065,11 +1077,21 @@ def test_totals_are_multiplicative_over_the_sylow_orders(tmp_path):
         if len(parts) == 1 or None in part_totals:
             continue
         whole = totals(n)
-        if whole is None:
-            # 96's carrier 2,2,2,2,6 lists Aut, over the budget, while 32's
-            # 2^5 is scanned for least members
-            assert n == 96
-            continue
         assert whole == tuple(map(math.prod, zip(*part_totals))), n
         checked += 1
-    assert checked == 63
+    assert checked == 64
+
+
+# the totals of the Sylow orders of 160, 162 and 224, pinned by their golden digests
+SYLOW_TOTALS = {2: (1, 0), 5: (4, 3), 7: (6, 5), 32: (48, 8), 81: (233, 166)}
+
+
+@pytest.mark.parametrize(
+    "order, parts, expected",
+    [(160, (32, 5), (192, 24)), (162, (81, 2), (233, 0)), (224, (32, 7), (288, 40))],
+)
+def test_orders_past_96_whose_mixed_carrier_is_scanned(order, parts, expected, tmp_path):
+    # 2,2,2,2,2m and 3,3,3,6 are scanned by one walk over GL_5(2) or GL_4(3);
+    # the totals are the products of the Sylow orders' totals
+    assert tuple(map(math.prod, zip(*(SYLOW_TOTALS[q] for q in parts)))) == expected
+    assert classify_order(order, cache_dir=str(tmp_path)).totals == expected

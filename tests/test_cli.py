@@ -249,7 +249,7 @@ class TestErrors:
         assert code == 3
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("order", ["64", "96", "162"])
+    @pytest.mark.parametrize("order", ["64", "128", "243"])
     def test_budget_error_under_jobs_matches_serial(self, capsys, order):
         # the first carrier over budget, in carrier order, names the error
         serial = run(capsys, "classify", "--order", order, "--jobs", "1")

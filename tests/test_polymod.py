@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alexq.abelian import AbelianGroup
+from alexq.abelian import AbelianGroup, _prime_factorization, enumerate_groups, sylow_parts
 from alexq.autgroup import (
     ENUMERATION_BUDGET,
     Automorphism,
     Endomorphism,
+    _automorphism_perms,
     _candidate_count,
     _conjugacy,
+    _listed_least_conjugate,
     conjugacy_representatives,
+    lex_least_conjugate,
 )
 from alexq.errors import EnumerationBudgetError
 from alexq.lambda_modules import (
@@ -35,6 +38,7 @@ from alexq.polymod import (
     _trim,
     poly_divides,
     scan_count,
+    scan_shape,
     smith_invariant_factors,
 )
 
@@ -354,3 +358,76 @@ class TestLeastMembers:
         chains = [divisor_chain(LambdaModule(G, f)) for f in members]
         assert sorted(chains, key=str) == sorted(enumerate_specs(p, k), key=str)
         assert list(members) == sorted(members, key=lambda f: f.images)
+
+
+def _reference_shape(G):
+    """(p, k, m) by the Sylow parts: one part is (Z_p)^k with k the rank of
+    G, every other part is cyclic, and a cyclic G is of order p."""
+    parts = sylow_parts(G)
+    for P in parts:
+        (p,) = _prime_factorization(P.order)
+        if (
+            P.factors == (p,) * G.rank
+            and all(Q.rank == 1 for Q in parts if Q != P)
+            and (G.rank > 1 or G.order == p)
+        ):
+            return p, G.rank, G.order // P.order
+    return None
+
+
+# every carrier (Z_p)^k + Z_m, m > 1, of order up to 130 whose Aut is listed
+LISTED_MIXED = [
+    G
+    for n in range(1, 131)
+    for G in enumerate_groups(n)
+    if (shape := scan_shape(G)) is not None
+    and shape[2] > 1
+    and _candidate_count(G) <= ENUMERATION_BUDGET
+]
+
+
+class TestMixedCarriers:
+    """The scan on (Z_p)^k + Z_m against the Aut route."""
+
+    def test_shape_matches_the_sylow_parts(self):
+        carriers = [G for n in range(1, 256) for G in enumerate_groups(n)]
+        assert [scan_shape(G) for G in carriers] == [_reference_shape(G) for G in carriers]
+
+    @pytest.mark.parametrize("G", LISTED_MIXED, ids=str)
+    def test_least_members_are_the_aut_routes_representatives(self, G):
+        assert least_members(*scan_shape(G)) == conjugacy_representatives(G)
+
+    def test_every_listed_mixed_carrier_is_checked(self):
+        # 2,2,2,2,6 (96) is the one such carrier up to 130 over the Aut budget
+        assert len(LISTED_MIXED) == 40
+        specs = {G.spec() for G in LISTED_MIXED}
+        assert {"2,6", "2,2,6", "2,2,2,6", "3,3,6", "5,10", "2,30", "2,2,18"} <= specs
+        assert "2,2,2,2,6" not in specs
+
+    @pytest.mark.parametrize("factors", [(2, 6), (2, 2, 6), (3, 3, 6), (2, 2, 2, 6)], ids=str)
+    def test_lex_least_matches_aut_route_on_conjugates(self, factors):
+        # each member conjugated by seeded maps of Aut(G): the scan's table
+        # and the listed classes both name the member
+        G = AbelianGroup(factors)
+        perms = _automorphism_perms(G)
+        rng = random.Random(37)
+        for f in least_members(*scan_shape(G)):
+            for i in rng.sample(range(len(perms)), min(len(perms), 6)):
+                h = Automorphism._from_perm(G, perms[i])
+                g = h.compose(f).compose(h.invert())
+                assert lex_least_conjugate(G, g) == _listed_least_conjugate(G, g) == f, g
+
+    @pytest.mark.parametrize(
+        "p, k, m, spec, count",
+        [(2, 6, 3, "2,2,2,2,2,6", 1073741824), (3, 5, 2, "3,3,3,3,6", 3486784401)],
+    )
+    def test_scan_budget_names_the_carrier(self, p, k, m, spec, count):
+        # one walk over GL_k(p) serves every unit of Z_m, so the count is
+        # that of m = 1, and the message names the whole carrier
+        assert scan_count(p, k) == count > ENUMERATION_BUDGET
+        with pytest.raises(EnumerationBudgetError) as exc:
+            least_members(p, k, m)
+        assert str(exc.value) == (
+            f"scanning {spec} for least class members needs {count} candidate "
+            "image tuples, over the budget of 16777216"
+        )
