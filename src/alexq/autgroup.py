@@ -38,8 +38,8 @@ are read straight off its partition. The least member of a product class
 in G's invariant-factor coordinates comes from one scan of the product
 through CRT index tables, linear in |Aut(G)|, so Aut of a carrier with
 several primes is never listed or partitioned.
-`conjugacy_representatives` and `_listed_least_conjugate` both read one
-cached table per carrier, `_conjugacy`. The guard stays on
+On this route `conjugacy_representatives` and `_listed_least_conjugate`
+both read one cached table per carrier, `_conjugacy`. The guard stays on
 G: G's candidate count is the product of the parts' counts and at least
 |Aut(G)|, so it bounds both the part searches and the scan.
 
@@ -66,14 +66,16 @@ A cyclic p-group's Aut is abelian, so each map is its own class: its
 classes are numbered in search order, which is ascending in the key at
 rank 1, and it is not partitioned.
 
-Classification takes its representatives from here on every carrier but
-one of the shape (Z_p)^k + Z_m, gcd(p, m) = 1, whose least members
-`polymod.least_members` finds without listing Aut; on such a carrier
-`lex_least_conjugate` reads the scan's table too. This route still serves
-the carriers whose Sylow p-part is not elementary or that have two
-non-cyclic parts (and their Sylow parts), the fallback label of an image on
-such a carrier, and `classify.cross_validate`, which checks the divisor
-chains against the classes listed here.
+Each carrier's classes come by one of two routes, and this module alone
+chooses, from the carrier's shape (`polymod.scan_shape`). On a carrier
+(Z_p)^k + Z_m with gcd(p, m) = 1, elementary ones (m = 1) included and
+cyclic ones of composite order excepted, Aut is GL_k(p) x Aut(Z_m) by the
+product rule above, and the least-member scan (`polymod.least_members`)
+finds the classes without listing Aut; any other carrier lists Aut and reads
+`_conjugacy`. `conjugacy_representatives`, `lex_least_conjugate` and the
+guard `_check_route_budget` follow that rule. `classify.cross_validate`
+reads `_conjugacy` on purpose, to check the divisor chains against classes
+found without them.
 """
 
 from __future__ import annotations
@@ -326,13 +328,26 @@ def _candidate_count(G: AbelianGroup) -> int:
     return math.prod(math.gcd(di, dj) for di in G.factors for dj in G.factors)
 
 
-def _check_budget(G: AbelianGroup) -> None:
+def _check_budget(G: AbelianGroup) -> int:
+    """G's candidate count; raises if it is over ENUMERATION_BUDGET."""
     count = _candidate_count(G)
     if count > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"enumerating automorphisms of {G} needs {count} candidate "
             f"image tuples, over the budget of {ENUMERATION_BUDGET}"
         )
+    return count
+
+
+def _check_route_budget(G: AbelianGroup) -> int:
+    """The candidate count of G's route, once G passes its route's budget
+    and then its addition table's; raises at the first it is over."""
+    from . import polymod  # polymod imports this module
+
+    shape = polymod.scan_shape(G)
+    count = _check_budget(G) if shape is None else polymod._check_scan_budget(*shape)
+    _check_table_budget(G)
+    return count
 
 
 def _automorphism_perms(G: AbelianGroup) -> tuple[kernels.Perm, ...]:
@@ -405,8 +420,9 @@ def _conjugacy(G: AbelianGroup) -> _Classes:
     enumerated and partitioned here, once, unless it is cyclic, and the
     partition's least members are the table. A carrier with several primes
     reads each part's partition from this cache and scans the products of
-    their classes for the least members (see the module docstring). Both guards, on G's candidates and
-    on its addition table, run before any part is touched.
+    their classes for the least members (see the module docstring). Both
+    guards, on G's candidates and on its addition table, run before any
+    part is touched.
     """
     _check_budget(G)
     sylow = sylow_parts(G)
@@ -446,10 +462,17 @@ def conjugacy_representatives(G: AbelianGroup) -> tuple[Automorphism, ...]:
 
     Each representative is the lexicographically least member of its class
     (by flattened image coordinates), and the output is sorted the same way.
+    They come from the least-member scan on a carrier of its shape and from
+    the listed classes on any other (see the module docstring).
 
     >>> [f.spec() for f in conjugacy_representatives(AbelianGroup((2, 2)))]
     ['0,1;1,0', '0,1;1,1', '1,0;0,1']
     """
+    from . import polymod  # polymod imports this module
+
+    shape = polymod.scan_shape(G)
+    if shape is not None:
+        return polymod.least_members(*shape)
     return _conjugacy(G).reps
 
 
@@ -479,8 +502,9 @@ def lex_least_conjugate(G: AbelianGroup, f: Automorphism) -> Automorphism:
         raise ValueError("the map must act on the given group")
     from . import polymod  # polymod imports this module
 
-    if polymod.scan_shape(G) is not None:
-        return polymod.least_conjugate(G, f)
+    shape = polymod.scan_shape(G)
+    if shape is not None:
+        return polymod.least_conjugate(f, *shape)
     return _listed_least_conjugate(G, f)
 
 

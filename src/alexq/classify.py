@@ -8,21 +8,13 @@ modules. So structures are merged by the label of their image, and each
 label names one isomorphism class of quandles.
 
 Each class is represented by its lexicographically least member, found by
-one of two routes chosen by the carrier's shape alone (`polymod.scan_shape`):
-- a carrier (Z_p)^k + Z_m with gcd(p, m) = 1, elementary ones (m = 1)
-  included and cyclic ones of composite order excepted: its classes are
-  those of GL_k(p), each paired with a unit of Z_m, and `polymod.least_members` finds their least members by one pruned
-  walk over the matrices, without listing Aut; its count is
-  `polymod.scan_count`;
-- any other carrier: Aut is listed and partitioned
-  (`autgroup.conjugacy_representatives`); its count is `_candidate_count`.
-`_route_count` gives the count of the carrier's route, which both the
-up-front budget guard and the split into shares read. Each carrier labels
-its distinct images right after its classes are found. An elementary image
-is named by its divisor chain. Any other image that is not scalar-cyclic
-gets the fallback label, its action's least conjugate, which reads its
-carrier's cached scan table or partition; a smaller image's carrier (e.g.
-`2,4` for order-16 images on `4,4`) is scanned or partitioned anew.
+the route that `autgroup.conjugacy_representatives` chooses for the carrier.
+Each carrier labels its distinct images right after its classes are found.
+An elementary image is named by its divisor chain. Any other image that is
+not scalar-cyclic gets the fallback label, its action's least conjugate,
+which reads its carrier's cached scan table or partition; a smaller
+image's carrier (e.g. `2,4` for order-16 images on `4,4`) is scanned or
+partitioned anew.
 
 Per-carrier results (conjugacy representatives, their images and the
 images' labels) are cached on disk as JSON keyed by carrier, code version
@@ -59,12 +51,10 @@ from pathlib import Path
 from ._version import __version__
 from .abelian import AbelianGroup, _prime_factorization, enumerate_groups
 from .autgroup import (
-    ENUMERATION_BUDGET,
     Automorphism,
     _automorphism_perms,
-    _candidate_count,
-    _check_budget,
-    _check_table_budget,
+    _check_route_budget,
+    _conjugacy,
     conjugacy_representatives,
     parse_phi_spec,
 )
@@ -211,11 +201,7 @@ def _carrier_triples(
     cached = _load_cached(path, carrier, table)
     if cached is not None:
         return cached
-    shape = polymod.scan_shape(carrier)
-    if shape is None:
-        reps = conjugacy_representatives(carrier)
-    else:
-        reps = polymod.least_members(*shape)
+    reps = conjugacy_representatives(carrier)
     images = [image_one_minus_t(LambdaModule(carrier, rep)) for rep in reps]
     specs = [image.spec() for image in images]
     for spec, image in zip(specs, images):
@@ -237,25 +223,6 @@ def resolve_cache_dir(cache_dir: str | None) -> Path:
     return Path(cache_dir or os.environ.get("ALEXQ_CACHE") or ".alexq-cache")
 
 
-def _route_count(G: AbelianGroup) -> int:
-    """The candidate image tuples that G's route walks: the least-member
-    scan's on a carrier (Z_p)^k + Z_m, the Aut enumeration's on any other."""
-    shape = polymod.scan_shape(G)
-    if shape is None:
-        return _candidate_count(G)
-    p, k, _ = shape
-    return polymod.scan_count(p, k)
-
-
-def _check_route_budget(G: AbelianGroup) -> None:
-    """Refuse G if its route walks over ENUMERATION_BUDGET candidate tuples."""
-    shape = polymod.scan_shape(G)
-    if shape is None:
-        _check_budget(G)
-    else:
-        polymod._check_scan_budget(*shape)
-
-
 # --- merging --------------------------------------------------------------
 
 
@@ -267,28 +234,22 @@ def per_carrier_counts(
     return {spec: on[spec] for spec in carrier_specs}
 
 
-def _shares(carriers: tuple[AbelianGroup, ...], workers: int) -> list[list[AbelianGroup]]:
-    """The carriers dealt into `workers` shares of about equal cost.
+def _shares(counts: dict[AbelianGroup, int], workers: int) -> list[list[AbelianGroup]]:
+    """The carriers of `counts` dealt into `workers` shares of about equal cost.
 
     Heaviest first, each carrier goes to the share with the least cost so
     far (longest processing time first; Graham, SIAM J. Appl. Math. 17,
-    1969), so share 0 holds the heaviest. The cost is the candidate count
-    of the carrier's route (`_route_count`); a carrier over
-    ENUMERATION_BUDGET costs 0, as it fails at its guard at once. Each
-    share keeps the carriers' given order.
+    1969), so share 0 holds the heaviest. A carrier's cost is its count, the
+    candidate count of its route that its guard returned
+    (`autgroup._check_route_budget`). Each share keeps the order of `counts`.
     """
-
-    def cost(G: AbelianGroup) -> int:
-        count = _route_count(G)
-        return count if count <= ENUMERATION_BUDGET else 0
-
     shares: list[list[AbelianGroup]] = [[] for _ in range(workers)]
     loads = [0] * workers
-    for G in sorted(carriers, key=cost, reverse=True):
+    for G in sorted(counts, key=counts.__getitem__, reverse=True):
         lightest = loads.index(min(loads))
         shares[lightest].append(G)
-        loads[lightest] += cost(G)
-    position = {G: i for i, G in enumerate(carriers)}
+        loads[lightest] += counts[G]
+    position = {G: i for i, G in enumerate(counts)}
     return [sorted(share, key=position.__getitem__) for share in shares]
 
 
@@ -366,11 +327,8 @@ def classify_order(
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     carriers = enumerate_groups(order)
-    # both guards of every carrier, its route's and its table's, before any
-    # carrier is classified, cached or forked
-    for G in carriers:
-        _check_route_budget(G)
-        _check_table_budget(G)
+    # every carrier's guard before any carrier is classified, cached or forked
+    counts = {G: _check_route_budget(G) for G in carriers}
     # a child hands its carriers back through the cache alone, so without a
     # writable cache the caller would redo the children's work
     workers = min(jobs, len(carriers))
@@ -378,7 +336,7 @@ def classify_order(
         hasattr(os, "fork") and _cache_writable(resolve_cache_dir(cache_dir))
     ):
         workers = 1
-    shares = _shares(carriers, workers)
+    shares = _shares(counts, workers)
     table: ImageTable = {}
     done: dict[tuple[int, ...], list[Triple]] = {}
     with _forked(shares[1:], cache_dir):
@@ -459,7 +417,7 @@ def cross_validate(order: int) -> CrossValidation:
         raise ValueError(f"cross-validation needs a prime power order, got {order}")
     p, k = pk
     G = AbelianGroup((p,) * k)
-    reps = conjugacy_representatives(G)
+    reps = _conjugacy(G).reps  # the listed classes, found without the chains
     specs = polymod.enumerate_specs(p, k)
 
     owner: dict[polymod.PolySpec, Automorphism] = {}  # chain -> its representative
@@ -524,11 +482,15 @@ def classify_range(
 
     Orders up to ORACLE_VALIDATION_MAX_ORDER (15) are additionally
     re-counted with the table-level oracle over every automorphism; a
-    disagreement raises ConsistencyError.
+    disagreement raises ConsistencyError. So does a label of an order m in
+    the range that is not a label of a multiple n of m in the range: a
+    module M of order m and a group of order n/m on which t is 1 sum to a
+    module of order n with the image of M, so that image recurs at n.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     results = []
+    labels: dict[int, set[str]] = {}  # order -> its image labels
     for order in range(lo, hi + 1):
         report = classify_order(order, jobs=jobs, cache_dir=cache_dir)
         n_classes, n_connected = report.totals
@@ -538,6 +500,13 @@ def classify_range(
                 raise ConsistencyError(
                     f"order {order}: classifier found {report.totals}, "
                     f"oracle found {oracle_counts}"
+                )
+        labels[order] = {qc.image_label for qc in report.classes}
+        for m, smaller in labels.items():
+            if order % m == 0 and not smaller <= labels[order]:
+                raise ConsistencyError(
+                    f"order {order}: label {min(smaller - labels[order])} of order {m} "
+                    f"is not a label of order {order}"
                 )
         results.append((order, n_classes, n_connected))
     return tuple(results)

@@ -53,10 +53,9 @@ from .abelian import (
     AbelianGroup,
     Element,
     _elementary_prime,
-    _linear_indices,
     _prime_factorization,
 )
-from .autgroup import ENUMERATION_BUDGET, Automorphism, _group_tables
+from .autgroup import ENUMERATION_BUDGET, Automorphism, _crt_tables, _group_tables
 from .errors import EnumerationBudgetError, SpecError
 from .lambda_modules import LambdaModule, _poly_terms
 
@@ -366,7 +365,8 @@ def scan_count(p: int, k: int) -> int:
     return p ** (k * (k - 1))
 
 
-def _check_scan_budget(p: int, k: int, m: int) -> None:
+def _check_scan_budget(p: int, k: int, m: int) -> int:
+    """The scan's count; raises if it is over ENUMERATION_BUDGET."""
     count = scan_count(p, k)
     if count > ENUMERATION_BUDGET:
         spec = ",".join(map(str, (p,) * (k - 1) + (p * m,)))
@@ -374,6 +374,7 @@ def _check_scan_budget(p: int, k: int, m: int) -> None:
             f"scanning {spec} for least class members needs {count} "
             f"candidate image tuples, over the budget of {ENUMERATION_BUDGET}"
         )
+    return count
 
 
 @lru_cache(maxsize=None)
@@ -497,9 +498,9 @@ def _scan(p: int, k: int, m: int) -> dict[tuple[Chain, int], Automorphism]:
     _check_scan_budget(p, k, m)
     P = AbelianGroup((p,) * k)
     G = AbelianGroup((p,) * (k - 1) + (p * m,))
-    *gens, last = G.generators()
-    a, b = m * pow(m, -1, p), p * pow(p, -1, m)  # the CRT idempotents of p and m
-    embed = _linear_indices(P, G, [*gens, G.scalar_mul(a, last)])  # the identity when m = 1
+    _, embed, _ = _crt_tables(G, P)  # the identity when m = 1
+    last = G.generators()[-1]
+    b = p * pow(p, -1, m)  # the CRT idempotent of m: 0 mod p, 1 mod m
     first = _first_members(P, sorted(range(P.order), key=embed.__getitem__))
     elements = G.elements
     found: dict[tuple[Chain, int], tuple[Element, ...]] = {}
@@ -532,13 +533,12 @@ def least_members(p: int, k: int, m: int = 1) -> tuple[Automorphism, ...]:
     return tuple(_scan(p, k, m).values())
 
 
-def least_conjugate(G: AbelianGroup, f: Automorphism) -> Automorphism:
-    """The least member of f's class on a carrier of `scan_shape`, read from
-    its scan's table.
+def least_conjugate(f: Automorphism, p: int, k: int, m: int) -> Automorphism:
+    """The least member of f's class on the carrier of `scan_shape` (p, k, m),
+    read from its scan's table.
 
     f's GL_k(p) part has the matrix of f's images mod p, and f acts on the
     Z_m part by the unit of its last image's last coordinate mod m, so
     neither Aut nor a CRT table is needed to name f's class.
     """
-    p, k, m = scan_shape(G)
     return _scan(p, k, m)[_chain_factors(f.images, p), f.images[-1][-1] % m]

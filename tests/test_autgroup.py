@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alexq import autgroup, kernels
+from alexq import autgroup, kernels, polymod
 from alexq.abelian import (
     AbelianGroup,
     ShapeError,
@@ -338,6 +338,20 @@ class TestRepresentatives:
             assert part.class_ids == tuple(class_ids), n
             assert [f.perm for f in table.reps] == [tuple(part.perms[i]) for i in reps], n
 
+    @pytest.mark.parametrize("factors, count", [((2,) * 5, 27), ((3,) * 4, 78), ((5,) * 3, 120)])
+    def test_scanned_carriers_list_no_aut(self, factors, count, monkeypatch):
+        # the route is chosen from the carrier, as in classification: 2^5 and
+        # 3^4, whose Aut is over the budget, are served, and no carrier of
+        # the scan's shape reaches the kernel's search
+        def refuse(*args):
+            raise AssertionError("Aut was listed")
+
+        clear_carrier_caches()
+        monkeypatch.setattr(kernels, "_linear_bijections", refuse)
+        reps = conjugacy_representatives(AbelianGroup(factors))
+        assert reps == polymod.least_members(factors[0], len(factors))
+        assert len(reps) == count
+
     def test_representatives_are_lex_least(self):
         G = AbelianGroup((2, 4))
         for rep in conjugacy_representatives(G):
@@ -412,11 +426,12 @@ class TestStorage:
         G = AbelianGroup(factors)
         try:
             # Aut is listed once, by the classes, and read from them
-            assert all(type(p) is tuple for p in autgroup._conjugacy(G).parts[0].perms)
-            specs = [f.spec() for f in conjugacy_representatives(G)]
+            table = autgroup._conjugacy(G)
+            assert all(type(p) is tuple for p in table.parts[0].perms)
+            specs = [f.spec() for f in table.reps]
             assert len(specs) == count
             assert hashlib.sha256(" ".join(specs).encode()).hexdigest() == digest
-            assert all(type(f.perm) is tuple for f in conjugacy_representatives(G))
+            assert all(type(f.perm) is tuple for f in table.reps)
         finally:
             # Aut(17,17) as tuples is about 185 MB
             clear_carrier_caches()
@@ -534,10 +549,10 @@ class TestSylowProduct:
     def test_budget_message_names_the_carrier(self, factors, count):
         # the Aut route refuses these carriers, and a carrier with two primes
         # as a whole, before any part is searched; 64 exits 3 with the
-        # message of 2,2,2,2,4, while 2^5 and 3^4 take the least-member scan
+        # message of 2,2,2,2,4, while 2^5, 3^4 and 2,2,2,2,6 take the scan
         G = AbelianGroup(factors)
         with pytest.raises(EnumerationBudgetError) as exc:
-            conjugacy_representatives(G)
+            _automorphism_perms(G)
         assert str(exc.value) == (
             f"enumerating automorphisms of {G} needs {count} candidate "
             "image tuples, over the budget of 16777216"

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -373,10 +375,12 @@ class TestCrossValidate:
     def test_two_representatives_with_one_chain_are_a_mismatch(self, monkeypatch):
         # a class split in two leaves as many distinct chains as specs
         G = AbelianGroup((2, 2, 2))
-        reps = conjugacy_representatives(G)
-        twin = next(f for f in enumerate_automorphisms(G) if f not in reps and f.order() == 7)
+        table = autgroup._conjugacy(G)
+        twin = next(
+            f for f in enumerate_automorphisms(G) if f not in table.reps and f.order() == 7
+        )
         monkeypatch.setattr(
-            alexq.classify, "conjugacy_representatives", lambda G: reps + (twin,)
+            alexq.classify, "_conjugacy", lambda G: table._replace(reps=table.reps + (twin,))
         )
         result = cross_validate(8)
         assert not result.ok
@@ -429,6 +433,26 @@ class TestClassifyRange:
             (14, 6, 0),
             (15, 8, 3),
         )
+
+    def test_labels_of_each_divisor_order_recur(self, monkeypatch, tmp_path):
+        # 16 | 32 passes past the oracle's reach; a label of order 3 renamed
+        # leaves the totals that the oracle compares, and fails at order 6
+        assert classify_range(16, 32, cache_dir=str(tmp_path))[-1] == (32, 48, 8)
+        classify = alexq.classify.classify_order
+
+        def renamed(order, **kwargs):
+            report = classify(order, **kwargs)
+            if order != 3:
+                return report
+            *rest, last = report.classes
+            last = dataclasses.replace(last, image_label="renamed")
+            return dataclasses.replace(report, classes=(*rest, last))
+
+        monkeypatch.setattr(alexq.classify, "classify_order", renamed)
+        with pytest.raises(
+            ConsistencyError, match="^order 6: label renamed of order 3 is not a label of order 6$"
+        ):
+            classify_range(3, 6, cache_dir=str(tmp_path))
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
@@ -626,12 +650,14 @@ def test_forked_report_matches_golden_digest(order, jobs, tmp_path):
 # --- jobs > 1: the split into shares and the fork-join ----------------------
 
 
-def _share_cost(share) -> int:
-    return sum(
-        count
-        for count in map(alexq.classify._route_count, share)
-        if count <= autgroup.ENUMERATION_BUDGET
-    )
+def _guarded_counts(order):
+    """Each carrier of the order that passes its guard -> the candidate
+    count of its route that the guard returns, as classify_order has them."""
+    counts = {}
+    for G in enumerate_groups(order):
+        with contextlib.suppress(EnumerationBudgetError):
+            counts[G] = autgroup._check_route_budget(G)
+    return counts
 
 
 @pytest.mark.parametrize(
@@ -648,12 +674,12 @@ def test_shares_of_the_ladder_orders(order, workers, shares):
     # a scanned carrier (Z_p)^k + Z_m is weighed by its one walk's count,
     # p^(k(k-1)), not by Aut's: 2,2,2,2 (4,096), 3,3,3 (729) and 2,2,2,6
     # (4,096, over the 4,080 of 48's other carriers together) still weigh most
-    dealt = alexq.classify._shares(enumerate_groups(order), workers)
+    dealt = alexq.classify._shares(_guarded_counts(order), workers)
     assert [[G.spec() for G in share] for share in dealt] == shares
 
 
 def test_order_16_caller_share_is_the_heaviest_carrier_alone():
-    shares = alexq.classify._shares(enumerate_groups(16), 2)
+    shares = alexq.classify._shares(_guarded_counts(16), 2)
     assert shares[0] == [AbelianGroup((2, 2, 2, 2))]
     assert shares[1] == list(enumerate_groups(16)[:-1])
 
@@ -661,30 +687,16 @@ def test_order_16_caller_share_is_the_heaviest_carrier_alone():
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("order", [16, 27, 32, 48, 64, 81])
 def test_shares_partition_the_carriers_in_order(order, workers):
-    carriers = enumerate_groups(order)
-    shares = alexq.classify._shares(carriers, workers)
+    # at 64, the carriers that pass their guard
+    counts = _guarded_counts(order)
+    carriers = list(counts)
+    shares = alexq.classify._shares(counts, workers)
     assert len(shares) == workers
     assert sorted(G.factors for share in shares for G in share) == sorted(
         G.factors for G in carriers
     )
     assert all(share == [G for G in carriers if G in share] for share in shares)
-    heaviest = max(carriers, key=lambda G: _share_cost([G]))
-    assert heaviest in shares[0]
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("order", [64, 128, 243])
-def test_over_budget_carriers_do_not_unbalance_the_shares(order, workers):
-    # they fail at their guard at once, so they weigh nothing: the carriers
-    # in budget are split exactly as they would be without them
-    carriers = enumerate_groups(order)
-    in_budget = [G for G in carriers if _share_cost([G]) > 0]
-    assert len(in_budget) < len(carriers)
-    shares = alexq.classify._shares(carriers, workers)
-    assert [[G for G in share if G in in_budget] for share in shares] == (
-        alexq.classify._shares(in_budget, workers)
-    )
-    assert all(_share_cost(share) > 0 for share in shares)
+    assert max(carriers, key=counts.__getitem__) in shares[0]
 
 
 def _assert_no_child_left():
@@ -742,7 +754,7 @@ def test_caller_classifies_what_a_child_left_undone(die, monkeypatch, tmp_path):
     # the child stops at 4,4 and leaves no entry for it or the carriers
     # after it in its share; the caller finds them missing from the cache
     # and classifies them itself
-    assert AbelianGroup((4, 4)) not in alexq.classify._shares(enumerate_groups(16), 2)[0]
+    assert AbelianGroup((4, 4)) not in alexq.classify._shares(_guarded_counts(16), 2)[0]
     _in_children(monkeypatch, die)
     report = classify_order(16, jobs=2, cache_dir=str(tmp_path))
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[16]
@@ -775,23 +787,16 @@ def test_caller_does_no_aut_work_for_a_childs_carrier(order, jobs, monkeypatch, 
     caller = os.getpid()
     classified = []
     representatives = alexq.classify.conjugacy_representatives
-    least_members = polymod.least_members
 
-    def recording_aut(G):
+    def recording(G):
         if os.getpid() == caller:
             classified.append(G)
         return representatives(G)
 
-    def recording_scan(p, k, m=1):
-        if os.getpid() == caller:
-            classified.append(AbelianGroup((p,) * (k - 1) + (p * m,)))
-        return least_members(p, k, m)
-
-    monkeypatch.setattr(alexq.classify, "conjugacy_representatives", recording_aut)
-    monkeypatch.setattr(polymod, "least_members", recording_scan)
+    monkeypatch.setattr(alexq.classify, "conjugacy_representatives", recording)
     report = classify_order(order, jobs=jobs, cache_dir=str(tmp_path))
     assert _report_digest(report) == GOLDEN_REPORT_SHA256[order]
-    assert classified == alexq.classify._shares(enumerate_groups(order), jobs)[0]
+    assert classified == alexq.classify._shares(_guarded_counts(order), jobs)[0]
 
 
 def test_unwritable_cache_runs_serially(monkeypatch, tmp_path):

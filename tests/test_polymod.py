@@ -395,7 +395,7 @@ class TestMixedCarriers:
 
     @pytest.mark.parametrize("G", LISTED_MIXED, ids=str)
     def test_least_members_are_the_aut_routes_representatives(self, G):
-        assert least_members(*scan_shape(G)) == conjugacy_representatives(G)
+        assert least_members(*scan_shape(G)) == _conjugacy(G).reps
 
     def test_every_listed_mixed_carrier_is_checked(self):
         # 2,2,2,2,6 (96) is the one such carrier up to 130 over the Aut budget
