@@ -479,12 +479,15 @@ def conjugacy_representatives(G: AbelianGroup) -> tuple[Automorphism, ...]:
 def is_conjugate(G: AbelianGroup, f: Automorphism, g: Automorphism) -> Automorphism | None:
     """A witness h with f = h^-1 o g o h, or None.
 
-    The cycle type short-circuits most negatives; otherwise the kernel
+    Equal maps are conjugate by the identity, returned without a search.
+    Otherwise the cycle type short-circuits most negatives, and the kernel
     searches for a bijective linear h with h o f = g o h directly, without
     enumerating Aut(G).
     """
     if f.group != G or g.group != G:
         raise ValueError("both maps must act on the given group")
+    if f.images == g.images:
+        return identity_automorphism(G)
     if f.cycle_type() != g.cycle_type():
         return None
     found = kernels._linear_bijections(G.order, G.factors, *_group_tables(G), f.perm, g.perm)

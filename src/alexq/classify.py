@@ -192,7 +192,7 @@ def _carrier_triples(
     once. A new image is labelled right after the carrier's classes are
     found, so a fallback label's least conjugate reads the carrier's classes
     from the cache of its route; an elementary carrier's images are
-    elementary and are named by their divisor chain. The JSON
+    elementary and are named from their divisor chain. The JSON
     cache stores the triples as strings, and is how a forked child's
     triples reach the caller.
     """

@@ -15,12 +15,14 @@ carrier's addition table; only the finished module is validated.
 direct sum of cyclic scalar actions when one exists (e.g. "Λ8/t-3"), the
 polynomial divisor-chain name over elementary abelian carriers of any prime
 (e.g. "(Λ2/t+1)^2⊕Λ2/t^2+1", "Λ3/t+1⊕Λ3/t^2+2t+1"), and otherwise a
-carrier-plus-action fallback built from the least conjugate of t. The
-scalar summands and the divisor chain are computed from the action, not
-found by trial: each route derives its one candidate and confirms it with a
-single `is_lambda_isomorphic` call. Two modules get equal labels if and
-only if they are isomorphic: classification merges structures by the label
-of their image alone, so it relies on this.
+carrier-plus-action fallback built from the least conjugate of t. Names
+are computed from the action, not found by trial: a cyclic carrier's
+scalar summands are read from the unit t is, an elementary carrier's from
+its divisor chain, and any other carrier's from eigenvector counts. Each
+route derives its one candidate and confirms it with a single
+`is_lambda_isomorphic` call run from the named module. Two modules get
+equal labels if and only if they are isomorphic: classification merges
+structures by the label of their image alone, so it relies on this.
 """
 
 from __future__ import annotations
@@ -289,16 +291,35 @@ def poly_descending_name(coeffs: tuple[int, ...]) -> str:
     return "+".join(reversed(_poly_terms(coeffs))) or "0"
 
 
+def _scalar_name(pairs: tuple[tuple[int, int], ...]) -> str:
+    return _grouped(sorted(cyclic_name(q, a) for q, a in pairs))
+
+
+def _confirm(named: LambdaModule, M: LambdaModule) -> None:
+    """Raise unless the module a name was derived for is isomorphic to M."""
+    if is_lambda_isomorphic(named, M) is None:
+        raise ConsistencyError(f"{named.spec()} does not match {M.spec()}; should be impossible")
+
+
 def canonical_label(M: LambdaModule) -> str:
     """A name that is equal for two modules if and only if they are isomorphic.
 
-    The scalar-cyclic name comes first, then the divisor-chain name on an
-    elementary abelian carrier, then the fallback. The first two are derived
-    (`_scalar_candidate`, `polymod.divisor_chain`) and each is confirmed by
-    one isomorphism witness against the module it names. One of each kind:
+    The routes, in order: "0" for the zero module; on a cyclic carrier Z_n,
+    where t is a unit a, the scalar summands (q, a mod q) over the primary
+    parts q of n; on an elementary carrier (Z_p)^k, the divisor chain
+    (`polymod.divisor_chain`), read as the scalar summands (p, λ) over the
+    roots λ of each factor when the last factor has as many distinct roots
+    as its degree (t is diagonalisable), else as the chain; on any other
+    carrier the summands `_scalar_candidate` derives, else the fallback. A
+    derived name is confirmed by one isomorphism witness run from the module
+    it names, whose generators are eigenvectors or companion-block vectors,
+    so the kernel's commuting checks fix each generator's image as soon as
+    it is placed. One of each kind:
 
     >>> canonical_label(parse_module_spec("L16/3"))
     'Λ16/t-3'
+    >>> canonical_label(parse_module_spec("L12/5"))
+    'Λ3/t+1⊕Λ4/t+3'
     >>> canonical_label(parse_module_spec("2,2|0,1;1,1"))
     'Λ2/t^2+t+1'
     >>> canonical_label(parse_module_spec("4,4|0,1;3,2"))
@@ -306,23 +327,29 @@ def canonical_label(M: LambdaModule) -> str:
     """
     if M.order == 1:
         return "0"
-    pairs = _scalar_candidate(M)
-    if pairs is not None and is_lambda_isomorphic(M, scalar_cyclic_module(pairs)) is not None:
-        return _grouped(sorted(cyclic_name(q, a) for q, a in pairs))
+    factors = M.group.factors
     p = _elementary_prime(M.group)
-    if p is not None:
-        # elementary abelian carrier: name by the divisor chain of the action
-        from . import polymod
+    if len(factors) == 1:
+        # t is the unit a = t(1), which acts as a mod q on each primary part q
+        a = M.t.images[0][0]
+        pairs = tuple((q, a % q) for q in _primary_parts(factors))
+    elif p is not None:
+        from . import polymod  # polymod imports this module
 
         spec = polymod.divisor_chain(M)
-        if is_lambda_isomorphic(M, polymod.build(spec)) is None:
-            raise ConsistencyError(
-                f"the divisor chain {spec} does not match {M.spec()}; should be impossible"
-            )
-        names = [f"Λ{p}/{poly_descending_name(h.coeffs)}" for h in spec.chain]
-        return _grouped(names)
-    least = lex_least_conjugate(M.group, M.t)
-    return f"({M.group.spec()}; t={least.spec()})"
+        last = spec.chain[-1]
+        if len(polymod._roots(last)) < last.degree:
+            _confirm(polymod.build(spec), M)
+            return _grouped([f"Λ{p}/{poly_descending_name(h.coeffs)}" for h in spec.chain])
+        pairs = tuple(sorted((p, lam) for h in spec.chain for lam in polymod._roots(h)))
+    else:
+        pairs = _scalar_candidate(M)
+        if pairs is None or is_lambda_isomorphic(scalar_cyclic_module(pairs), M) is None:
+            least = lex_least_conjugate(M.group, M.t)
+            return f"({M.group.spec()}; t={least.spec()})"
+        return _scalar_name(pairs)
+    _confirm(scalar_cyclic_module(pairs), M)
+    return _scalar_name(pairs)
 
 
 # --- module spec strings -------------------------------------------------

@@ -261,6 +261,20 @@ class TestConjugacy:
         assert h is not None
         assert h.invert().compose(f).compose(h) == f
 
+    @pytest.mark.parametrize(
+        "factors, images", [((251,), ((3,),)), ((2, 2, 4), ((0, 1, 0), (1, 1, 0), (0, 0, 3)))]
+    )
+    def test_equal_maps_are_conjugate_without_a_search(self, factors, images, monkeypatch):
+        # a cyclic image confirms its scalar name this way: the named module
+        # has the same images
+        def refuse(*args):
+            raise AssertionError("the kernel searched")
+
+        monkeypatch.setattr(kernels, "_linear_bijections", refuse)
+        G = AbelianGroup(factors)
+        f = Automorphism(G, images)
+        assert is_conjugate(G, f, Automorphism(G, images)) == identity_automorphism(G)
+
     def test_cyclic_aut_group_is_abelian(self):
         G = AbelianGroup((16,))
         f = Automorphism(G, ((3,),))

@@ -13,6 +13,7 @@ from alexq.abelian import (
 )
 from alexq.autgroup import (
     Automorphism,
+    Endomorphism,
     _group_tables,
     conjugacy_representatives,
     identity_automorphism,
@@ -403,25 +404,54 @@ class TestComputedRoutes:
             assert canonical_label(M) == _reference_label(M), M.spec()
 
     @pytest.mark.parametrize(
-        "p, k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3)]
+        "p, k",
+        [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (3, 4)]
+        + [(5, 2), (5, 3), (7, 2)],
     )
     def test_divisor_chain_round_trip(self, p, k):
-        # each chain module is labelled by its chain, or by its scalar
-        # summands when t is diagonalisable (the last chain entry splits
-        # into distinct linear factors); distinct chains, distinct labels
+        # each chain module, and a seeded conjugate of it that is not in
+        # companion form, is labelled by its chain, or by its scalar summands
+        # when t is diagonalisable (the last chain entry splits into distinct
+        # linear factors), as `_scalar_candidate` names them; distinct
+        # chains, distinct labels
+        rng = random.Random(39)
+        G = AbelianGroup((p,) * k)
         labels = []
         for spec in enumerate_specs(p, k):
             roots = [
                 [r for r in range(1, p) if _evaluate(h.coeffs, r, p) == 0] for h in spec.chain
             ]
-            if len(roots[-1]) == spec.chain[-1].degree:
+            diagonalisable = len(roots[-1]) == spec.chain[-1].degree
+            if diagonalisable:
                 names = sorted(cyclic_name(p, r) for rs in roots for r in rs)
             else:
                 names = [f"Λ{p}/{poly_descending_name(h.coeffs)}" for h in spec.chain]
-            label = canonical_label(build(spec))
-            assert label == _grouped(names), str(spec)
+            M = build(spec)
+            images = None
+            while images is None or not Endomorphism(G, images).is_automorphism():
+                images = tuple(tuple(rng.randrange(p) for _ in range(k)) for _ in range(k))
+            h = Automorphism(G, images)
+            conjugate = LambdaModule(G, h.compose(M.t).compose(h.invert()))
+            for N in (M, conjugate):
+                label = canonical_label(N)
+                assert label == _grouped(names), (str(spec), N.spec())
+                if diagonalisable:
+                    pairs = _scalar_candidate(N)
+                    assert label == _grouped(sorted(cyclic_name(q, a) for q, a in pairs))
             labels.append(label)
         assert len(set(labels)) == len(labels)
+
+    def test_cyclic_labels_match_the_scalar_candidate(self):
+        # the unit t is on Z_n against the summands read from eigen counts:
+        # every unit up to 64, four seeded units of each larger n
+        rng = random.Random(39)
+        for n in range(2, 256):
+            units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+            for a in units if n <= 64 else rng.sample(units, 4):
+                G = AbelianGroup((n,))
+                M = LambdaModule(G, Automorphism(G, ((a,),)))
+                names = sorted(cyclic_name(q, b) for q, b in _scalar_candidate(M))
+                assert canonical_label(M) == _grouped(names), (n, a)
 
 
 # carriers of 243 to 289 elements, with exponents up to 257
