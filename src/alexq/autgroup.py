@@ -517,10 +517,11 @@ def _listed_least_conjugate(G: AbelianGroup, f: Automorphism) -> Automorphism:
     Each p-part of f is found by bisection in its part's automorphism list,
     which is ascending in the reversed key, and the parts' classes name f's
     class, whose least member is already known. A part holds G's last
-    generator positions, so its reversed key is the head of G's.
+    generator positions, so its reversed key is the head of G's. The key is
+    read from f's generator images, so f's full permutation is not built.
     """
     table = _conjugacy(G)
-    reversed_key = [f.perm[g] for g in reversed(G.generator_indices)]
+    reversed_key = [G.index(img) for img in reversed(f.images)]
     cids = []
     for P, _, project, perms, class_ids in table.parts:
         gens = P.generator_indices[::-1]

@@ -10,11 +10,12 @@ label names one isomorphism class of quandles.
 Each class is represented by its lexicographically least member, found by
 the route that `autgroup.conjugacy_representatives` chooses for the carrier.
 Each carrier labels its distinct images right after its classes are found.
-An elementary image is named by its divisor chain. Any other image that is
-not scalar-cyclic gets the fallback label, its action's least conjugate,
-which reads its carrier's cached scan table or partition; a smaller
-image's carrier (e.g. `2,4` for order-16 images on `4,4`) is scanned or
-partitioned anew.
+A cyclic image is named by the unit its action is and an elementary image
+by its divisor chain. Any other image is named by its action's least
+conjugate, which reads its carrier's cached scan table or partition: the
+scalar sum with that least conjugate, else the fallback label that embeds
+it. A smaller image's carrier (e.g. `2,4` for order-16 images on `4,4`) is
+scanned or partitioned anew.
 
 Per-carrier results (conjugacy representatives, their images and the
 images' labels) are cached on disk as JSON keyed by carrier, code version
@@ -190,8 +191,8 @@ def _carrier_triples(
     not labelled again, and every triple returned, computed or read from
     the cache, is added to it, so a process labels each distinct image
     once. A new image is labelled right after the carrier's classes are
-    found, so a fallback label's least conjugate reads the carrier's classes
-    from the cache of its route; an elementary carrier's images are
+    found, so the least conjugate that names an image reads the carrier's
+    classes from the cache of its route; an elementary carrier's images are
     elementary and are named from their divisor chain. The JSON
     cache stores the triples as strings, and is how a forked child's
     triples reach the caller.

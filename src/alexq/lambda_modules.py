@@ -17,23 +17,27 @@ polynomial divisor-chain name over elementary abelian carriers of any prime
 (e.g. "(Λ2/t+1)^2⊕Λ2/t^2+1", "Λ3/t+1⊕Λ3/t^2+2t+1"), and otherwise a
 carrier-plus-action fallback built from the least conjugate of t. Names
 are computed from the action, not found by trial: a cyclic carrier's
-scalar summands are read from the unit t is, an elementary carrier's from
-its divisor chain, and any other carrier's from eigenvector counts. Each
-route derives its one candidate and confirms it with a single
-`is_lambda_isomorphic` call run from the named module. Two modules get
-equal labels if and only if they are isomorphic: classification merges
-structures by the label of their image alone, so it relies on this.
+scalar summands are read from the unit t is and an elementary carrier's
+from its divisor chain, and each of these two routes confirms its one
+candidate with a single `is_lambda_isomorphic` call run from the named
+module. Any other carrier's module is named by the least conjugate of t,
+a complete invariant: it is looked up among the least conjugates of the
+carrier's diagonal scalar maps, and a module that is no scalar sum keeps
+it as its fallback name. Two modules get equal labels if and only if they
+are isomorphic: classification merges structures by the label of their
+image alone, so it relies on this.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .abelian import (
     AbelianGroup,
+    Element,
     _elementary_prime,
     _invariant_decomposition,
     _linear_indices,
@@ -172,82 +176,6 @@ def scalar_cyclic_module(pairs: tuple[tuple[int, int], ...]) -> LambdaModule:
     return LambdaModule(G, Automorphism(G, tuple(images)))
 
 
-def _eigen_counts(M: LambdaModule) -> Counter[tuple[int, int, int]]:
-    """(p, g, rho) -> #{x of order p^g with t(x) = rho*x}, 0 < rho < p^g.
-
-    Read off the last candidate level of `_group_tables`, which lists the
-    multiples c*x, c = 1..d-1, of every x, where d is the exponent: ord(x)
-    is the first c with c*x = 0 (d if there is none), and t(x), never 0 for
-    x != 0, lies in <x> exactly when it is in the list, first at c = rho.
-    The generators c*x of <x>, c a unit mod ord(x), share its order, and
-    t(c*x) = c*t(x), so they share its rho too, or all lie outside <x>: one
-    x is walked per cyclic subgroup and counts for all phi(ord(x)) of them.
-    """
-    d = M.group.factors[-1]
-    perm = M.t.perm
-    seen = bytearray(M.order)
-    eigen: Counter[tuple[int, int, int]] = Counter()
-    for x, multiples in enumerate(_group_tables(M.group)[1][-1]):
-        if not x or seen[x]:
-            continue
-        order = multiples.index(0) + 1 if 0 in multiples else d
-        units = [c for c in range(1, order) if math.gcd(c, order) == 1]
-        for c in units:
-            seen[multiples[c - 1]] = 1
-        factorization = _prime_factorization(order)
-        if len(factorization) == 1 and perm[x] in multiples:
-            ((p, g),) = factorization.items()
-            eigen[p, g, multiples.index(perm[x]) + 1] += len(units)
-    return eigen
-
-
-def _scalar_candidate(M: LambdaModule) -> tuple[tuple[int, int], ...] | None:
-    """The summands M has if it is a sum of cyclic scalar modules, or None.
-
-    Write N(q, r) = #{x : q*x = 0, t(x) = r*x} for a prime power q = p^f
-    and a unit r mod q. If M is the sum of Z_{p^e_i} with t = a_i, then
-    log_p N(p^f, r) - log_p N(p^(f-1), r) counts the summands with e_i >= f
-    and a_i = r mod p^f, and subtracting the counts one level up leaves the
-    summands with e_i = f exactly. Krull-Schmidt makes that multiset the
-    only candidate; whether M really is such a sum is for the caller to
-    confirm.
-    """
-    G = M.group
-    eigen = _eigen_counts(M)
-    pairs = []
-    for p, top in sorted(_prime_factorization(G.factors[-1]).items()):
-        # log_n[f][r] = log_p N(p^f, r); N is the order of a subgroup
-        log_n = [
-            {
-                r: _prime_factorization(
-                    1 + sum(eigen[p, g, r % p**g] for g in range(1, f + 1))
-                ).get(p, 0)
-                for r in range(p**f)
-                if r % p
-            }
-            for f in range(top + 1)
-        ]
-        above: dict[int, int] = {}  # the counts of level f + 1, by residue
-        for f in range(top, 0, -1):
-            q = p**f
-            carried: Counter[int] = Counter()  # the same counts, by residue mod q
-            for r, c in above.items():
-                carried[r % q] += c
-            level = {
-                r: log - log_n[f - 1].get(r % (q // p), 0) for r, log in log_n[f].items()
-            }
-            for r, c in level.items():
-                exact = c - carried[r]
-                if exact < 0:
-                    return None
-                pairs.extend([(q, r)] * exact)
-            above = level
-    pairs.sort()
-    if [q for q, _ in pairs] != _primary_parts(G.factors):
-        return None
-    return tuple(pairs)
-
-
 def cyclic_name(q: int, a: int) -> str:
     """Name of the cyclic module with t acting as the scalar a mod q.
 
@@ -301,6 +229,36 @@ def _confirm(named: LambdaModule, M: LambdaModule) -> None:
         raise ConsistencyError(f"{named.spec()} does not match {M.spec()}; should be impossible")
 
 
+@lru_cache(maxsize=32)
+def _scalar_classes(G: AbelianGroup) -> dict[tuple[Element, ...], tuple[tuple[int, int], ...]]:
+    """The least conjugate of each sum of cyclic scalar modules on G, by its
+    images -> the sum's summands, sorted.
+
+    Every such sum on G is conjugate to a diagonal map diag(c_1, ..., c_r),
+    c_i a unit mod d_i (`scalar_cyclic_module` builds one), whose summands
+    are (q, c_i mod q) over the primary parts q of d_i. The least conjugate
+    is a complete invariant of its class, and by Krull-Schmidt two
+    multisets of summands never share a class. Cached per carrier, as
+    `autgroup._conjugacy` is.
+
+    >>> sorted(_scalar_classes(AbelianGroup((4, 4))).values())
+    [((4, 1), (4, 1)), ((4, 1), (4, 3)), ((4, 3), (4, 3))]
+    """
+    units = [[c for c in range(d) if math.gcd(c, d) == 1] for d in G.factors]
+    parts = [_primary_parts((d,)) for d in G.factors]
+    classes: dict[tuple[Element, ...], tuple[tuple[int, int], ...]] = {}
+    for cs in itertools.product(*units):
+        pairs = tuple(sorted((q, c % q) for c, qs in zip(cs, parts) for q in qs))
+        diagonal = Automorphism(G, tuple(map(G.scalar_mul, cs, G.generators())))
+        least = lex_least_conjugate(G, diagonal)
+        if classes.setdefault(least.images, pairs) != pairs:
+            raise ConsistencyError(
+                f"{_scalar_name(pairs)} and {_scalar_name(classes[least.images])} share "
+                f"the least conjugate {least.spec()} on {G.spec()}; should be impossible"
+            )
+    return classes
+
+
 def canonical_label(M: LambdaModule) -> str:
     """A name that is equal for two modules if and only if they are isomorphic.
 
@@ -309,12 +267,16 @@ def canonical_label(M: LambdaModule) -> str:
     parts q of n; on an elementary carrier (Z_p)^k, the divisor chain
     (`polymod.divisor_chain`), read as the scalar summands (p, λ) over the
     roots λ of each factor when the last factor has as many distinct roots
-    as its degree (t is diagonalisable), else as the chain; on any other
-    carrier the summands `_scalar_candidate` derives, else the fallback. A
-    derived name is confirmed by one isomorphism witness run from the module
-    it names, whose generators are eigenvectors or companion-block vectors,
-    so the kernel's commuting checks fix each generator's image as soon as
-    it is placed. One of each kind:
+    as its degree (t is diagonalisable), else as the chain. These two names
+    are confirmed by one isomorphism witness run from the module they name,
+    whose generators are eigenvectors or companion-block vectors, so the
+    kernel's commuting checks fix each generator's image as soon as it is
+    placed. On any other carrier the name is found from the least conjugate
+    of t, a complete invariant, with no witness: the summands of the scalar
+    sum with that least conjugate (`_scalar_classes`), else the fallback
+    "(carrier; t=least conjugate)". The least conjugate need not be
+    diagonal: on 9,9 that of the scalar sum diag(1, 8) is 0,1;1,0. One of
+    each kind:
 
     >>> canonical_label(parse_module_spec("L16/3"))
     'Λ16/t-3'
@@ -322,6 +284,10 @@ def canonical_label(M: LambdaModule) -> str:
     'Λ3/t+1⊕Λ4/t+3'
     >>> canonical_label(parse_module_spec("2,2|0,1;1,1"))
     'Λ2/t^2+t+1'
+    >>> canonical_label(parse_module_spec("2,4|1,0;0,3"))
+    'Λ2/t+1⊕Λ4/t+1'
+    >>> canonical_label(parse_module_spec("9,9|0,1;1,0"))
+    'Λ9/t-1⊕Λ9/t-8'
     >>> canonical_label(parse_module_spec("4,4|0,1;3,2"))
     '(4,4; t=0,1;3,2)'
     """
@@ -343,9 +309,9 @@ def canonical_label(M: LambdaModule) -> str:
             return _grouped([f"Λ{p}/{poly_descending_name(h.coeffs)}" for h in spec.chain])
         pairs = tuple(sorted((p, lam) for h in spec.chain for lam in polymod._roots(h)))
     else:
-        pairs = _scalar_candidate(M)
-        if pairs is None or is_lambda_isomorphic(scalar_cyclic_module(pairs), M) is None:
-            least = lex_least_conjugate(M.group, M.t)
+        least = lex_least_conjugate(M.group, M.t)
+        pairs = _scalar_classes(M.group).get(least.images)
+        if pairs is None:
             return f"({M.group.spec()}; t={least.spec()})"
         return _scalar_name(pairs)
     _confirm(scalar_cyclic_module(pairs), M)

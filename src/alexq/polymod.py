@@ -34,8 +34,8 @@ subtree that holds a class's least member is skipped, and the walk stops
 once every chain has a member. At a leaf the nullities are exact, and the
 Smith form names the class unless one chain alone has those nullities. The
 members are kept in one table per carrier, keyed by (chain, unit), which
-`least_conjugate` (the fallback label's least conjugate on these carriers)
-reads.
+`least_conjugate` (the least conjugate that names a label on these
+carriers) reads.
 """
 
 from __future__ import annotations

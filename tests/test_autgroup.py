@@ -371,6 +371,17 @@ class TestRepresentatives:
         for rep in conjugacy_representatives(G):
             assert lex_least_conjugate(G, rep) == rep
 
+    @pytest.mark.parametrize("spec", ["4,4|0,1;3,2", "2,12|1,6;1,5"])
+    def test_listed_least_conjugate_builds_no_permutation(self, spec):
+        # the class is named from the generator images alone
+        group_part, phi_part = spec.split("|")
+        G = AbelianGroup.from_spec(group_part)
+        f = parse_phi_spec(G, phi_part)
+        least = lex_least_conjugate(G, f)
+        assert "perm" not in f.__dict__
+        assert least in conjugacy_representatives(G)
+        assert is_conjugate(G, f, least) is not None
+
     @pytest.mark.parametrize("factors", [(2, 4), (4, 4), (3, 9), (2, 2, 2)])
     def test_lex_least_matches_brute_force(self, factors):
         """Reference: the least generator images of h o f o h^-1 over all h."""

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from alexq import lambda_modules
 from alexq.abelian import (
     AbelianGroup,
     _invariant_decomposition,
@@ -23,11 +24,10 @@ from alexq.autgroup import (
 from alexq.errors import SpecError
 from alexq.lambda_modules import (
     LambdaModule,
-    _eigen_counts,
     _grouped,
     _image_indices,
     _primary_parts,
-    _scalar_candidate,
+    _scalar_classes,
     canonical_label,
     cyclic_name,
     image_one_minus_t,
@@ -360,40 +360,36 @@ class TestComputedRoutes:
         ]
         assert mismatches == []
 
-    def test_eigen_counts_match_the_walk(self, representative_modules):
-        modules = {*representative_modules, *map(image_one_minus_t, representative_modules)}
-        modules.update(map(parse_module_spec, _LARGE_MODULE_SPECS))
+    @pytest.mark.parametrize("spec", ["8,8", "9,9", "2,2,6", "2,12", "4,12"])
+    def test_label_matches_reference_on_every_class_of_the_carrier(self, spec):
+        G = AbelianGroup.from_spec(spec)
+        modules = [LambdaModule(G, f) for f in conjugacy_representatives(G)]
         mismatches = [
-            M.spec()
-            for M in sorted(modules, key=LambdaModule.spec)
-            if M.order > 1 and _eigen_counts(M) != _reference_eigen_counts(M)
+            (M.spec(), canonical_label(M), _reference_label(M))
+            for M in modules
+            if canonical_label(M) != _reference_label(M)
         ]
         assert mismatches == []
 
-    def test_eigen_counts_match_the_scan(self, representative_modules):
-        # one x per cyclic subgroup against the scan over every x it replaced
-        images = [image_one_minus_t(M) for M in representative_modules]
-        modules = representative_modules + [M for M in images if M.order > 1]
-        modules += [parse_module_spec(f"L251/{a}") for a in (2, 3, 6, 250)]
-        assert len(modules) == 2266
-        mismatches = [
-            M.spec() for M in modules if _eigen_counts(M) != _reference_eigen_scan(M)
-        ]
-        assert mismatches == []
+    @pytest.mark.parametrize(
+        "spec, count", [("4,4", 3), ("3,9", 12), ("8,8", 10), ("9,9", 21)]
+    )
+    def test_scalar_classes_hold_one_entry_per_multiset_of_summands(self, spec, count):
+        assert len(_scalar_classes(AbelianGroup.from_spec(spec))) == count
 
-    def test_scalar_candidate_matches_the_residue_sums(
-        self, representative_modules, chain_modules
-    ):
-        modules = {*representative_modules, *map(image_one_minus_t, representative_modules)}
-        modules.update(chain_modules)
-        modules.update(map(parse_module_spec, _LARGE_MODULE_SPECS))
-        modules.update(parse_module_spec(f"L251/{a}") for a in (2, 3, 6, 250))
-        mismatches = [
-            M.spec()
-            for M in sorted(modules, key=LambdaModule.spec)
-            if M.order > 1 and _scalar_candidate(M) != _reference_scalar_candidate(M)
-        ]
-        assert mismatches == []
+    @pytest.mark.parametrize("spec", ["4,4", "3,9"])
+    def test_least_conjugate_route_searches_no_witness(self, spec, monkeypatch):
+        # the last route names a module by its least conjugate alone
+        G = AbelianGroup.from_spec(spec)
+        modules = [LambdaModule(G, f) for f in conjugacy_representatives(G)]
+        expected = [_reference_label(M) for M in modules]
+
+        def refuse(*args):
+            raise AssertionError("a conjugacy witness was searched")
+
+        _scalar_classes.cache_clear()
+        monkeypatch.setattr(lambda_modules, "is_conjugate", refuse)
+        assert [canonical_label(M) for M in modules] == expected
 
     @pytest.mark.parametrize("factors", [(2, 4), (4, 4), (3, 9), (2, 2, 2), (3, 3)])
     def test_routes_agree_on_every_automorphism(self, factors):
@@ -412,8 +408,8 @@ class TestComputedRoutes:
         # each chain module, and a seeded conjugate of it that is not in
         # companion form, is labelled by its chain, or by its scalar summands
         # when t is diagonalisable (the last chain entry splits into distinct
-        # linear factors), as `_scalar_candidate` names them; distinct
-        # chains, distinct labels
+        # linear factors), as the eigen counts name them; distinct chains,
+        # distinct labels
         rng = random.Random(39)
         G = AbelianGroup((p,) * k)
         labels = []
@@ -436,7 +432,7 @@ class TestComputedRoutes:
                 label = canonical_label(N)
                 assert label == _grouped(names), (str(spec), N.spec())
                 if diagonalisable:
-                    pairs = _scalar_candidate(N)
+                    pairs = _reference_scalar_candidate(N)
                     assert label == _grouped(sorted(cyclic_name(q, a) for q, a in pairs))
             labels.append(label)
         assert len(set(labels)) == len(labels)
@@ -450,24 +446,14 @@ class TestComputedRoutes:
             for a in units if n <= 64 else rng.sample(units, 4):
                 G = AbelianGroup((n,))
                 M = LambdaModule(G, Automorphism(G, ((a,),)))
-                names = sorted(cyclic_name(q, b) for q, b in _scalar_candidate(M))
+                names = sorted(cyclic_name(q, b) for q, b in _reference_scalar_candidate(M))
                 assert canonical_label(M) == _grouped(names), (n, a)
 
 
-# carriers of 243 to 289 elements, with exponents up to 257
-_LARGE_MODULE_SPECS = (
-    "17,17|0,1;16,3",
-    "17,17|3,0;0,5",
-    "L257/3",
-    "2,128|1,0;0,3",
-    "3,9,9|2,0,0;0,1,1;0,0,1",
-    "4,64|1,16;0,3",
-)
-
-
 def _reference_eigen_counts(M: LambdaModule) -> Counter:
-    """The walk `_eigen_counts` replaced: each x's cyclic subgroup, built by
-    repeated addition, gives its order and the rho of t(x) = rho*x."""
+    """(p, g, rho) -> #{x of order p^g with t(x) = rho*x}, by a walk: each
+    x's cyclic subgroup, built by repeated addition, gives its order and the
+    rho of t(x) = rho*x."""
     rows, _ = _group_tables(M.group)
     eigen: Counter = Counter()
     for x in range(1, M.order):
@@ -485,8 +471,9 @@ def _reference_eigen_counts(M: LambdaModule) -> Counter:
 
 
 def _reference_eigen_scan(M: LambdaModule) -> Counter:
-    """The scan that `_eigen_counts` replaced: for every x, its multiples give
-    its order (by counting zeros) and rho (by searching for t(x))."""
+    """The counts of `_reference_eigen_counts` by a scan: for every x, its
+    multiples give its order (by counting zeros) and rho (by searching for
+    t(x))."""
     d = M.group.factors[-1]
     perm = M.t.perm
     eigen: Counter = Counter()
@@ -500,9 +487,16 @@ def _reference_eigen_scan(M: LambdaModule) -> Counter:
 
 
 def _reference_scalar_candidate(M: LambdaModule) -> tuple[tuple[int, int], ...] | None:
-    """`_scalar_candidate` with the sum it replaced: each residue r of level
-    f subtracts above[r + j*p^f] for all p values of j, one lookup at a time."""
-    eigen = _eigen_counts(M)
+    """The summands M has if it is a sum of cyclic scalar modules, or None,
+    read from eigen counts.
+
+    Write N(q, r) = #{x : q*x = 0, t(x) = r*x} for a prime power q = p^f
+    and a unit r mod q. If M is the sum of Z_{p^e_i} with t = a_i, then
+    log_p N(p^f, r) - log_p N(p^(f-1), r) counts the summands with e_i >= f
+    and a_i = r mod p^f; each residue r of level f subtracts above[r + j*p^f]
+    for all p values of j, which leaves the summands with e_i = f exactly.
+    """
+    eigen = _reference_eigen_scan(M)
     pairs = []
     for p, top in sorted(_prime_factorization(M.group.factors[-1]).items()):
         log_n = [
