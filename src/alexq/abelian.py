@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 Element = tuple[int, ...]
 
@@ -35,22 +35,65 @@ class ShapeError(ValueError):
     """An element does not match the shape of the group it is used with."""
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class _Frozen:
+    """Base of alexq's immutable value types.
+
+    A subclass declares its fields as class annotations, as a dataclass
+    would, and its own `__init__` sets each of them once with
+    `object.__setattr__`; a subclass that declares none keeps its base's
+    fields. Instances are equal when they are of one class and their fields
+    are equal, and hash alike then; the repr is "Name(field=value, ...)".
+    Assigning or deleting an attribute raises AttributeError, while
+    `cached_property` still fills, as it writes the instance `__dict__`.
+    Not a dataclass: importing `dataclasses` and building its methods
+    would be most of the cost of importing alexq.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "__annotations__" in cls.__dict__:
+            cls._fields = tuple(cls.__dict__["__annotations__"])
+        # reads the fields in C, one value or a tuple of them
+        cls._values = attrgetter(*cls._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} of a {type(self).__name__}")
+
+
+class AbelianGroup(_Frozen):
     """A finite abelian group given by its invariant factors."""
 
     factors: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(int(d) for d in self.factors))
-        for d in self.factors:
+    def __init__(self, factors: tuple[int, ...]) -> None:
+        factors = tuple(int(d) for d in factors)
+        for d in factors:
             if d < 2:
                 raise ValueError(f"invariant factors must be >= 2, got {d}")
-        for a, b in itertools.pairwise(self.factors):
+        for a, b in itertools.pairwise(factors):
             if b % a != 0:
                 raise ValueError(
-                    f"invariant factors must form a divisibility chain, got {self.factors}"
+                    f"invariant factors must form a divisibility chain, got {factors}"
                 )
+        object.__setattr__(self, "factors", factors)
 
     @property
     def order(self) -> int:

@@ -83,15 +83,15 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from operator import itemgetter, mod
-from typing import NamedTuple
 
 from . import kernels
 from .abelian import (
     AbelianGroup,
     Element,
+    _Frozen,
     _addition_rows,
     _linear_indices,
     _prime_factorization,
@@ -138,17 +138,15 @@ def _invertible_mod(rows: list[tuple[int, ...]], p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Endomorphism:
+class Endomorphism(_Frozen):
     """A linear self-map given by generator images."""
 
     group: AbelianGroup
     images: tuple[Element, ...]
 
-    def __post_init__(self) -> None:
-        images = tuple(map(tuple, self.images))
-        object.__setattr__(self, "images", images)
-        G = self.group
+    def __init__(self, group: AbelianGroup, images: tuple[Element, ...]) -> None:
+        images = tuple(map(tuple, images))
+        G = group
         factors = G.factors
         if len(images) != len(factors):
             raise ValueError(f"expected {G.rank} generator images for {G}, got {len(images)}")
@@ -163,6 +161,8 @@ class Endomorphism:
                     f"image {img} of a generator of order {d} has order "
                     f"{G.element_order(img)}; the map is not well defined"
                 )
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "images", images)
 
     @cached_property
     def perm(self) -> tuple[int, ...]:
@@ -212,12 +212,11 @@ class Endomorphism:
         return self.spec()
 
 
-@dataclass(frozen=True)
 class Automorphism(Endomorphism):
     """A bijective endomorphism."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, group: AbelianGroup, images: tuple[Element, ...]) -> None:
+        super().__init__(group, images)
         if not self.is_automorphism():
             raise ValueError(f"map {self.spec() or 'id'} on {self.group} is not bijective")
 
@@ -359,22 +358,16 @@ def _automorphism_perms(G: AbelianGroup) -> tuple[kernels.Perm, ...]:
     return tuple(kernels.enumerate_linear_bijections(G.order, G.factors, *_group_tables(G)))
 
 
-class _SylowPart(NamedTuple):
-    """A Sylow part P of a carrier G, in G's positions offset..k-1."""
+# A Sylow part P of a carrier G, in G's positions offset..k-1. project maps
+# an element index in G to the index of its p-part in P, perms is Aut(P),
+# ascending in the reversed key, and class_ids the conjugacy class of each
+# of perms.
+_SylowPart = namedtuple("_SylowPart", "group offset project perms class_ids")
 
-    group: AbelianGroup
-    offset: int
-    project: list[int]  # element index in G -> index of its p-part in P
-    perms: tuple[kernels.Perm, ...]  # Aut(P), ascending in the reversed key
-    class_ids: tuple[int, ...]  # the conjugacy class of each of perms
-
-
-class _Classes(NamedTuple):
-    """The conjugacy classes of Aut(G), read from the classes of its Sylow parts."""
-
-    parts: tuple[_SylowPart, ...]
-    reps: tuple[Automorphism, ...]  # the least member of each class, sorted
-    position: dict[tuple[int, ...], int]  # one class id per part -> index in reps
+# The conjugacy classes of Aut(G), read from the classes of its Sylow parts:
+# reps is the least member of each class, sorted, and position maps one
+# class id per part to the index in reps.
+_Classes = namedtuple("_Classes", "parts reps position")
 
 
 def _crt_tables(G: AbelianGroup, P: AbelianGroup) -> tuple[int, list[int], list[int]]:

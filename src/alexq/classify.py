@@ -43,14 +43,12 @@ import contextlib
 import functools
 import json
 import os
-import tempfile
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 from pathlib import Path
 
 from ._version import __version__
-from .abelian import AbelianGroup, _prime_factorization, enumerate_groups
+from .abelian import AbelianGroup, _Frozen, _prime_factorization, enumerate_groups
 from .autgroup import (
     Automorphism,
     _automorphism_perms,
@@ -77,8 +75,7 @@ Triple = tuple[Automorphism, LambdaModule, str]
 ImageTable = dict[str, tuple[LambdaModule, str]]
 
 
-@dataclass(frozen=True)
-class QuandleClass:
+class QuandleClass(_Frozen):
     """One isomorphism class, named by its image module."""
 
     id: int
@@ -87,13 +84,38 @@ class QuandleClass:
     connected: bool
     members: tuple[Member, ...]
 
+    def __init__(
+        self,
+        id: int,
+        image_label: str,
+        image: LambdaModule,
+        connected: bool,
+        members: tuple[Member, ...],
+    ) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "image_label", image_label)
+        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "connected", connected)
+        object.__setattr__(self, "members", members)
 
-@dataclass(frozen=True)
-class ClassificationReport:
+
+class ClassificationReport(_Frozen):
     order: int
     classes: tuple[QuandleClass, ...]
     per_group_counts: dict[str, int]
     totals: tuple[int, int]  # (classes, connected)
+
+    def __init__(
+        self,
+        order: int,
+        classes: tuple[QuandleClass, ...],
+        per_group_counts: dict[str, int],
+        totals: tuple[int, int],
+    ) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "per_group_counts", per_group_counts)
+        object.__setattr__(self, "totals", totals)
 
 
 # --- per-carrier work and its cache --------------------------------------
@@ -165,6 +187,8 @@ def _load_cached(path: Path, carrier: AbelianGroup, table: ImageTable) -> list[T
 
 
 def _store_cached(path: Path, payload: dict) -> None:
+    import tempfile  # imported here, not at import: a warm run writes nothing
+
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -294,6 +318,8 @@ def _forked(shares: list[list[AbelianGroup]], cache_dir: str | None):
 
 def _cache_writable(cache_dir: Path) -> bool:
     """Whether a file can be made in cache_dir, which is created if missing."""
+    import tempfile  # imported here, not at import: only a run with jobs > 1 asks
+
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryFile(dir=cache_dir):
@@ -384,8 +410,7 @@ def classify_order(
 # --- route cross-validation ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrossValidation:
+class CrossValidation(_Frozen):
     order: int
     p: int
     k: int
@@ -394,6 +419,26 @@ class CrossValidation:
     ok: bool
     detail: str
     matching: tuple[tuple[str, str], ...]  # (polynomial chain, representative)
+
+    def __init__(
+        self,
+        order: int,
+        p: int,
+        k: int,
+        spec_count: int,
+        class_count: int,
+        ok: bool,
+        detail: str,
+        matching: tuple[tuple[str, str], ...],
+    ) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "spec_count", spec_count)
+        object.__setattr__(self, "class_count", class_count)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "matching", matching)
 
 
 def _prime_power(order: int) -> tuple[int, int] | None:

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import (
     AbelianGroup,
     Element,
+    _Frozen,
     _elementary_prime,
     _invariant_decomposition,
     _linear_indices,
@@ -55,14 +55,15 @@ from .autgroup import (
 from .errors import ConsistencyError, SpecError
 
 
-@dataclass(frozen=True)
-class LambdaModule:
+class LambdaModule(_Frozen):
     group: AbelianGroup
     t: Automorphism
 
-    def __post_init__(self) -> None:
-        if self.t.group != self.group:
+    def __init__(self, group: AbelianGroup, t: Automorphism) -> None:
+        if t.group != group:
             raise ValueError("t must be an automorphism of the carrier group")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "t", t)
 
     @property
     def order(self) -> int:

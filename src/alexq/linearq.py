@@ -10,28 +10,28 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
-from .abelian import AbelianGroup
+from .abelian import AbelianGroup, _Frozen
 from .autgroup import Automorphism
 from .errors import SpecError
 from .lambda_modules import LambdaModule
 
 
-@dataclass(frozen=True)
-class LinearQuandleSpec:
+class LinearQuandleSpec(_Frozen):
     """Modulus n and unit multiplier a, written "L<n>/<a>"."""
 
     n: int
     a: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"modulus must be positive, got {self.n}")
-        if not 0 <= self.a < self.n and not (self.n == 1 and self.a == 0):
-            raise ValueError(f"multiplier {self.a} not reduced modulo {self.n}")
-        if math.gcd(self.a, self.n) != 1:
-            raise ValueError(f"multiplier {self.a} is not a unit modulo {self.n}")
+    def __init__(self, n: int, a: int) -> None:
+        if n < 1:
+            raise ValueError(f"modulus must be positive, got {n}")
+        if not 0 <= a < n and not (n == 1 and a == 0):
+            raise ValueError(f"multiplier {a} not reduced modulo {n}")
+        if math.gcd(a, n) != 1:
+            raise ValueError(f"multiplier {a} is not a unit modulo {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
 
     def shorthand(self) -> str:
         return f"L{self.n}/{self.a}"

@@ -45,13 +45,13 @@ import math
 import re
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
 from .abelian import (
     AbelianGroup,
     Element,
+    _Frozen,
     _elementary_prime,
     _prime_factorization,
 )
@@ -60,18 +60,17 @@ from .errors import EnumerationBudgetError, SpecError
 from .lambda_modules import LambdaModule, _poly_terms
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(_Frozen):
     """A polynomial over Z_p, p prime; coeffs has no trailing zeros, () is zero."""
 
     p: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if _prime_factorization(self.p) != {self.p: 1}:
-            raise ValueError(f"modulus must be a prime, got {self.p}")
-        coeffs = _trim([int(c) % self.p for c in self.coeffs])
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+    def __init__(self, p: int, coeffs: Sequence[int]) -> None:
+        if _prime_factorization(p) != {p: 1}:
+            raise ValueError(f"modulus must be a prime, got {p}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", tuple(_trim([int(c) % p for c in coeffs])))
 
     @property
     def degree(self) -> int:
@@ -221,25 +220,26 @@ def poly_divides(a: Poly, b: Poly) -> bool:
     return not _divmod(b.coeffs, a.coeffs, a.p)[1]
 
 
-@dataclass(frozen=True)
-class PolySpec:
+class PolySpec(_Frozen):
     """A divisor chain h_1 | h_2 | ... of monic unit-constant polynomials."""
 
     p: int
     chain: tuple[Poly, ...]
 
-    def __post_init__(self) -> None:
-        for h in self.chain:
-            if h.p != self.p:
+    def __init__(self, p: int, chain: tuple[Poly, ...]) -> None:
+        for h in chain:
+            if h.p != p:
                 raise ValueError("chain polynomials must share the spec modulus")
             if h.degree < 1 or not h.is_monic or not h.has_unit_constant:
                 raise ValueError(
                     f"chain entries must be monic of positive degree with unit "
                     f"constant term, got {h}"
                 )
-        for a, b in itertools.pairwise(self.chain):
+        for a, b in itertools.pairwise(chain):
             if not poly_divides(a, b):
                 raise ValueError(f"{a} does not divide {b}; not a divisor chain")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "chain", chain)
 
     @property
     def total_degree(self) -> int:

@@ -47,11 +47,11 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import getitem, itemgetter
 
+from .abelian import _Frozen
 from .autgroup import _group_tables
 from .errors import TableParseError
 from .kernels import cycle_type, search_rows
@@ -66,21 +66,21 @@ class QuandleAxiomError(ValueError):
     """An operation required a quandle but the table fails an axiom."""
 
 
-@dataclass(frozen=True)
-class CayleyTable:
+class CayleyTable(_Frozen):
     table: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
-        n = len(self.table)
+    def __init__(self, table: Iterable[Iterable[int]]) -> None:
+        table = tuple(tuple(row) for row in table)
+        n = len(table)
         labels = set(range(n))
-        for a, row in enumerate(self.table):
+        for a, row in enumerate(table):
             if len(row) != n:
                 raise MalformedTableError(f"row {a} has {len(row)} entries, expected {n}")
             # entries are looked at one by one only in a row that has a bad one
             if not labels.issuperset(row):
                 b, v = next((b, v) for b, v in enumerate(row) if v not in labels)
                 raise MalformedTableError(f"entry [{a}][{b}] = {v} out of range for order {n}")
+        object.__setattr__(self, "table", table)
 
     @property
     def n(self) -> int:
@@ -188,11 +188,17 @@ class CayleyTable:
         return cls(tuple(rows))
 
 
-@dataclass(frozen=True)
-class AxiomVerdict:
+class AxiomVerdict(_Frozen):
     ok: bool
-    axiom: str | None = None
-    witness: tuple[int, ...] | None = None
+    axiom: str | None
+    witness: tuple[int, ...] | None
+
+    def __init__(
+        self, ok: bool, axiom: str | None = None, witness: tuple[int, ...] | None = None
+    ) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "axiom", axiom)
+        object.__setattr__(self, "witness", witness)
 
     def describe(self) -> str:
         if self.ok:

@@ -13,7 +13,12 @@ from alexq.abelian import (
     enumerate_groups,
     normalize_cyclic_orders,
 )
-from alexq.autgroup import conjugacy_representatives
+from alexq.autgroup import Automorphism, Endomorphism, conjugacy_representatives
+from alexq.classify import ClassificationReport, CrossValidation, QuandleClass
+from alexq.lambda_modules import LambdaModule
+from alexq.linearq import LinearQuandleSpec
+from alexq.polymod import Poly, PolySpec
+from alexq.quandle import AxiomVerdict, CayleyTable
 
 from helpers import subgroup_structure
 
@@ -251,3 +256,88 @@ class TestIndexArithmetic:
     def test_linear_indices_between_carriers(self, source, target, images):
         S, T = AbelianGroup(source), AbelianGroup(target)
         assert _linear_indices(S, T, images) == _checked_linear_indices(S, T, images)
+
+
+Z2 = AbelianGroup((2,))
+ONE = Automorphism(Z2, ((1,),))
+ONE_REPR = "Automorphism(group=AbelianGroup(factors=(2,)), images=((1,),))"
+MODULE_REPR = f"LambdaModule(group=AbelianGroup(factors=(2,)), t={ONE_REPR})"
+
+
+class TestValueTypes:
+    """The value types behave as frozen dataclasses did: repr, equality,
+    hash and immutability, with cached properties still filling."""
+
+    @pytest.mark.parametrize(
+        "make, text, field",
+        [
+            (lambda: AbelianGroup((2, 4)), "AbelianGroup(factors=(2, 4))", "factors"),
+            (
+                lambda: Endomorphism(Z2, ((0,),)),
+                "Endomorphism(group=AbelianGroup(factors=(2,)), images=((0,),))",
+                "images",
+            ),
+            (lambda: Automorphism(Z2, ((1,),)), ONE_REPR, "group"),
+            (lambda: LambdaModule(Z2, ONE), MODULE_REPR, "t"),
+            (lambda: Poly(2, (1, 1, 0)), "Poly(p=2, coeffs=(1, 1))", "coeffs"),
+            (
+                lambda: PolySpec(2, (Poly(2, (1, 1)),)),
+                "PolySpec(p=2, chain=(Poly(p=2, coeffs=(1, 1)),))",
+                "chain",
+            ),
+            (lambda: LinearQuandleSpec(5, 2), "LinearQuandleSpec(n=5, a=2)", "a"),
+            (lambda: CayleyTable([[0, 0], [1, 1]]), "CayleyTable(table=((0, 0), (1, 1)))", "table"),
+            (lambda: AxiomVerdict(True), "AxiomVerdict(ok=True, axiom=None, witness=None)", "ok"),
+            (
+                lambda: QuandleClass(0, "L", LambdaModule(Z2, ONE), True, ((Z2, ONE),)),
+                f"QuandleClass(id=0, image_label='L', image={MODULE_REPR}, connected=True, "
+                f"members=((AbelianGroup(factors=(2,)), {ONE_REPR}),))",
+                "image_label",
+            ),
+            (
+                lambda: ClassificationReport(2, (), {"2": 1}, (1, 0)),
+                "ClassificationReport(order=2, classes=(), per_group_counts={'2': 1}, "
+                "totals=(1, 0))",
+                "classes",
+            ),
+            (
+                lambda: CrossValidation(4, 2, 2, 3, 3, True, "agree", (("1+t", "1,0;0,1"),)),
+                "CrossValidation(order=4, p=2, k=2, spec_count=3, class_count=3, ok=True, "
+                "detail='agree', matching=(('1+t', '1,0;0,1'),))",
+                "ok",
+            ),
+        ],
+    )
+    def test_repr_equality_hash_and_immutability(self, make, text, field):
+        a, b = make(), make()
+        assert repr(a) == text
+        assert a == b and a is not b and not a != b
+        assert a != object()
+        if isinstance(a, ClassificationReport):
+            with pytest.raises(TypeError):  # per_group_counts is a dict
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert a == b
+
+    def test_automorphism_never_equals_endomorphism(self):
+        images = ((1, 0), (0, 1))
+        G = AbelianGroup((2, 2))
+        assert Automorphism(G, images) != Endomorphism(G, images)
+        assert Endomorphism(G, images) != Automorphism(G, images)
+        assert Automorphism(G, images) == Automorphism(G, images)
+
+    def test_cached_properties_fill_on_first_read(self):
+        G = AbelianGroup((2, 2))
+        f = Automorphism(G, ((0, 1), (1, 0)))
+        Q = CayleyTable(((0, 0), (1, 1)))
+        for value, name in ((G, "elements"), (f, "perm"), (Q, "_fingerprints")):
+            assert name not in vars(value)
+            first = getattr(value, name)
+            assert vars(value)[name] is first is getattr(value, name)
+        assert G.elements == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert f.perm == (0, 2, 1, 3)

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -20,6 +19,8 @@ from alexq.abelian import AbelianGroup, _elementary_prime, _prime_factorization,
 from alexq.autgroup import conjugacy_representatives
 from alexq.classify import (
     ORACLE_VALIDATION_MAX_ORDER,
+    ClassificationReport,
+    QuandleClass,
     _cache_path,
     _load_cached,
     _source_digest,
@@ -445,8 +446,10 @@ class TestClassifyRange:
             if order != 3:
                 return report
             *rest, last = report.classes
-            last = dataclasses.replace(last, image_label="renamed")
-            return dataclasses.replace(report, classes=(*rest, last))
+            last = QuandleClass(last.id, "renamed", last.image, last.connected, last.members)
+            return ClassificationReport(
+                report.order, (*rest, last), report.per_group_counts, report.totals
+            )
 
         monkeypatch.setattr(alexq.classify, "classify_order", renamed)
         with pytest.raises(
@@ -850,6 +853,29 @@ def test_no_run_imports_pickle_and_only_a_forked_run_imports_signal():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n['signal']\n[]\n"
+
+
+def test_no_run_imports_dataclasses_inspect_or_typing_and_a_warm_run_no_tempfile(tmp_path):
+    # the first process runs cold and then warm, the second warm alone; a
+    # cold run writes cache entries, the one use of tempfile in a serial run
+    probe = "import sys, alexq; from alexq.classify import classify_order; "
+    check = "print(sorted({'dataclasses', 'inspect', 'typing', 'tempfile'} & set(sys.modules)))"
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(alexq.__file__).parents[1]),
+        "ALEXQ_CACHE": str(tmp_path),
+    }
+    outs = [
+        subprocess.run(
+            [sys.executable, "-S", "-c", probe + "classify_order(8); " * runs + check],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        for runs in (2, 1)
+    ]
+    assert [out.returncode for out in outs] == [0, 0], [out.stderr for out in outs]
+    assert [out.stdout for out in outs] == ["['tempfile']\n", "[]\n"]
 
 
 def test_warm_run_does_no_aut_work(tmp_path, monkeypatch):

@@ -450,30 +450,10 @@ class TestComputedRoutes:
                 assert canonical_label(M) == _grouped(names), (n, a)
 
 
-def _reference_eigen_counts(M: LambdaModule) -> Counter:
-    """(p, g, rho) -> #{x of order p^g with t(x) = rho*x}, by a walk: each
-    x's cyclic subgroup, built by repeated addition, gives its order and the
-    rho of t(x) = rho*x."""
-    rows, _ = _group_tables(M.group)
-    eigen: Counter = Counter()
-    for x in range(1, M.order):
-        multiples = [0, x]
-        y = rows[x][x]
-        while y:
-            multiples.append(y)
-            y = rows[y][x]
-        factorization = _prime_factorization(len(multiples))
-        tx = M.t.perm[x]
-        if len(factorization) == 1 and tx in multiples:
-            ((p, g),) = factorization.items()
-            eigen[p, g, multiples.index(tx)] += 1
-    return eigen
-
-
 def _reference_eigen_scan(M: LambdaModule) -> Counter:
-    """The counts of `_reference_eigen_counts` by a scan: for every x, its
-    multiples give its order (by counting zeros) and rho (by searching for
-    t(x))."""
+    """(p, g, rho) -> #{x of order p^g with t(x) = rho*x}, by a scan: for
+    every x, its multiples give its order (by counting zeros) and rho (by
+    searching for t(x))."""
     d = M.group.factors[-1]
     perm = M.t.perm
     eigen: Counter = Counter()
