@@ -8,7 +8,7 @@ their coordinates, so the zero element always has index 0.
 
 This module owns the index order and all arithmetic on indices:
 `_linear_indices` evaluates a homomorphism given by generator images (t,
-1 - t, the Sylow embed and project maps, an image's basis),
+1 - t, the Sylow embed map, an image's basis),
 `_addition_rows` builds the addition table, and `_invariant_decomposition`
 splits a subgroup of indices into cyclic factors on those rows.
 
@@ -36,10 +36,11 @@ class ShapeError(ValueError):
 
 
 class _Frozen:
-    """Base of alexq's immutable value types.
+    """Base of alexq's value types that check their fields.
 
+    A type that validates is a `_Frozen`; a plain record is a namedtuple.
     A subclass declares its fields as class annotations, as a dataclass
-    would, and its own `__init__` sets each of them once with
+    would, and its own `__init__` checks them and sets each once with
     `object.__setattr__`; a subclass that declares none keeps its base's
     fields. Instances are equal when they are of one class and their fields
     are equal, and hash alike then; the repr is "Name(field=value, ...)".

@@ -358,11 +358,11 @@ def _automorphism_perms(G: AbelianGroup) -> tuple[kernels.Perm, ...]:
     return tuple(kernels.enumerate_linear_bijections(G.order, G.factors, *_group_tables(G)))
 
 
-# A Sylow part P of a carrier G, in G's positions offset..k-1. project maps
-# an element index in G to the index of its p-part in P, perms is Aut(P),
-# ascending in the reversed key, and class_ids the conjugacy class of each
-# of perms.
-_SylowPart = namedtuple("_SylowPart", "group offset project perms class_ids")
+# A Sylow part P of a carrier G, in G's positions offset..k-1: the p-part
+# of an element x of G is x[offset:] reduced mod P's factors. perms is
+# Aut(P), ascending in the reversed key, and class_ids the conjugacy class
+# of each of perms.
+_SylowPart = namedtuple("_SylowPart", "group offset perms class_ids")
 
 # The conjugacy classes of Aut(G), read from the classes of its Sylow parts:
 # reps is the least member of each class, sorted, and position maps one
@@ -370,21 +370,20 @@ _SylowPart = namedtuple("_SylowPart", "group offset project perms class_ids")
 _Classes = namedtuple("_Classes", "parts reps position")
 
 
-def _crt_tables(G: AbelianGroup, P: AbelianGroup) -> tuple[int, list[int], list[int]]:
-    """(offset, embed, project) between G and its Sylow part P.
+def _crt_tables(G: AbelianGroup, P: AbelianGroup) -> tuple[int, list[int]]:
+    """(offset, embed) from the Sylow part P into G.
 
     P's factors q_j are the p-parts of G's factors d from position offset
-    on. Both are homomorphisms on element indices: `embed` sends P's e_j to
+    on. `embed` is a homomorphism on element indices: it sends P's e_j to
     u_j * e_{offset+j} for the idempotent u_j = 1 mod q_j, 0 mod d / q_j
-    (Chinese remainder theorem); `project` sends e_{offset+j} to e_j and the
-    generators below offset to 0, so x goes to its p-part.
+    (Chinese remainder theorem). The p-part of an element x of G is read
+    from its coordinates instead: x[offset:] reduced mod the q_j.
     """
     offset = G.rank - P.rank
     gens = G.generators()[offset:]
     units = [d // q * pow(d // q, -1, q) for d, q in zip(G.factors[offset:], P.factors)]
     embed = _linear_indices(P, G, [G.scalar_mul(u, e) for u, e in zip(units, gens)])
-    project = _linear_indices(G, P, (P.zero,) * offset + P.generators())
-    return offset, embed, project
+    return offset, embed
 
 
 def _class_columns(part: _SylowPart, embed: list[int]) -> list[list[list[int]]]:
@@ -428,7 +427,7 @@ def _conjugacy(G: AbelianGroup) -> _Classes:
         else:
             class_ids, reps = kernels.conjugacy_partition(perms, G.generator_indices)
         return _Classes(
-            (_SylowPart(G, 0, list(range(G.order)), perms, tuple(class_ids)),),
+            (_SylowPart(G, 0, perms, tuple(class_ids)),),
             tuple(Automorphism._from_perm(G, perms[i]) for i in reps),
             {(cid,): cid for cid in range(len(reps))},
         )
@@ -436,8 +435,8 @@ def _conjugacy(G: AbelianGroup) -> _Classes:
     parts, factor_classes = [], []
     for P in sylow:
         (own,) = _conjugacy(P).parts
-        offset, embed, project = _crt_tables(G, P)
-        part = _SylowPart(P, offset, project, own.perms, own.class_ids)
+        offset, embed = _crt_tables(G, P)
+        part = _SylowPart(P, offset, own.perms, own.class_ids)
         parts.append(part)
         factor_classes.append(_class_columns(part, embed))
     ids = itertools.product(*(range(len(classes)) for classes in factor_classes))
@@ -511,17 +510,18 @@ def _listed_least_conjugate(G: AbelianGroup, f: Automorphism) -> Automorphism:
     which is ascending in the reversed key, and the parts' classes name f's
     class, whose least member is already known. A part holds G's last
     generator positions, so its reversed key is the head of G's. The key is
-    read from f's generator images, so f's full permutation is not built.
+    read from f's generator images, each image's p-part from its
+    coordinates, so neither f's full permutation nor a projection table is
+    built.
     """
     table = _conjugacy(G)
-    reversed_key = [G.index(img) for img in reversed(f.images)]
+    reversed_images = f.images[::-1]
     cids = []
-    for P, _, project, perms, class_ids in table.parts:
+    for P, offset, perms, class_ids in table.parts:
         gens = P.generator_indices[::-1]
+        head = [tuple(map(mod, img[offset:], P.factors)) for img in reversed_images[: P.rank]]
         i = bisect.bisect_left(
-            perms,
-            tuple([project[x] for x in reversed_key[: P.rank]]),
-            key=lambda p: tuple([p[g] for g in gens]),
+            perms, tuple(map(P.index, head)), key=lambda p: tuple([p[g] for g in gens])
         )
         cids.append(class_ids[i])
     return table.reps[table.position[tuple(cids)]]

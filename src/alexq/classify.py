@@ -43,12 +43,11 @@ import contextlib
 import functools
 import json
 import os
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable
-from pathlib import Path
 
 from ._version import __version__
-from .abelian import AbelianGroup, _Frozen, _prime_factorization, enumerate_groups
+from .abelian import AbelianGroup, _prime_factorization, enumerate_groups
 from .autgroup import (
     Automorphism,
     _automorphism_perms,
@@ -75,47 +74,18 @@ Triple = tuple[Automorphism, LambdaModule, str]
 ImageTable = dict[str, tuple[LambdaModule, str]]
 
 
-class QuandleClass(_Frozen):
+class QuandleClass(namedtuple("QuandleClass", "id image_label image connected members")):
     """One isomorphism class, named by its image module."""
 
-    id: int
-    image_label: str
-    image: LambdaModule
-    connected: bool
-    members: tuple[Member, ...]
-
-    def __init__(
-        self,
-        id: int,
-        image_label: str,
-        image: LambdaModule,
-        connected: bool,
-        members: tuple[Member, ...],
-    ) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "image_label", image_label)
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "connected", connected)
-        object.__setattr__(self, "members", members)
+    __slots__ = ()
 
 
-class ClassificationReport(_Frozen):
-    order: int
-    classes: tuple[QuandleClass, ...]
-    per_group_counts: dict[str, int]
-    totals: tuple[int, int]  # (classes, connected)
+class ClassificationReport(
+    namedtuple("ClassificationReport", "order classes per_group_counts totals")
+):
+    """The classes of one order; totals is (classes, connected)."""
 
-    def __init__(
-        self,
-        order: int,
-        classes: tuple[QuandleClass, ...],
-        per_group_counts: dict[str, int],
-        totals: tuple[int, int],
-    ) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "per_group_counts", per_group_counts)
-        object.__setattr__(self, "totals", totals)
+    __slots__ = ()
 
 
 # --- per-carrier work and its cache --------------------------------------
@@ -128,8 +98,9 @@ def _source_digest() -> str:
     Stored in every cache entry and checked on load, so a code change
     without a version bump cannot serve entries computed by other code.
     Read on first cache access, not at import; hashlib is imported here
-    for the same reason, as it is slow to load. The files are listed with
-    `os.listdir`, as `Path.glob` compiles a pattern in every new process.
+    for the same reason, as it is slow to load. Files are named and read
+    with `os` and `open`, as cache entries are: `import pathlib` would cost
+    every process about a tenth of its import.
     """
     import hashlib
 
@@ -144,15 +115,15 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
-def _cache_path(cache_dir: Path, carrier: AbelianGroup) -> Path:
+def _cache_path(cache_dir: str, carrier: AbelianGroup) -> str:
     name = carrier.spec().replace(",", "-")
-    return cache_dir / f"carrier-{name}-v{__version__}.json"
+    return os.path.join(cache_dir, f"carrier-{name}-v{__version__}.json")
 
 
 _CACHED_LISTS = ("reps", "images", "labels")  # aligned, one item per class
 
 
-def _load_cached(path: Path, carrier: AbelianGroup, table: ImageTable) -> list[Triple] | None:
+def _load_cached(path: str, carrier: AbelianGroup, table: ImageTable) -> list[Triple] | None:
     """Cached (representative, image, label) triples, or None.
 
     None when the entry is missing, stale, unparseable or of the wrong shape.
@@ -162,7 +133,8 @@ def _load_cached(path: Path, carrier: AbelianGroup, table: ImageTable) -> list[T
     entry has parsed, so a rejected entry adds nothing to it.
     """
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as file:
+            payload = json.load(file)
         if (
             not isinstance(payload, dict)
             or payload.get("carrier") != carrier.spec()
@@ -186,15 +158,16 @@ def _load_cached(path: Path, carrier: AbelianGroup, table: ImageTable) -> list[T
     return triples
 
 
-def _store_cached(path: Path, payload: dict) -> None:
+def _store_cached(path: str, payload: dict) -> None:
     import tempfile  # imported here, not at import: a warm run writes nothing
 
     tmp = None
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        os.close(fd)
-        Path(tmp).write_text(json.dumps(payload), encoding="utf-8")
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        with open(fd, "w", encoding="utf-8") as file:
+            file.write(json.dumps(payload))
         os.replace(tmp, path)
     except OSError:
         # caching is best effort: an unusable cache directory (say, a path
@@ -244,8 +217,8 @@ def _carrier_triples(
     return list(zip(reps, images, payload["labels"]))
 
 
-def resolve_cache_dir(cache_dir: str | None) -> Path:
-    return Path(cache_dir or os.environ.get("ALEXQ_CACHE") or ".alexq-cache")
+def resolve_cache_dir(cache_dir: str | None) -> str:
+    return cache_dir or os.environ.get("ALEXQ_CACHE") or ".alexq-cache"
 
 
 # --- merging --------------------------------------------------------------
@@ -316,12 +289,12 @@ def _forked(shares: list[list[AbelianGroup]], cache_dir: str | None):
             os.waitpid(pid, 0)
 
 
-def _cache_writable(cache_dir: Path) -> bool:
+def _cache_writable(cache_dir: str) -> bool:
     """Whether a file can be made in cache_dir, which is created if missing."""
     import tempfile  # imported here, not at import: only a run with jobs > 1 asks
 
     try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(cache_dir, exist_ok=True)
         with tempfile.TemporaryFile(dir=cache_dir):
             return True
     except OSError:
@@ -410,35 +383,12 @@ def classify_order(
 # --- route cross-validation ----------------------------------------------
 
 
-class CrossValidation(_Frozen):
-    order: int
-    p: int
-    k: int
-    spec_count: int
-    class_count: int
-    ok: bool
-    detail: str
-    matching: tuple[tuple[str, str], ...]  # (polynomial chain, representative)
+class CrossValidation(
+    namedtuple("CrossValidation", "order p k spec_count class_count ok detail matching")
+):
+    """What `cross_validate` found; matching pairs each chain with its representative."""
 
-    def __init__(
-        self,
-        order: int,
-        p: int,
-        k: int,
-        spec_count: int,
-        class_count: int,
-        ok: bool,
-        detail: str,
-        matching: tuple[tuple[str, str], ...],
-    ) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "spec_count", spec_count)
-        object.__setattr__(self, "class_count", class_count)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "matching", matching)
+    __slots__ = ()
 
 
 def _prime_power(order: int) -> tuple[int, int] | None:

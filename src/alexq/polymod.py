@@ -498,7 +498,7 @@ def _scan(p: int, k: int, m: int) -> dict[tuple[Chain, int], Automorphism]:
     _check_scan_budget(p, k, m)
     P = AbelianGroup((p,) * k)
     G = AbelianGroup((p,) * (k - 1) + (p * m,))
-    _, embed, _ = _crt_tables(G, P)  # the identity when m = 1
+    _, embed = _crt_tables(G, P)  # the identity when m = 1
     last = G.generators()[-1]
     b = p * pow(p, -1, m)  # the CRT idempotent of m: 0 mod p, 1 mod m
     first = _first_members(P, sorted(range(P.order), key=embed.__getitem__))

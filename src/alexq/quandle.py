@@ -45,7 +45,7 @@ zero-based entries; row a, column b is a |> b. Only blank lines may follow.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable
 from functools import cached_property
 from itertools import chain
@@ -188,17 +188,10 @@ class CayleyTable(_Frozen):
         return cls(tuple(rows))
 
 
-class AxiomVerdict(_Frozen):
-    ok: bool
-    axiom: str | None
-    witness: tuple[int, ...] | None
+class AxiomVerdict(namedtuple("AxiomVerdict", "ok axiom witness", defaults=(None, None))):
+    """Pass, or the first axiom that fails and a witness tuple where it fails."""
 
-    def __init__(
-        self, ok: bool, axiom: str | None = None, witness: tuple[int, ...] | None = None
-    ) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "axiom", axiom)
-        object.__setattr__(self, "witness", witness)
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.ok:

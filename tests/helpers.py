@@ -8,7 +8,8 @@ from functools import cached_property
 
 from alexq.abelian import AbelianGroup, Element
 from alexq.autgroup import Automorphism, _automorphism_perms, _conjugacy, _group_tables
-from alexq.lambda_modules import LambdaModule, _image_indices
+from alexq.lambda_modules import LambdaModule, _image_indices, _scalar_classes
+from alexq.polymod import _scan
 from alexq.quandle import CayleyTable
 
 
@@ -144,9 +145,12 @@ def enumerate_automorphisms(G: AbelianGroup) -> tuple[Automorphism, ...]:
 
 
 def clear_carrier_caches() -> None:
-    """Empty the per-carrier caches of `autgroup`: the tables and the classes."""
+    """Empty every per-carrier cache: `autgroup`'s tables and classes,
+    `polymod`'s least-member scans and `lambda_modules`' scalar classes."""
     _group_tables.cache_clear()
     _conjugacy.cache_clear()
+    _scan.cache_clear()
+    _scalar_classes.cache_clear()
 
 
 def conjugacy_class_sizes(G: AbelianGroup) -> tuple[int, ...]:

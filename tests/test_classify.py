@@ -332,9 +332,9 @@ class TestDeterminismAndCache:
 
     def test_env_var_fallback(self, monkeypatch, tmp_path):
         monkeypatch.setenv("ALEXQ_CACHE", str(tmp_path / "envcache"))
-        assert resolve_cache_dir(None) == tmp_path / "envcache"
+        assert resolve_cache_dir(None) == str(tmp_path / "envcache")
         monkeypatch.delenv("ALEXQ_CACHE")
-        assert str(resolve_cache_dir(None)) == ".alexq-cache"
+        assert resolve_cache_dir(None) == ".alexq-cache"
 
 
 class TestCrossValidate:
@@ -857,9 +857,11 @@ def test_no_run_imports_pickle_and_only_a_forked_run_imports_signal():
 
 def test_no_run_imports_dataclasses_inspect_or_typing_and_a_warm_run_no_tempfile(tmp_path):
     # the first process runs cold and then warm, the second warm alone; a
-    # cold run writes cache entries, the one use of tempfile in a serial run
+    # cold run writes cache entries, the one use of tempfile in a serial run.
+    # No run loads pathlib either: cache files are named with os.path
     probe = "import sys, alexq; from alexq.classify import classify_order; "
-    check = "print(sorted({'dataclasses', 'inspect', 'typing', 'tempfile'} & set(sys.modules)))"
+    probed = "{'dataclasses', 'inspect', 'typing', 'pathlib', 'tempfile'}"
+    check = f"print(sorted({probed} & set(sys.modules)))"
     env = {
         **os.environ,
         "PYTHONPATH": str(Path(alexq.__file__).parents[1]),
@@ -1022,7 +1024,7 @@ def test_warm_run_parses_each_distinct_image_spec_once(order, distinct, tmp_path
     specs = {
         spec
         for G in enumerate_groups(order)
-        for spec in json.loads(_cache_path(tmp_path, G).read_text())["images"]
+        for spec in json.loads(Path(_cache_path(tmp_path, G)).read_text())["images"]
     }
     parsed = []
     parse = alexq.classify.parse_module_spec
@@ -1066,7 +1068,7 @@ def test_rejected_entry_teaches_the_table_nothing(tmp_path):
     # is rejected after all its images have parsed; none of them is learned
     cold = classify_order(8, cache_dir=str(tmp_path))
     G = AbelianGroup((2, 4))
-    path = _cache_path(tmp_path, G)
+    path = Path(_cache_path(tmp_path, G))
     payload = json.loads(path.read_text())
     payload["reps"][-1] = "1,0;0,2"
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -1074,7 +1076,7 @@ def test_rejected_entry_teaches_the_table_nothing(tmp_path):
     assert _load_cached(path, G, table) is None
     assert table == {}
     Z8 = AbelianGroup((8,))
-    assert _load_cached(_cache_path(tmp_path, Z8), Z8, table) is not None
+    assert _load_cached(Path(_cache_path(tmp_path, Z8)), Z8, table) is not None
     learned = dict(table)
     assert learned and _load_cached(path, G, table) is None
     assert table == learned
